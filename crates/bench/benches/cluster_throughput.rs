@@ -1,59 +1,136 @@
-//! Fleet-scale cluster throughput: wall time of one `Cluster::run` as the
-//! fleet grows (10 → 100 → 1000 servers), with a Rubik controller per
-//! server — the heaviest realistic per-server policy — behind the
-//! power-aware router.
+//! Fleet-scale cluster throughput: requests per second of one `Cluster::run`
+//! per router as the fleet grows. Only the run is timed — every cluster is
+//! built (servers, policies, router) in `iter_batched` setup.
 //!
-//! This tracks the binary-heap event loop's scalability: the per-request
-//! cost must stay near-flat as servers multiply, because the loop touches
-//! only the globally earliest server per event (stale heap entries are
-//! skipped in O(log n)). Requests scale with the fleet so every size serves
-//! the same per-server load.
+//! Cells:
+//!
+//! * router {round-robin, JSQ, power-aware} × servers {1k, 10k}, each
+//!   server at a fixed nominal frequency;
+//! * power-aware at 100k servers, fixed frequency (100k Rubik controllers
+//!   would need ~21 GB);
+//! * power-aware at 1k servers with a Rubik controller per server — one
+//!   controller seeded from the trace's head, cloned into every server.
+//!
+//! Round-robin is the routing-free baseline: JSQ and power-aware are keyed
+//! routers, which the driver serves from a tournament tree in O(log n) per
+//! changed server, so their per-request cost should stay within a small
+//! factor of round-robin's as the fleet grows.
 //!
 //! Results merge into `BENCH_controller.json` like the other controller
-//! benches, and a summary (per-fleet-size median wall time and requests/s)
-//! is merged into the `"cluster_throughput"` section of
-//! `BENCH_cluster.json` (shared with the `fleet_cap` bench) for later PRs
-//! to regress against.
+//! benches, and a summary (per-cell median wall time and requests/s, plus
+//! the host's parallelism) is merged into the `"cluster_throughput"`
+//! section of `BENCH_cluster.json`.
 //!
-//! Env knobs: `RUBIK_CLUSTER_BENCH_REQUESTS` (default 30) sets requests per
+//! Env knobs: `RUBIK_CLUSTER_BENCH_REQUESTS` (default 20) sets requests per
 //! server; `RUBIK_BENCH_SAMPLE_MS` / `RUBIK_BENCH_SAMPLES` are the usual
 //! criterion smoke knobs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, BenchmarkId, Criterion,
+};
 
-use rubik::cluster::{fleet_trace, PowerAware};
-use rubik::{AppProfile, Cluster, RubikConfig, RubikController, SimConfig, Trace};
+use rubik::cluster::{fleet_trace, JoinShortestQueue, PowerAware, RoundRobin};
+use rubik::{
+    AppProfile, Cluster, DvfsPolicy, FixedFrequencyPolicy, Router, RubikConfig, RubikController,
+    SimConfig, Trace,
+};
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_controller.json");
 const CLUSTER_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
 
-const FLEETS: [usize; 3] = [10, 100, 1000];
 const LOAD: f64 = 0.3;
+
+fn round_robin() -> Box<dyn Router> {
+    Box::new(RoundRobin::new())
+}
+
+fn jsq() -> Box<dyn Router> {
+    Box::new(JoinShortestQueue::new())
+}
+
+fn power_aware() -> Box<dyn Router> {
+    Box::new(PowerAware::default())
+}
+
+/// One benchmark cell: a router, a per-server policy, and a fleet size.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    router: fn() -> Box<dyn Router>,
+    rubik: bool,
+    servers: usize,
+}
+
+impl Cell {
+    fn router_name(&self) -> String {
+        (self.router)().name().to_string()
+    }
+
+    fn policy(&self) -> &'static str {
+        if self.rubik {
+            "rubik"
+        } else {
+            "fixed"
+        }
+    }
+
+    /// `router/policy/servers`, the cell's benchmark id within the group.
+    fn name(&self) -> String {
+        format!("{}/{}/{}", self.router_name(), self.policy(), self.servers)
+    }
+}
+
+fn cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for router in [round_robin, jsq, power_aware] {
+        for servers in [1_000, 10_000] {
+            cells.push(Cell {
+                router,
+                rubik: false,
+                servers,
+            });
+        }
+    }
+    cells.push(Cell {
+        router: power_aware,
+        rubik: false,
+        servers: 100_000,
+    });
+    cells.push(Cell {
+        router: power_aware,
+        rubik: true,
+        servers: 1_000,
+    });
+    cells
+}
 
 fn requests_per_server() -> usize {
     std::env::var("RUBIK_CLUSTER_BENCH_REQUESTS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(30)
+        .unwrap_or(20)
 }
 
-fn run_fleet(config: &SimConfig, trace: &Trace, fleet: usize, bound: f64) -> f64 {
-    let cluster = Cluster::new(
-        config.clone(),
-        fleet,
-        Box::new(PowerAware::default()),
-        |_| {
-            RubikController::seeded_for_trace(
-                RubikConfig::new(bound).with_profiling_window(1024),
-                config.dvfs.clone(),
-                trace,
-                256,
-            )
-        },
-    );
-    let outcome = cluster.run(trace);
-    assert_eq!(outcome.requests, trace.len());
-    outcome.fleet_energy // checksum so the run cannot be optimized away
+/// Times one cell: each iteration builds a fresh cluster in (untimed)
+/// setup, then runs `trace` through it. The checksum returned by the run
+/// keeps it from being optimized away.
+fn bench_cell<P: DvfsPolicy>(
+    group: &mut BenchmarkGroup<'_>,
+    cell: &Cell,
+    config: &SimConfig,
+    trace: &Trace,
+    policy: impl Fn() -> P,
+) {
+    group.bench_with_input(BenchmarkId::from_parameter(cell.name()), cell, |b, cell| {
+        b.iter_batched(
+            || Cluster::new(config.clone(), cell.servers, (cell.router)(), |_| policy()),
+            |cluster| {
+                let outcome = cluster.run(trace);
+                assert_eq!(outcome.requests, trace.len());
+                outcome.fleet_energy
+            },
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 fn bench_cluster_throughput(c: &mut Criterion) {
@@ -63,11 +140,23 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     let per_server = requests_per_server();
 
     let mut group = c.benchmark_group("cluster_throughput");
-    for fleet in FLEETS {
-        let trace = fleet_trace(&profile, LOAD, fleet, per_server * fleet, 2015);
-        group.bench_with_input(BenchmarkId::new("servers", fleet), &fleet, |b, &fleet| {
-            b.iter(|| run_fleet(&config, &trace, fleet, bound))
-        });
+    for cell in cells() {
+        let requests = per_server * cell.servers;
+        let trace = fleet_trace(&profile, LOAD, cell.servers, requests, 2015);
+        if cell.rubik {
+            let seeded = RubikController::seeded_for_trace(
+                RubikConfig::new(bound).with_profiling_window(1024),
+                config.dvfs.clone(),
+                &trace,
+                256,
+            );
+            bench_cell(&mut group, &cell, &config, &trace, || seeded.clone());
+        } else {
+            let nominal = config.dvfs.nominal();
+            bench_cell(&mut group, &cell, &config, &trace, || {
+                FixedFrequencyPolicy::new(nominal)
+            });
+        }
     }
     group.finish();
 
@@ -75,18 +164,20 @@ fn bench_cluster_throughput(c: &mut Criterion) {
 }
 
 /// Distills the group's results into the `"cluster_throughput"` section of
-/// `BENCH_cluster.json`: per-fleet-size median wall time and request
-/// throughput.
+/// `BENCH_cluster.json`: per-cell median wall time and request throughput.
 fn write_cluster_summary(c: &Criterion, per_server: usize) {
     let mut entries = Vec::new();
-    for fleet in FLEETS {
-        let id = format!("cluster_throughput/servers/{fleet}");
+    for cell in cells() {
+        let id = format!("cluster_throughput/{}", cell.name());
         if let Some(r) = c.results().iter().find(|r| r.id == id) {
-            let requests = per_server * fleet;
+            let requests = per_server * cell.servers;
             let rps = requests as f64 / (r.median_ns * 1e-9);
             entries.push(format!(
-                "      {{\"servers\": {fleet}, \"requests\": {requests}, \
-                 \"median_ns\": {:.1}, \"requests_per_sec\": {rps:.1}}}",
+                "      {{\"router\": \"{}\", \"policy\": \"{}\", \"servers\": {}, \
+                 \"requests\": {requests}, \"median_ns\": {:.1}, \"requests_per_sec\": {rps:.1}}}",
+                cell.router_name(),
+                cell.policy(),
+                cell.servers,
                 r.median_ns
             ));
         }
@@ -94,10 +185,12 @@ fn write_cluster_summary(c: &Criterion, per_server: usize) {
     if entries.is_empty() {
         return;
     }
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let section = format!(
         "{{\n    \"load_per_server\": {LOAD},\n    \"requests_per_server\": {per_server},\n    \
-         \"router\": \"power-aware\",\n    \"policy\": \"rubik-per-server\",\n    \
-         \"fleets\": [\n{}\n    ]\n  }}",
+         \"host_parallelism\": {parallelism},\n    \
+         \"timed\": \"Cluster::run only; clusters built in iter_batched setup\",\n    \
+         \"cells\": [\n{}\n    ]\n  }}",
         entries.join(",\n")
     );
     if let Err(e) = rubik_bench::merge_bench_section(CLUSTER_JSON, "cluster_throughput", &section) {

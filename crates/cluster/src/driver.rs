@@ -35,7 +35,7 @@ use crate::fault::{FaultLayer, FaultPlan, HedgeResolution, OpKind, RequestPolicy
 use crate::fleet::{EpochMeter, FleetCommand, FleetController, FleetSpec, ServerPowerView};
 use crate::migrate::{Migration, Migrator};
 use crate::outcome::ClusterOutcome;
-use crate::router::{Router, ServerHealth, ServerView};
+use crate::router::{RouteTree, Router, ServerHealth, ServerView};
 use rubik_telemetry::{
     EpochSample, RequestEvent, RequestEventKind, ServerEvent, ServerEventKind, ServerSample,
     Telemetry, TraceLog,
@@ -67,6 +67,17 @@ pub enum ClusterError {
         /// The previous arrival's time.
         prev: f64,
     },
+    /// A router chose a server index outside the fleet — for an arrival,
+    /// a retry, or a crash-drain requeue. The run is abandoned like an
+    /// out-of-order arrival: it produces no outcome.
+    RouteOutOfRange {
+        /// The router's [`name`](Router::name).
+        router: String,
+        /// The index it chose.
+        server: usize,
+        /// The fleet size.
+        fleet: usize,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -78,6 +89,14 @@ impl std::fmt::Display for ClusterError {
             ClusterError::OutOfOrderArrival { index, at, prev } => write!(
                 f,
                 "arrival source must be time-ordered: arrival #{index} at {at} after {prev}"
+            ),
+            ClusterError::RouteOutOfRange {
+                router,
+                server,
+                fleet,
+            } => write!(
+                f,
+                "router {router} chose server {server} of a {fleet}-server fleet"
             ),
         }
     }
@@ -415,6 +434,12 @@ impl<P: DvfsPolicy> Cluster<P> {
     /// [`crate::fleet_trace`]); each request is routed on arrival and
     /// offered to one server. Requests must be time-ordered, which
     /// [`Trace`] guarantees.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`ClusterError::RouteOutOfRange`] if the
+    /// router picks a server outside the fleet (the batch `run*` methods
+    /// all do; [`Cluster::run_streamed`] returns the error instead).
     pub fn run(self, trace: &Trace) -> ClusterOutcome {
         self.run_with_results(trace).0
     }
@@ -434,7 +459,8 @@ impl<P: DvfsPolicy> Cluster<P> {
     ///
     /// Returns [`ClusterError::OutOfOrderArrival`] if the source yields
     /// arrivals out of time order (a violation of the [`ArrivalSource`]
-    /// contract).
+    /// contract), and [`ClusterError::RouteOutOfRange`] if the router sends
+    /// an arrival, a retry, or a requeued request outside the fleet.
     pub fn run_streamed<S: ArrivalSource>(self, source: S) -> Result<ClusterOutcome, ClusterError> {
         Ok(self.run_streamed_with_results(source)?.0)
     }
@@ -483,7 +509,7 @@ impl<P: DvfsPolicy> Cluster<P> {
     pub fn run_with_results(self, trace: &Trace) -> (ClusterOutcome, Vec<RunResult>) {
         let (outcome, results, _) = self
             .run_core(&mut TraceSource::new(trace), 1, None)
-            .expect("a Trace is time-ordered by construction");
+            .unwrap_or_else(|e| panic!("{e}"));
         (outcome, results)
     }
 
@@ -498,7 +524,7 @@ impl<P: DvfsPolicy> Cluster<P> {
         }
         let (outcome, results, log) = self
             .run_core(&mut TraceSource::new(trace), 1, None)
-            .expect("a Trace is time-ordered by construction");
+            .unwrap_or_else(|e| panic!("{e}"));
         (outcome, results, log.expect("telemetry is enabled"))
     }
 
@@ -517,13 +543,15 @@ impl<P: DvfsPolicy> Cluster<P> {
     ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
         let n = self.servers.len();
         // One view per server, maintained incrementally: only a stepped or
-        // offered server's view changes, so routing stays O(fleet) in reads
-        // but O(events) — not O(arrivals × fleet) — in writes.
+        // offered server's view changes, so view writes cost O(events), not
+        // O(arrivals × fleet). A keyed router also routes in O(log n) per
+        // changed view; any other router reads the whole slice per route.
         let mut loop_state = EventLoop::new(
             std::mem::take(&mut self.servers),
             shard_count,
             std::mem::take(&mut self.capacities),
             std::mem::take(&mut self.classes),
+            self.router.as_ref(),
         );
         // The fault/lifecycle layer exists only when something was attached;
         // without it every drain takes the pre-existing unwatched path. (An
@@ -631,7 +659,7 @@ impl<P: DvfsPolicy> Cluster<P> {
                         boundary,
                         self.router.as_mut(),
                         &mut loop_state,
-                    );
+                    )?;
                 }
                 if next_rebalance == boundary {
                     let m = migrator.as_deref_mut().expect("rebalance implies migrator");
@@ -663,12 +691,7 @@ impl<P: DvfsPolicy> Cluster<P> {
             // server's engine to order against the arrival itself.
             loop_state.drain(request.arrival, pool, layer.as_mut(), &mut tele);
 
-            let target = self.router.route(&request, &loop_state.views);
-            assert!(
-                target < n,
-                "router {} chose server {target} of a {n}-server fleet",
-                self.router.name()
-            );
+            let target = loop_state.route(self.router.as_mut(), &request)?;
             loop_state.server_mut(target).offer(request);
             loop_state.schedule(target);
             if let Some(l) = layer.as_mut() {
@@ -714,7 +737,7 @@ impl<P: DvfsPolicy> Cluster<P> {
                     boundary,
                     self.router.as_mut(),
                     &mut loop_state,
-                );
+                )?;
             }
             if next_rebalance == boundary {
                 let m = migrator.as_deref_mut().expect("rebalance implies migrator");
@@ -812,7 +835,7 @@ impl<P: DvfsPolicy + Send> Cluster<P> {
     ) -> (ClusterOutcome, Vec<RunResult>) {
         let (outcome, results, _) = self
             .run_sharded_core(&mut TraceSource::new(trace), shards.shards())
-            .expect("a Trace is time-ordered by construction");
+            .unwrap_or_else(|e| panic!("{e}"));
         (outcome, results)
     }
 
@@ -827,7 +850,7 @@ impl<P: DvfsPolicy + Send> Cluster<P> {
         }
         let (outcome, results, log) = self
             .run_sharded_core(&mut TraceSource::new(trace), shards.shards())
-            .expect("a Trace is time-ordered by construction");
+            .unwrap_or_else(|e| panic!("{e}"));
         (outcome, results, log.expect("telemetry is enabled"))
     }
 
@@ -1061,6 +1084,9 @@ struct EventLoop<P: DvfsPolicy> {
     /// Global server index → owning shard.
     owner: Vec<u32>,
     views: Vec<ServerView>,
+    /// The keys of a keyed router over `views` (`None` for every other
+    /// router, decided once per run). Every view write marks the server.
+    tree: Option<RouteTree>,
     capacities: Vec<f64>,
     classes: Vec<u32>,
     healths: Vec<ServerHealth>,
@@ -1072,13 +1098,14 @@ struct EventLoop<P: DvfsPolicy> {
 
 impl<P: DvfsPolicy> EventLoop<P> {
     /// Partitions `servers` into `shard_count` contiguous balanced blocks
-    /// (clamped to the fleet size) and seeds each shard's heap and every
-    /// router view.
+    /// (clamped to the fleet size) and seeds each shard's heap, every
+    /// router view, and — when `router` is keyed — the route tree.
     fn new(
         servers: Vec<ServerSim<P>>,
         shard_count: usize,
         capacities: Vec<f64>,
         classes: Vec<u32>,
+        router: &dyn Router,
     ) -> Self {
         let n = servers.len();
         let k = shard_count.clamp(1, n.max(1));
@@ -1116,6 +1143,7 @@ impl<P: DvfsPolicy> EventLoop<P> {
             shards,
             owner,
             views: Vec::with_capacity(n),
+            tree: None,
             capacities,
             classes,
             healths: vec![ServerHealth::Up; n],
@@ -1126,6 +1154,7 @@ impl<P: DvfsPolicy> EventLoop<P> {
             let view = state.view_of(i);
             state.views.push(view);
         }
+        state.tree = RouteTree::build(router, &state.views);
         state
     }
 
@@ -1171,12 +1200,42 @@ impl<P: DvfsPolicy> EventLoop<P> {
         }
     }
 
+    /// Rewrites server `i`'s router view from its current state.
+    fn refresh_view(&mut self, i: usize) {
+        self.views[i] = self.view_of(i);
+        if let Some(tree) = &mut self.tree {
+            tree.mark(i);
+        }
+    }
+
+    /// Routes `request` — an arrival, a retry, or a crash-drain requeue —
+    /// from the route tree when the router is keyed and from the full view
+    /// slice otherwise, rejecting a choice outside the fleet.
+    fn route(
+        &mut self,
+        router: &mut dyn Router,
+        request: &RequestSpec,
+    ) -> Result<usize, ClusterError> {
+        let target = match &mut self.tree {
+            Some(tree) => tree.route(router, &self.views),
+            None => router.route(request, &self.views),
+        };
+        if target < self.len() {
+            Ok(target)
+        } else {
+            Err(ClusterError::RouteOutOfRange {
+                router: router.name().to_string(),
+                server: target,
+                fleet: self.len(),
+            })
+        }
+    }
+
     /// Re-registers server `i` after its state changed: refreshes its router
     /// view, advances its stamp (invalidating any entry already in its
     /// shard's heap), and pushes its current next-event time, if any.
     fn schedule(&mut self, i: usize) {
-        let view = self.view_of(i);
-        self.views[i] = view;
+        self.refresh_view(i);
         let shard = &mut self.shards[self.owner[i] as usize];
         let local = i - shard.base;
         shard.stamps[local] += 1;
@@ -1307,8 +1366,7 @@ impl<P: DvfsPolicy> EventLoop<P> {
             }
             let dirty = std::mem::take(&mut self.shards[s].dirty);
             for &i in &dirty {
-                let view = self.view_of(i as usize);
-                self.views[i as usize] = view;
+                self.refresh_view(i as usize);
             }
             let mut dirty = dirty;
             dirty.clear();
@@ -1422,13 +1480,18 @@ fn align_server_to<P: DvfsPolicy>(
 /// retry delivered at `now` cannot time out at `now`). All server mutation
 /// happens here, against the same views and scheduling discipline as
 /// routing — one deterministic sequence regardless of sweep threading.
+///
+/// # Errors
+///
+/// Returns [`ClusterError::RouteOutOfRange`] if the router sends a retry
+/// or a requeued request outside the fleet.
 fn run_faults<P: DvfsPolicy>(
     layer: &mut FaultLayer,
     tele: &mut Telemetry,
     now: f64,
     router: &mut dyn Router,
     state: &mut EventLoop<P>,
-) {
+) -> Result<(), ClusterError> {
     while let Some(op) = layer.pop_due_op(now) {
         align_server_to(state, op.server, now, layer, tele);
         let effective = layer.track_op(&op);
@@ -1480,7 +1543,7 @@ fn run_faults<P: DvfsPolicy>(
                     // Stealing pops the FIFO back-to-front; re-routing in
                     // reverse preserves arrival order across the receivers.
                     for spec in stranded.into_iter().rev() {
-                        let target = router.route(&spec, &state.views);
+                        let target = state.route(router, &spec)?;
                         state.server_mut(target).inject(now, spec);
                         layer.requeued(spec.id, op.server, target);
                         tele.request_event(
@@ -1551,7 +1614,7 @@ fn run_faults<P: DvfsPolicy>(
     // this very instant. The router sees live (post-fault) views; wrap it
     // in `HealthAware` to keep retries off down or straggling servers.
     while let Some((spec, attempt)) = layer.pop_due_retry(now) {
-        let target = router.route(&spec, &state.views);
+        let target = state.route(router, &spec)?;
         state.server_mut(target).inject(now, spec);
         layer.on_routed(spec, target, attempt, now);
         tele.request_event(
@@ -1631,6 +1694,7 @@ fn run_faults<P: DvfsPolicy>(
             state.schedule(server);
         }
     }
+    Ok(())
 }
 
 /// Takes one telemetry sample window ending at `now`: per-server mean power
@@ -1910,5 +1974,98 @@ mod tests {
     fn zero_server_cluster_panics() {
         let cfg = config();
         let _ = Cluster::new(cfg.clone(), 0, Box::new(Passthrough), fixed(&cfg));
+    }
+
+    /// Routes round-robin, except that it answers one past the end of the
+    /// fleet for request `bad` and for any request it has seen before (a
+    /// retry or a crash-drain requeue).
+    struct Rogue {
+        next: usize,
+        seen: std::collections::HashSet<u64>,
+        bad: Option<u64>,
+    }
+
+    impl Rogue {
+        fn new(bad: Option<u64>) -> Box<Self> {
+            Box::new(Self {
+                next: 0,
+                seen: Default::default(),
+                bad,
+            })
+        }
+    }
+
+    impl Router for Rogue {
+        fn name(&self) -> &str {
+            "rogue"
+        }
+
+        fn route(&mut self, request: &RequestSpec, servers: &[ServerView]) -> usize {
+            if !self.seen.insert(request.id) || self.bad == Some(request.id) {
+                return servers.len();
+            }
+            self.next += 1;
+            (self.next - 1) % servers.len()
+        }
+    }
+
+    /// Two servers behind `router`, with server 0 crashing mid-burst.
+    fn crashing(router: Box<Rogue>, policy: RequestPolicy) -> Cluster<FixedFrequencyPolicy> {
+        let cfg = config();
+        Cluster::new(cfg.clone(), 2, router, fixed(&cfg))
+            .with_fault_plan(FaultPlan::new().crash(0, 2e-3).recover(0, 4e-3))
+            .with_request_policy(policy)
+    }
+
+    fn out_of_range() -> ClusterError {
+        ClusterError::RouteOutOfRange {
+            router: "rogue".to_string(),
+            server: 2,
+            fleet: 2,
+        }
+    }
+
+    #[test]
+    fn a_retry_routed_out_of_range_is_a_typed_error() {
+        // The crash salvages server 0's in-service request into a retry:
+        // the first repeat sighting, so the first bad choice.
+        let cluster = crashing(Rogue::new(None), RequestPolicy::new().salvaging_in_flight());
+        let err = cluster
+            .run_streamed(TraceSource::new(&burst(40, 1e-4)))
+            .unwrap_err();
+        assert_eq!(err, out_of_range());
+    }
+
+    #[test]
+    fn a_requeue_routed_out_of_range_is_a_typed_error() {
+        // Without salvage, the crash drains server 0's queue through the
+        // router instead.
+        let cluster = crashing(Rogue::new(None), RequestPolicy::new().draining_on_crash());
+        let err = cluster
+            .run_streamed(TraceSource::new(&burst(40, 1e-4)))
+            .unwrap_err();
+        assert_eq!(err, out_of_range());
+    }
+
+    #[test]
+    fn an_arrival_routed_out_of_range_is_a_typed_error() {
+        let cfg = config();
+        let cluster = Cluster::new(cfg.clone(), 2, Rogue::new(Some(5)), fixed(&cfg));
+        let err = cluster
+            .run_streamed_with_results(TraceSource::new(&burst(40, 1e-4)))
+            .unwrap_err();
+        assert_eq!(err, out_of_range());
+        assert_eq!(
+            err.to_string(),
+            "router rogue chose server 2 of a 2-server fleet"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "router rogue chose server 2 of a 2-server fleet")]
+    fn a_batch_run_panics_with_the_route_error() {
+        let cfg = config();
+        let cluster = Cluster::new(cfg.clone(), 2, Rogue::new(Some(5)), fixed(&cfg));
+        let _ = cluster.run(&burst(40, 1e-4));
     }
 }

@@ -20,7 +20,9 @@
 //! * [`Router`] — the load-balancing policy, with [`RoundRobin`],
 //!   [`JoinShortestQueue`], and [`PowerAware`] (routes on each server's
 //!   live occupancy, capacity weight, and DVFS operating point)
-//!   implementations, plus the [`Passthrough`] identity router,
+//!   implementations, plus the [`Passthrough`] identity router. Scored
+//!   routers declare a [`RouteKey`] per server, and the driver routes them
+//!   from a tournament tree in O(log n) per changed server,
 //! * [`FleetSpec`] — heterogeneous fleets: named core classes (big/little),
 //!   each with its own `SimConfig` and a capacity weight,
 //! * [`FleetController`] / [`PegasusFleet`] — fleet-level power capping on a
@@ -433,8 +435,8 @@ pub use fleet::{
 pub use migrate::{Migration, Migrator, ThresholdMigrator};
 pub use outcome::{AvailabilityStats, ClassTotals, ClusterOutcome, ServerOutcome};
 pub use router::{
-    HealthAware, JoinShortestQueue, Passthrough, PowerAware, RoundRobin, Router, ServerHealth,
-    ServerView,
+    HealthAware, JoinShortestQueue, Passthrough, PowerAware, RoundRobin, RouteKey, Router,
+    ServerHealth, ServerView,
 };
 pub use rubik_load::{ArrivalSource, TraceSource};
 pub use rubik_telemetry::{Telemetry, TraceLog};

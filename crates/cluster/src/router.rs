@@ -7,6 +7,31 @@
 //! decision. Routers may keep internal state (e.g. the round-robin cursor)
 //! but must be deterministic: the same request/view sequence must produce
 //! the same choices, or cluster runs stop being reproducible.
+//!
+//! # Keyed routers
+//!
+//! A scored policy can also declare a [`RouteKey`] per view through
+//! [`Router::key`]. Its choice is then the server with the smallest
+//! `(key, index)`, and the driver finds that server without handing the
+//! router the whole fleet: it keeps a tournament tree over the keys,
+//! re-keys only the servers whose views changed since the last route
+//! (O(log n) each), and reads the root. [`JoinShortestQueue`],
+//! [`PowerAware`], and [`HealthAware`] over either are keyed; their
+//! `route` is the same key argmin over a slice, so both paths make the
+//! same choice by construction.
+//!
+//! The contract of a keyed router:
+//!
+//! * `route` returns the key argmin, lowest index first among equal keys;
+//! * the key reads only the view's state, never its `index`, so a keyed
+//!   router ignores the request and keeps no routing state;
+//! * `key` returns `Some` for every view or for none (the driver asks
+//!   once per run, on server 0's view).
+//!
+//! Stateful routers ([`RoundRobin`], [`Passthrough`]) return `None` and are
+//! called with the full view slice on every decision. So is any wrapper
+//! that does not forward `key` — with exactly the same choices, only
+//! O(fleet) per route.
 
 use rubik_power::CorePowerModel;
 use rubik_sim::{Freq, RequestSpec};
@@ -85,6 +110,55 @@ impl ServerView {
     }
 }
 
+/// A keyed router's score for one server (see [`Router::key`]): routing
+/// picks the server with the smallest key, the lowest index first among
+/// equal keys.
+///
+/// Keys compare lexicographically: the health demotion [`HealthAware`]
+/// applies to unroutable servers first, then the primary score, then the
+/// secondary one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RouteKey {
+    demoted: bool,
+    primary: u64,
+    secondary: u64,
+}
+
+impl RouteKey {
+    /// A key ordered by `primary`, then by `secondary`.
+    pub const fn new(primary: u64, secondary: u64) -> Self {
+        Self {
+            demoted: false,
+            primary,
+            secondary,
+        }
+    }
+
+    /// A key ordered by `primary`, then by `secondary`, each compared as
+    /// [`f64::total_cmp`] compares them.
+    pub fn from_f64(primary: f64, secondary: f64) -> Self {
+        Self::new(total_order_bits(primary), total_order_bits(secondary))
+    }
+
+    /// This key, ranked after every undemoted key when `demote` is set.
+    /// Demoting twice is demoting once, which is exactly the order of
+    /// `(unroutable, (unroutable, inner))` for nested [`HealthAware`].
+    fn demoted_if(mut self, demote: bool) -> Self {
+        self.demoted |= demote;
+        self
+    }
+}
+
+/// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s order.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// A load-balancing policy for a [`Cluster`](crate::Cluster).
 pub trait Router {
     /// Human-readable name used in experiment output.
@@ -94,6 +168,51 @@ pub trait Router {
     /// `request`. `servers` holds one view per server, in index order, and
     /// is never empty.
     fn route(&mut self, request: &RequestSpec, servers: &[ServerView]) -> usize;
+
+    /// This router's score for one server, if it routes by score (see
+    /// [keyed routers](self#keyed-routers)). The default, `None`, keeps
+    /// the router on the full-slice [`route`](Router::route) path.
+    ///
+    /// A router that returns `Some` promises that `route` picks the
+    /// server with the smallest `(key, index)`, that the key depends on
+    /// the view's state but not on its `index` (so routing ignores the
+    /// request and keeps no state), and that every view gets a key. The
+    /// driver then routes from a tournament tree of these keys in
+    /// O(log n) per changed view and never calls `route`.
+    fn key(&self, view: &ServerView) -> Option<RouteKey> {
+        let _ = view;
+        None
+    }
+}
+
+/// The server with the smallest `(key, index)` — a keyed router's choice
+/// over a slice (0 for an empty one). The driver's tournament tree
+/// computes the same minimum incrementally.
+fn key_argmin<R: Router + ?Sized>(router: &R, servers: &[ServerView]) -> usize {
+    // A plain loop: `Iterator::min` over `(key, index)` pairs compiles to
+    // code several times slower than this.
+    let Some((first, rest)) = servers.split_first() else {
+        return 0;
+    };
+    let (mut best_key, mut best) = (keyed(router, first), first.index);
+    for view in rest {
+        let key = keyed(router, view);
+        if key < best_key || (key == best_key && view.index < best) {
+            (best_key, best) = (key, view.index);
+        }
+    }
+    best
+}
+
+/// `router`'s key for `view`, which a keyed router must provide.
+fn keyed<R: Router + ?Sized>(router: &R, view: &ServerView) -> RouteKey {
+    router.key(view).unwrap_or_else(|| {
+        panic!(
+            "keyed router {} returned no key for server {}",
+            router.name(),
+            view.index
+        )
+    })
 }
 
 /// Sends every request to server 0 — the identity router.
@@ -157,12 +276,11 @@ impl Router for JoinShortestQueue {
     }
 
     fn route(&mut self, _request: &RequestSpec, servers: &[ServerView]) -> usize {
-        // `servers` is non-empty (Cluster construction validates the fleet);
-        // fall back to 0 rather than panicking if a caller hands us less.
-        servers
-            .iter()
-            .min_by_key(|v| (v.in_flight, v.index))
-            .map_or(0, |v| v.index)
+        key_argmin(self, servers)
+    }
+
+    fn key(&self, view: &ServerView) -> Option<RouteKey> {
+        Some(RouteKey::new(view.in_flight as u64, 0))
     }
 }
 
@@ -209,18 +327,14 @@ impl Router for PowerAware {
     }
 
     fn route(&mut self, _request: &RequestSpec, servers: &[ServerView]) -> usize {
-        servers
-            .iter()
-            .min_by(|a, b| {
-                (a.effective_load().total_cmp(&b.effective_load()))
-                    .then_with(|| {
-                        self.power
-                            .active_power(a.current_freq)
-                            .total_cmp(&self.power.active_power(b.current_freq))
-                    })
-                    .then_with(|| a.index.cmp(&b.index))
-            })
-            .map_or(0, |v| v.index)
+        key_argmin(self, servers)
+    }
+
+    fn key(&self, view: &ServerView) -> Option<RouteKey> {
+        Some(RouteKey::from_f64(
+            view.effective_load(),
+            self.power.active_power(view.current_freq),
+        ))
     }
 }
 
@@ -240,6 +354,11 @@ impl Router for PowerAware {
 /// server index. On an all-healthy fleet the filtered slice equals the
 /// full slice, and the wrapper is behaviourally identical to the inner
 /// router (pinned in `tests/fault_properties.rs`).
+///
+/// Over a keyed inner router the wrapper is keyed too, with key
+/// `(unroutable, inner key)`: routable servers first, and the whole fleet
+/// when none is routable — the same choice as the filtered slice, since
+/// re-indexing preserves index order.
 #[derive(Debug)]
 pub struct HealthAware<R> {
     inner: R,
@@ -291,11 +410,81 @@ impl<R: Router> Router for HealthAware<R> {
         let choice = self.inner.route(request, &self.scratch);
         self.map[choice.min(self.map.len() - 1)]
     }
+
+    fn key(&self, view: &ServerView) -> Option<RouteKey> {
+        let key = self.inner.key(view)?;
+        Some(key.demoted_if(!view.health.routable()))
+    }
+}
+
+/// A tournament tree over a keyed router's per-server keys: the root holds
+/// the fleet's smallest `(key, index)`, so a keyed route costs O(log n) per
+/// server whose view changed since the previous route instead of O(n).
+#[derive(Debug)]
+pub(crate) struct RouteTree {
+    /// `nodes[n + i]` is server `i`'s leaf; every node `j` in `1..n` holds
+    /// the smaller of nodes `2j` and `2j + 1`, so node 1 is the minimum
+    /// over all leaves (for any `n`, since the minimum of a total order
+    /// does not care about the tree's shape). `nodes[0]` is unused.
+    nodes: Vec<(RouteKey, u32)>,
+    /// Servers whose views changed since the last route, each once.
+    dirty: Vec<u32>,
+    is_dirty: Vec<bool>,
+}
+
+impl RouteTree {
+    /// Keys every view, or returns `None` if `router` is not keyed.
+    pub(crate) fn build(router: &dyn Router, views: &[ServerView]) -> Option<Self> {
+        router.key(views.first()?)?;
+        let n = views.len();
+        let mut nodes = vec![(RouteKey::default(), 0); 2 * n];
+        for (i, view) in views.iter().enumerate() {
+            nodes[n + i] = (keyed(router, view), i as u32);
+        }
+        for j in (1..n).rev() {
+            nodes[j] = nodes[2 * j].min(nodes[2 * j + 1]);
+        }
+        Some(Self {
+            nodes,
+            dirty: Vec::with_capacity(n),
+            is_dirty: vec![false; n],
+        })
+    }
+
+    /// Records that server `i`'s view changed.
+    pub(crate) fn mark(&mut self, i: usize) {
+        if !self.is_dirty[i] {
+            self.is_dirty[i] = true;
+            self.dirty.push(i as u32);
+        }
+    }
+
+    /// Re-keys every marked server, then returns the server with the
+    /// smallest `(key, index)`.
+    pub(crate) fn route(&mut self, router: &dyn Router, views: &[ServerView]) -> usize {
+        let n = self.is_dirty.len();
+        for i in self.dirty.drain(..) {
+            let i = i as usize;
+            self.is_dirty[i] = false;
+            let mut j = n + i;
+            self.nodes[j] = (keyed(router, &views[i]), i as u32);
+            while j > 1 {
+                j /= 2;
+                let best = self.nodes[2 * j].min(self.nodes[2 * j + 1]);
+                if self.nodes[j] == best {
+                    break; // nothing above this node changes either
+                }
+                self.nodes[j] = best;
+            }
+        }
+        self.nodes[1].1 as usize
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rubik_stats::DeterministicRng;
 
     fn view(index: usize, in_flight: usize, mhz: u32) -> ServerView {
         view_with_capacity(index, in_flight, mhz, 1.0)
@@ -437,5 +626,174 @@ mod tests {
         // is unreachable from the driver; the routers still must not panic.
         assert_eq!(JoinShortestQueue::new().route(&req(), &[]), 0);
         assert_eq!(PowerAware::default().route(&req(), &[]), 0);
+        assert_eq!(
+            HealthAware::new(PowerAware::default()).route(&req(), &[]),
+            0
+        );
+    }
+
+    /// A random fleet drawn from small value ranges, so equal occupancy,
+    /// equal frequency, and whole-key ties are common; some servers have
+    /// zero capacity, health is mixed, and one fleet in eight is all down.
+    fn random_views(rng: &mut DeterministicRng) -> Vec<ServerView> {
+        let n = 1 + rng.index(12);
+        let all_down = rng.index(8) == 0;
+        (0..n)
+            .map(|i| {
+                let mhz = [800, 1600, 2400, 3400][rng.index(4)];
+                let capacity = [0.0, 0.5, 1.0, 2.0][rng.index(4)];
+                let mut v = view_with_capacity(i, rng.index(4), mhz, capacity);
+                v.health = if all_down {
+                    ServerHealth::Down
+                } else {
+                    [
+                        ServerHealth::Up,
+                        ServerHealth::Up,
+                        ServerHealth::Straggling,
+                        ServerHealth::Down,
+                    ][rng.index(4)]
+                };
+                v
+            })
+            .collect()
+    }
+
+    fn keyed_routers() -> Vec<Box<dyn Router>> {
+        vec![
+            Box::new(JoinShortestQueue::new()),
+            Box::new(PowerAware::default()),
+            Box::new(HealthAware::new(JoinShortestQueue::new())),
+            Box::new(HealthAware::new(PowerAware::default())),
+            Box::new(HealthAware::new(HealthAware::new(JoinShortestQueue::new()))),
+            Box::new(HealthAware::new(HealthAware::new(PowerAware::default()))),
+        ]
+    }
+
+    /// The driver's choice for a keyed router: the smallest `(key, index)`.
+    fn key_choice(router: &dyn Router, views: &[ServerView]) -> usize {
+        views
+            .iter()
+            .map(|v| (router.key(v).expect("keyed router"), v.index))
+            .min()
+            .expect("non-empty fleet")
+            .1
+    }
+
+    #[test]
+    fn keyed_routers_route_to_their_key_argmin() {
+        let mut rng = DeterministicRng::new(2015);
+        for round in 0..3000 {
+            let views = random_views(&mut rng);
+            for mut router in keyed_routers() {
+                assert_eq!(
+                    router.route(&req(), &views),
+                    key_choice(router.as_ref(), &views),
+                    "{} on round {round}: {views:?}",
+                    router.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn keys_order_servers_as_the_original_comparisons_did() {
+        // JSQ and PowerAware as they compared views before routers had keys.
+        let power = CorePowerModel::haswell_like();
+        let jsq = |views: &[ServerView]| {
+            views
+                .iter()
+                .min_by_key(|v| (v.in_flight, v.index))
+                .map_or(0, |v| v.index)
+        };
+        let power_aware = |views: &[ServerView]| {
+            views
+                .iter()
+                .min_by(|a, b| {
+                    (a.effective_load().total_cmp(&b.effective_load()))
+                        .then_with(|| {
+                            power
+                                .active_power(a.current_freq)
+                                .total_cmp(&power.active_power(b.current_freq))
+                        })
+                        .then_with(|| a.index.cmp(&b.index))
+                })
+                .map_or(0, |v| v.index)
+        };
+        let mut rng = DeterministicRng::new(48);
+        for _ in 0..3000 {
+            let views = random_views(&mut rng);
+            assert_eq!(key_choice(&JoinShortestQueue::new(), &views), jsq(&views));
+            assert_eq!(
+                key_choice(&PowerAware::new(power), &views),
+                power_aware(&views)
+            );
+        }
+    }
+
+    #[test]
+    fn stateful_routers_and_wrappers_of_them_have_no_key() {
+        let v = view(0, 1, 2400);
+        assert_eq!(RoundRobin::new().key(&v), None);
+        assert_eq!(Passthrough.key(&v), None);
+        assert_eq!(HealthAware::new(RoundRobin::new()).key(&v), None);
+        assert!(HealthAware::new(PowerAware::default()).key(&v).is_some());
+    }
+
+    #[test]
+    fn route_tree_tracks_the_key_argmin_through_view_changes() {
+        let mut rng = DeterministicRng::new(7);
+        for n in [1usize, 2, 3, 5, 8, 13, 33] {
+            for router in keyed_routers() {
+                let mut views: Vec<ServerView> = (0..n)
+                    .map(|i| view_with_capacity(i, rng.index(3), 800, 1.0))
+                    .collect();
+                let mut tree = RouteTree::build(router.as_ref(), &views).expect("keyed");
+                for step in 0..400 {
+                    // Change a few views, as a drain between two routes does.
+                    for _ in 0..rng.index(4) {
+                        let i = rng.index(n);
+                        let v = &mut views[i];
+                        v.in_flight = rng.index(4);
+                        v.current_freq = Freq::from_mhz([800, 2400, 3400][rng.index(3)]);
+                        v.capacity = [0.0, 1.0, 2.0][rng.index(3)];
+                        v.health = [ServerHealth::Up, ServerHealth::Down][rng.index(2)];
+                        tree.mark(i);
+                    }
+                    assert_eq!(
+                        tree.route(router.as_ref(), &views),
+                        key_choice(router.as_ref(), &views),
+                        "{} at n = {n}, step {step}",
+                        router.name()
+                    );
+                }
+            }
+        }
+        assert!(RouteTree::build(&RoundRobin::new(), &[view(0, 0, 800)]).is_none());
+    }
+
+    #[test]
+    fn f64_keys_order_as_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    RouteKey::from_f64(a, 0.0).cmp(&RouteKey::from_f64(b, 0.0)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 }

@@ -18,15 +18,17 @@
 //!    timeouts and retries strictly cuts deadline violations against a
 //!    failure-blind baseline on the same fault schedule.
 //!
-//! Plus: [`HealthAware`] is bitwise invisible on an all-healthy fleet.
+//! Plus: [`HealthAware`] is bitwise invisible on an all-healthy fleet, and
+//! every keyed router gives the same bits through the driver's route tree
+//! as through the full-slice path.
 
 use rubik_cluster::{
-    fleet_trace, Cluster, ClusterOutcome, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet,
-    PowerAware, RequestPolicy, RoundRobin, Router, ThresholdMigrator,
+    fleet_trace, Cluster, ClusterOutcome, FaultPlan, FleetSpec, HealthAware, JoinShortestQueue,
+    PegasusFleet, PowerAware, RequestPolicy, RoundRobin, Router, ServerView, ThresholdMigrator,
 };
 use rubik_core::{RubikConfig, RubikController};
 use rubik_power::CorePowerModel;
-use rubik_sim::{DvfsConfig, FixedFrequencyPolicy, RunResult, SimConfig, Trace};
+use rubik_sim::{DvfsConfig, FixedFrequencyPolicy, RequestSpec, RunResult, SimConfig, Trace};
 use rubik_sweep::{SweepExecutor, SweepSpec};
 use rubik_workloads::AppProfile;
 
@@ -504,4 +506,177 @@ fn health_aware_wrapper_is_bitwise_invisible_on_a_healthy_fleet() {
             assert_eq!(result_bits(a), result_bits(b));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Keyed routing is slice routing.
+// ---------------------------------------------------------------------------
+
+/// Forwards only `name` and `route`, like a timing wrapper that does not
+/// know about keys: the driver routes it over the full view slice.
+struct SliceOnly<R>(R);
+
+impl<R: Router> Router for SliceOnly<R> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn route(&mut self, request: &RequestSpec, servers: &[ServerView]) -> usize {
+        self.0.route(request, servers)
+    }
+}
+
+/// Every keyed router, each with its slice-only twin.
+fn keyed_twins() -> Vec<(Box<dyn Router>, Box<dyn Router>)> {
+    fn twin<R: Router + 'static>(make: impl Fn() -> R) -> (Box<dyn Router>, Box<dyn Router>) {
+        (Box::new(make()), Box::new(SliceOnly(make())))
+    }
+    vec![
+        twin(JoinShortestQueue::new),
+        twin(PowerAware::default),
+        twin(|| HealthAware::new(JoinShortestQueue::new())),
+        twin(|| HealthAware::new(PowerAware::default())),
+        twin(|| HealthAware::new(HealthAware::new(PowerAware::default()))),
+    ]
+}
+
+/// Outcome, per-server results, and telemetry JSON of one traced run.
+fn traced_bits(cluster: Cluster<RubikController>, trace: &Trace) -> Vec<u64> {
+    let (outcome, results, log) = cluster.run_traced(trace);
+    let mut bits = outcome_bits(&outcome);
+    for r in &results {
+        bits.extend(result_bits(r));
+    }
+    bits.extend(rubik_telemetry::to_json(&log).bytes().map(u64::from));
+    bits
+}
+
+/// One fleet the keyed-vs-slice comparison runs on.
+struct Scenario {
+    name: &'static str,
+    spec: FleetSpec,
+    plan: Option<FaultPlan>,
+    policy: Option<RequestPolicy>,
+}
+
+impl Scenario {
+    fn cluster(
+        &self,
+        router: Box<dyn Router>,
+        rubik: impl Fn(usize) -> RubikController,
+    ) -> Cluster<RubikController> {
+        let mut cluster = Cluster::from_spec(&self.spec, router, |i, _| rubik(i));
+        if let Some(plan) = &self.plan {
+            cluster = cluster.with_fault_plan(plan.clone());
+        }
+        if let Some(policy) = self.policy {
+            cluster = cluster.with_request_policy(policy);
+        }
+        cluster
+    }
+}
+
+#[test]
+fn keyed_routing_matches_slice_routing_bit_for_bit() {
+    let config = SimConfig::paper_simulated();
+    let profile = AppProfile::masstree();
+    let mean = profile.mean_service_time();
+    let bound = 3.0 * mean;
+    let fleet = 6usize;
+    let trace = fleet_trace(&profile, 0.6, fleet, 120 * fleet, 31);
+    let duration = trace.duration();
+    let homogeneous = FleetSpec::homogeneous(config.clone(), fleet);
+    let rescue = RequestPolicy::new()
+        .with_deadline(32.0 * mean)
+        .with_timeout(6.0 * mean)
+        .with_retries(4, mean, 8.0 * mean)
+        .with_jitter_seed(3)
+        .salvaging_in_flight()
+        .draining_on_crash();
+    let mut crash_wave = FaultPlan::new();
+    let mut all_down = FaultPlan::new();
+    for i in 0..fleet {
+        let stagger = 0.01 * i as f64;
+        if i < 3 {
+            crash_wave = crash_wave
+                .crash(i, (0.30 + stagger) * duration)
+                .recover(i, (0.60 + stagger) * duration);
+        }
+        all_down = all_down
+            .crash(i, (0.40 + stagger) * duration)
+            .recover(i, (0.55 + stagger) * duration);
+    }
+    let scenarios = [
+        Scenario {
+            name: "healthy",
+            spec: homogeneous.clone(),
+            plan: None,
+            policy: None,
+        },
+        Scenario {
+            name: "crash wave",
+            spec: homogeneous.clone(),
+            plan: Some(crash_wave),
+            policy: Some(rescue),
+        },
+        Scenario {
+            name: "all down",
+            spec: homogeneous.clone(),
+            plan: Some(all_down),
+            policy: Some(rescue),
+        },
+        Scenario {
+            name: "hedged",
+            spec: homogeneous,
+            plan: Some(FaultPlan::new().straggle(1, 0.2 * duration, 0.8 * duration, 5.0)),
+            policy: Some(RequestPolicy::new().with_hedging(0.9, 0.5 * mean)),
+        },
+        Scenario {
+            name: "zero-capacity class",
+            spec: FleetSpec::new()
+                .class("big", config.clone(), 2.0, 2)
+                .class("dark", config.clone(), 0.0, 2)
+                .class("little", config.clone(), 1.0, 2),
+            plan: None,
+            policy: None,
+        },
+    ];
+    let rubik = || rubik_factory(&config, &trace, bound);
+
+    let idle = ServerView {
+        index: 0,
+        in_flight: 0,
+        admitted: 0,
+        queued: 0,
+        current_freq: config.dvfs.min(),
+        target_freq: config.dvfs.min(),
+        busy: false,
+        capacity: 1.0,
+        class: 0,
+        health: Default::default(),
+    };
+    for scenario in &scenarios {
+        for (keyed, sliced) in keyed_twins() {
+            let name = keyed.name().to_string();
+            assert!(keyed.key(&idle).is_some() && sliced.key(&idle).is_none());
+            assert!(
+                traced_bits(scenario.cluster(keyed, rubik()), &trace)
+                    == traced_bits(scenario.cluster(sliced, rubik()), &trace),
+                "{name} routed differently through its keys on the {} fleet",
+                scenario.name
+            );
+        }
+    }
+
+    // The scenarios reach the paths they are named for.
+    let probe = |i: usize| {
+        scenarios[i]
+            .cluster(Box::new(HealthAware::new(PowerAware::default())), rubik())
+            .run(&trace)
+    };
+    let wave = probe(1).availability;
+    assert!(wave.requeued_on_failure > 0 && wave.salvaged_in_flight > 0);
+    assert!(probe(2).per_server.iter().all(|s| s.downtime > 0.0));
+    assert!(probe(3).availability.hedged > 0);
+    assert!(probe(4).per_server[2..4].iter().all(|s| s.requests == 0));
 }

@@ -9,7 +9,9 @@
 //! timelines that amortize to O(log n) reallocations — while the per-arrival
 //! path (source pull, route, offer, schedule) stays allocation-free. The
 //! allocation count of the long run must therefore stay within a fixed slack
-//! of the short run instead of scaling with the request count.
+//! of the short run instead of scaling with the request count. Both router
+//! inputs, JSQ and `HealthAware(PowerAware)`, are keyed, so "route" here
+//! includes flushing the driver's route tree.
 //!
 //! The same contract is pinned with a fault layer attached (hedging +
 //! deadlines + timeouts): the hedge trigger tracker is a bounded rolling
@@ -18,61 +20,44 @@
 //! per-completion `insert` made allocations (and work) scale with the total
 //! completion count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use rubik_cluster::{Cluster, JoinShortestQueue, RequestPolicy};
+use rubik_cluster::{Cluster, HealthAware, JoinShortestQueue, PowerAware, RequestPolicy, Router};
 use rubik_load::PoissonSource;
 use rubik_sim::{FixedFrequencyPolicy, SimConfig};
+use rubik_testalloc::{allocations, CountingAllocator};
 use rubik_workloads::AppProfile;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 const FLEET: usize = 4;
 
-fn cluster(config: &SimConfig) -> Cluster<FixedFrequencyPolicy> {
-    Cluster::new(
-        config.clone(),
-        FLEET,
-        Box::new(JoinShortestQueue::new()),
-        |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
-    )
+fn jsq() -> Box<dyn Router> {
+    Box::new(JoinShortestQueue::new())
+}
+
+fn health_aware_power_aware() -> Box<dyn Router> {
+    Box::new(HealthAware::new(PowerAware::default()))
+}
+
+fn cluster(config: &SimConfig, router: fn() -> Box<dyn Router>) -> Cluster<FixedFrequencyPolicy> {
+    Cluster::new(config.clone(), FLEET, router(), |_| {
+        FixedFrequencyPolicy::new(config.dvfs.nominal())
+    })
 }
 
 fn source(requests: usize) -> PoissonSource {
     PoissonSource::new(AppProfile::masstree(), 0.5 * FLEET as f64, requests, 42)
 }
 
-fn allocations_for_streamed_run(requests: usize) -> u64 {
+fn allocations_for_streamed_run(router: fn() -> Box<dyn Router>, requests: usize) -> u64 {
     let config = SimConfig::paper_simulated();
-    let cluster = cluster(&config);
+    let cluster = cluster(&config, router);
     let source = source(requests);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let outcome = cluster
         .run_streamed(source)
         .expect("a Poisson source is time-ordered");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(outcome.requests, requests);
     after - before
 }
@@ -90,33 +75,37 @@ fn allocations_for_hedged_run(requests: usize) -> u64 {
         .with_timeout(16.0 * mean)
         .with_retries(2, mean, 8.0 * mean)
         .with_jitter_seed(7);
-    let cluster = cluster(&config).with_request_policy(policy);
+    let cluster = cluster(&config, jsq).with_request_policy(policy);
     let source = source(requests);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let outcome = cluster
         .run_streamed(source)
         .expect("a Poisson source is time-ordered");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(outcome.requests, requests);
     after - before
 }
 
 #[test]
 fn run_streamed_allocations_do_not_scale_with_request_count() {
-    // Warm-up run (fills allocator pools, faults in code paths).
-    let _ = allocations_for_streamed_run(512);
+    for router in [jsq, health_aware_power_aware] {
+        let name = router().name().to_string();
+        // Warm-up run (fills allocator pools, faults in code paths).
+        let _ = allocations_for_streamed_run(router, 512);
 
-    let small = allocations_for_streamed_run(512);
-    let large = allocations_for_streamed_run(4096);
+        let small = allocations_for_streamed_run(router, 512);
+        let large = allocations_for_streamed_run(router, 4096);
 
-    // 8x the requests must not cost 8x the allocations: each arrival is
-    // pulled from the source, routed, and offered without allocating, so the
-    // only growth is the amortized doubling of per-server record vectors and
-    // segment timelines — O(fleet * log n) reallocations in total.
-    assert!(
-        large < small + 160,
-        "run_streamed allocations grew with request count: {small} -> {large}"
-    );
+        // 8x the requests must not cost 8x the allocations: each arrival is
+        // pulled from the source, routed, and offered without allocating, so
+        // the only growth is the amortized doubling of per-server record
+        // vectors and segment timelines — O(fleet * log n) reallocations in
+        // total.
+        assert!(
+            large < small + 160,
+            "{name} run_streamed allocations grew with request count: {small} -> {large}"
+        );
+    }
 }
 
 #[test]

@@ -7,32 +7,10 @@
 //! path keeps its sampling boundary at infinity and never constructs a
 //! sample, an event, or a recorder.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rubik_cluster::{fleet_trace, Cluster, JoinShortestQueue, Telemetry};
 use rubik_sim::{FixedFrequencyPolicy, SimConfig, Trace};
+use rubik_testalloc::{allocations, CountingAllocator};
 use rubik_workloads::AppProfile;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -48,9 +26,9 @@ fn allocations_for_run(trace: &Trace, telemetry: Option<Telemetry>) -> u64 {
     if let Some(t) = telemetry {
         cluster = cluster.with_telemetry(t);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let outcome = cluster.run(trace);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(outcome.requests, trace.len());
     after - before
 }

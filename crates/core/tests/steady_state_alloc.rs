@@ -9,39 +9,13 @@
 //! "incremental, allocation-free rebuilds" contract: the 100 ms tick costs
 //! arithmetic, never the allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rubik_core::{RubikConfig, RubikController};
 use rubik_sim::{DvfsConfig, DvfsPolicy, InServiceView, QueuedView, RequestRecord, ServerState};
 use rubik_stats::DeterministicRng;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use rubik_testalloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 fn state(now: f64, dvfs: &DvfsConfig, queue: &mut Vec<QueuedView>) -> ServerState {
     // The queued vector is moved in and out of the state so the test itself

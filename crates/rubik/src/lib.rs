@@ -66,8 +66,8 @@ pub use rubik_cluster::{
     AvailabilityStats, ClassTotals, Cluster, ClusterError, ClusterOutcome, CoreClass,
     CorrelatedFaults, FailureTopology, FaultEvent, FaultPlan, FleetCommand, FleetController,
     FleetSpec, HealthAware, JoinShortestQueue, Migration, Migrator, Passthrough, PegasusFleet,
-    PowerAware, RequestPolicy, RoundRobin, Router, ServerHealth, ServerPowerView, ServerView,
-    ShardSpec, StochasticFaults, ThresholdMigrator,
+    PowerAware, RequestPolicy, RoundRobin, RouteKey, Router, ServerHealth, ServerPowerView,
+    ServerView, ShardSpec, StochasticFaults, ThresholdMigrator,
 };
 pub use rubik_coloc::{
     ColocOutcome, ColocScheme, ColocatedCore, DatacenterComparison, DatacenterConfig,

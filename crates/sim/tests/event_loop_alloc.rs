@@ -10,30 +10,8 @@
 //! allocation-free. The test pins that by checking the allocation count of
 //! a long run does not grow with the event count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rubik_sim::{FixedFrequencyPolicy, RequestSpec, Server, SimConfig, Trace};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use rubik_testalloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -52,9 +30,9 @@ fn allocations_for_run(requests: usize) -> u64 {
     let server = Server::new(SimConfig::default());
     let t = trace(requests);
     let mut policy = FixedFrequencyPolicy::new(server.config().dvfs.nominal());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let result = server.run(&t, &mut policy);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(result.records().len(), requests);
     after - before
 }
