@@ -204,8 +204,9 @@ impl ColocatedCore {
         }
     }
 
-    /// Forces the RubikColoc controller to rebuild its tables on every tick
-    /// instead of skipping version-gated no-op rebuilds. Outcomes are
+    /// Turns off the RubikColoc controller's version gate, so every tick
+    /// hands its profile to the table builder (which still serves a
+    /// bit-identical repeat of its last build as a copy). Outcomes are
     /// bit-identical either way (property-tested in
     /// `tests/parallel_determinism.rs`); this hook exists for those tests
     /// and for benchmarking the gating win.
@@ -340,31 +341,6 @@ impl ColocatedCore {
             lc_utilization: residency.busy_time() / duration.max(1e-12),
             duration,
         }
-    }
-
-    /// Positional-argument shim for the pre-[`ColocRunSpec`] API.
-    ///
-    /// Equivalent to building a spec and calling [`ColocatedCore::run`]; it
-    /// exists only so external callers written against the old signature
-    /// keep compiling while they migrate.
-    #[deprecated(note = "build a `ColocRunSpec` and call `ColocatedCore::run`")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_positional(
-        &self,
-        scheme: ColocScheme,
-        profile: &AppProfile,
-        load: f64,
-        mix: &BatchMix,
-        latency_bound: f64,
-        requests: usize,
-        seed: u64,
-    ) -> ColocOutcome {
-        self.run(
-            &ColocRunSpec::new(scheme, profile, mix, latency_bound)
-                .with_load(load)
-                .with_requests(requests)
-                .with_seed(seed),
-        )
     }
 
     /// Mean TPW-optimal batch frequency over the mix.
@@ -525,20 +501,5 @@ mod tests {
     fn rejects_nonpositive_bound() {
         let (_, profile, mix, _) = setup();
         let _ = ColocRunSpec::new(ColocScheme::RubikColoc, &profile, &mix, 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn positional_shim_matches_spec_api() {
-        let (core, profile, mix, bound) = setup();
-        let via_spec = core.run(
-            &ColocRunSpec::new(ColocScheme::StaticColoc, &profile, &mix, bound)
-                .with_load(0.3)
-                .with_requests(600)
-                .with_seed(9),
-        );
-        let via_shim =
-            core.run_positional(ColocScheme::StaticColoc, &profile, 0.3, &mix, bound, 600, 9);
-        assert_eq!(via_spec, via_shim);
     }
 }

@@ -93,7 +93,9 @@ fn coloc_grid_is_bit_identical_across_thread_counts() {
 
 /// Version-gated rebuilds are an optimization, not a behavior change:
 /// skipping a rebuild whose input histograms are unchanged must leave every
-/// `ColocOutcome` bit-identical to a controller that rebuilds on every tick.
+/// `ColocOutcome` bit-identical to an ungated controller, whose every tick
+/// reaches the table builder (a repeat of the builder's last build is served
+/// from its memo, which keys on the same exact input bits).
 /// RubikColoc cells across apps, loads, and seeds — low loads especially,
 /// where long idle stretches between completions make ticks overlap an
 /// unchanged profile and the gate actually fires.

@@ -22,16 +22,26 @@
 //!
 //! # Rebuild cost
 //!
-//! The periodic rebuild is incremental and allocation-free end to end. The
-//! controller owns a persistent [`TableBuilder`] (cached FFT plans, reused
-//! ladder buffers) plus two persistent [`Histogram`]s the profiler's
-//! incrementally maintained bucket counts are materialized into, and it
-//! **version-gates** the whole rebuild: [`OnlineProfiler::version`] is
-//! bumped on every recorded sample, so a tick on which no request completed
-//! short-circuits in nanoseconds — identical histograms would rebuild
-//! identical tables, so skipping changes no output bit.
-//! [`RubikStats::table_rebuilds_performed`] /
-//! [`RubikStats::table_rebuilds_skipped`] count the two cases.
+//! The periodic rebuild is incremental and allocation-free end to end, and
+//! a controller owns none of the build engine. Every controller on a thread
+//! rebuilds through that thread's workspace: one [`TableBuilder`] (reused
+//! ladder buffers and a last-build memo, transforming through the
+//! process-wide FFT plans) plus the two [`Histogram`]s the profiler's
+//! incrementally maintained bucket counts are materialized into. A
+//! controller holds only its profile, its tables and its feedback state.
+//!
+//! The controller **version-gates** the whole rebuild:
+//! [`OnlineProfiler::version`] is bumped on every recorded sample, so a tick
+//! on which no request completed short-circuits in nanoseconds — identical
+//! histograms would rebuild identical tables, so skipping changes no output
+//! bit. [`RubikStats::table_rebuilds_performed`] /
+//! [`RubikStats::table_rebuilds_skipped`] count the two cases. A performed
+//! rebuild whose histograms, quantile and table shape repeat the thread's
+//! last build bit for bit is served by the memo as a table copy (it still
+//! counts as performed): seeding N controllers from one trace prefix on a
+//! thread costs one build and N−1 copies.
+
+use std::cell::RefCell;
 
 use rubik_sim::{DvfsConfig, DvfsPolicy, Freq, PolicyDecision, RequestRecord, ServerState, Trace};
 use rubik_stats::{Histogram, RollingTailTracker};
@@ -67,8 +77,9 @@ pub struct RubikConfig {
     /// Whether periodic table rebuilds are skipped when the profile is
     /// unchanged since the last build (identical histograms rebuild
     /// identical tables, so gating never changes an output bit). On by
-    /// default; determinism tests disable it to compare against a
-    /// rebuild-every-tick controller.
+    /// default; determinism tests disable it to compare against an ungated
+    /// controller, whose every tick reaches the table builder (which still
+    /// serves a bit-identical repeat of the thread's last build as a copy).
     pub rebuild_gating: bool,
 }
 
@@ -101,8 +112,11 @@ impl RubikConfig {
         self
     }
 
-    /// Disables version-gated rebuild skipping, forcing a full table rebuild
-    /// on every tick. Only useful for determinism tests and benchmarks — the
+    /// Disables version-gated rebuild skipping: every tick hands the profile
+    /// to the thread's table builder. Inputs that repeat that builder's last
+    /// build bit for bit are still served from its memo as a copy, so this
+    /// does not guarantee a full rebuild ([`TargetTailTables::build`] always
+    /// performs one). Only useful for determinism tests and benchmarks — the
     /// gated controller produces bit-identical decisions.
     pub fn without_rebuild_gating(mut self) -> Self {
         self.rebuild_gating = false;
@@ -163,6 +177,24 @@ pub struct RubikStats {
     pub saturated_decisions: u64,
 }
 
+/// A thread's table-build workspace (see the module docs, "Rebuild cost"),
+/// shared by every controller that rebuilds on the thread.
+struct Workspace {
+    builder: TableBuilder,
+    /// The histograms the profiler's bucket counts are materialized into on
+    /// each performed rebuild.
+    compute: Histogram,
+    membound: Histogram,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace {
+        builder: TableBuilder::new(),
+        compute: Histogram::zero(),
+        membound: Histogram::zero(),
+    });
+}
+
 /// The Rubik fine-grain DVFS controller.
 #[derive(Debug, Clone)]
 pub struct RubikController {
@@ -170,13 +202,6 @@ pub struct RubikController {
     dvfs: DvfsConfig,
     profiler: OnlineProfiler,
     tables: Option<TargetTailTables>,
-    /// Persistent build engine: cached FFT plans and reused ladder buffers
-    /// make warm rebuilds allocation-free.
-    builder: TableBuilder,
-    /// Persistent histograms the profiler's bucket counts are materialized
-    /// into on each performed rebuild.
-    hist_compute: Histogram,
-    hist_membound: Histogram,
     /// Profiler version the current tables were built from.
     built_version: Option<u64>,
     feedback: FeedbackController,
@@ -192,9 +217,6 @@ impl RubikController {
         Self {
             profiler: OnlineProfiler::new(config.profiling_window),
             tables: None,
-            builder: TableBuilder::new(),
-            hist_compute: Histogram::zero(),
-            hist_membound: Histogram::zero(),
             built_version: None,
             feedback: FeedbackController::paper_default(),
             measured,
@@ -221,6 +243,11 @@ impl RubikController {
     /// figures, benches, and equivalence tests all measure the same
     /// controller (per-server instances in a cluster call this once per
     /// server with the shared fleet trace).
+    ///
+    /// The first seed on a thread builds the tables; every identical seed
+    /// after it on that thread (same demands, quantile and table shape, with
+    /// no other build in between) copies them from the thread's last-build
+    /// memo, so seeding an N-server fleet costs one build and N−1 copies.
     pub fn seeded_for_trace(
         config: RubikConfig,
         dvfs: DvfsConfig,
@@ -296,28 +323,29 @@ impl RubikController {
             self.stats.table_rebuilds_skipped += 1;
             return;
         }
-        self.profiler.compute_histogram_into(&mut self.hist_compute);
-        self.profiler
-            .membound_histogram_into(&mut self.hist_membound);
-        match &mut self.tables {
-            Some(tables) => self.builder.build_with_into(
-                &self.hist_compute,
-                &self.hist_membound,
-                self.config.quantile,
-                self.config.progress_rows,
-                self.config.gaussian_cutoff,
-                tables,
-            ),
-            None => {
-                self.tables = Some(self.builder.build_with(
-                    &self.hist_compute,
-                    &self.hist_membound,
+        WORKSPACE.with_borrow_mut(|ws| {
+            self.profiler.compute_histogram_into(&mut ws.compute);
+            self.profiler.membound_histogram_into(&mut ws.membound);
+            match &mut self.tables {
+                Some(tables) => ws.builder.build_with_into(
+                    &ws.compute,
+                    &ws.membound,
                     self.config.quantile,
                     self.config.progress_rows,
                     self.config.gaussian_cutoff,
-                ))
+                    tables,
+                ),
+                None => {
+                    self.tables = Some(ws.builder.build_with(
+                        &ws.compute,
+                        &ws.membound,
+                        self.config.quantile,
+                        self.config.progress_rows,
+                        self.config.gaussian_cutoff,
+                    ))
+                }
             }
-        }
+        });
         self.built_version = Some(version);
         self.stats.table_rebuilds_performed += 1;
     }
@@ -714,7 +742,8 @@ mod tests {
             queued: vec![],
         };
         // Ticks with no intervening completions: the gated controller skips
-        // every rebuild, the forced one redoes it — decisions must agree.
+        // every rebuild, the ungated one hands each to the thread's builder
+        // (whose memo copies the repeat) — decisions must agree.
         for _ in 0..5 {
             assert_eq!(gated.on_tick(&state), forced.on_tick(&state));
         }

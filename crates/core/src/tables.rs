@@ -40,21 +40,36 @@
 //!
 //! Rubik rebuilds these tables every 100 ms tick, so the build is a
 //! steady-state hot path, not a one-off. [`TableBuilder`] is the persistent
-//! engine the controller owns for it:
+//! engine for it. Only what depends on the inputs lives in a builder; what
+//! does not is shared more widely:
 //!
-//! * **Plan caching.** [`FftPlan`]s (twiddle factors, bit-reversal tables)
-//!   are cached per transform size and reused for every later rebuild; the
-//!   ladder also *right-sizes* each rung's transform — rung `i` only needs
-//!   `i·(len−1)+1` points of support, so early rungs run at 256–1024 instead
-//!   of the deepest rung's size (the running product at the final size
-//!   receives exactly the same pointwise-product sequence as before, so deep
-//!   rungs are bit-identical to the single-size ladder).
-//! * **Buffer reuse.** The trimmed base, the per-row conditionals, the
-//!   spectra, the rung PMF/CDF buffers, and the target's own row storage are
-//!   all reused across rebuilds via `*_into` APIs
+//! * **Process-wide plans.** [`FftPlan`]s (twiddle factors, bit-reversal
+//!   tables) are pure functions of their size, so every builder on every
+//!   thread transforms through the one immutable plan per size that
+//!   [`FftPlan::shared`] builds on first use. The ladder also *right-sizes*
+//!   each rung's transform — rung `i` only needs `i·(len−1)+1` points of
+//!   support, so early rungs run at 256–1024 instead of the deepest rung's
+//!   size (the running product at the final size receives exactly the same
+//!   pointwise-product sequence as before, so deep rungs are bit-identical
+//!   to the single-size ladder).
+//! * **Per-thread buffers.** The trimmed base, the per-row conditionals,
+//!   the spectra, the rung PMF/CDF buffers, and the target's own row
+//!   storage are all reused across rebuilds via `*_into` APIs
 //!   ([`TableBuilder::build_with_into`] writes into an existing
 //!   [`TargetTailTables`]), so a warm rebuild performs **zero allocations**
-//!   once every buffer has reached its high-water size.
+//!   once every buffer has reached its high-water size. The controller
+//!   keeps one builder per thread (not per controller), shared by every
+//!   `RubikController` that rebuilds on that thread.
+//! * **Last-build memo.** A builder remembers the inputs and output of its
+//!   last build. When a request matches them bit for bit (`to_bits`) — the
+//!   same quantile, the same table shape, and both histograms with the same
+//!   bucket width and PMF — it copies the stored tables into the target
+//!   instead of rebuilding. The output is a pure function of exactly those
+//!   inputs, so a copy is `==` to a fresh build. It hits when table inputs
+//!   repeat on one thread: a fleet seeding every server from one trace
+//!   prefix builds once and copies N−1 times. Periodic rebuilds of servers
+//!   with diverging profiles miss and pay a full build plus an O(table)
+//!   copy into the memo.
 //! * **Warm-start quantile bisection.** Within one build, the quantile index
 //!   for a row is nondecreasing in queue depth and moves by at most the base
 //!   support per rung, so each bisection brackets from the previous rung's
@@ -64,11 +79,12 @@
 //!   also trimmed to the conditional's non-zero support.
 //!
 //! [`TargetTailTables::build`]/[`TargetTailTables::build_with`] remain as
-//! thin wrappers over a throwaway builder, and the controller skips the
-//! rebuild entirely when the profiler's version says the histograms are
-//! unchanged (see `RubikController`), making the periodic tick O(1) in the
-//! no-new-samples case. `crates/bench/benches/rebuild_amortized.rs` tracks
-//! all three tiers (skipped tick, warm rebuild, cold build).
+//! thin wrappers over a throwaway builder (fresh buffers, empty memo), and
+//! the controller skips the rebuild entirely when the profiler's version
+//! says the histograms are unchanged (see `RubikController`), making the
+//! periodic tick O(1) in the no-new-samples case.
+//! `crates/bench/benches/rebuild_amortized.rs` tracks every tier (skipped
+//! tick, warm rebuild, cold build, memo-served seed, controller clone).
 //!
 //! # Lookup cost
 //!
@@ -99,7 +115,7 @@ const NEGLIGIBLE_MEM_TIME: f64 = 1e-9;
 const QUANTILE_EPS: f64 = 1e-12;
 
 /// One precomputed table (compute cycles or memory time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct TailTable {
     /// `rows[row][pos]`: tail remaining work for queue position `pos` when
     /// the in-service request's elapsed work falls in band `row`.
@@ -113,6 +129,29 @@ struct TailTable {
     /// Mean/variance of the unconditioned service distribution.
     mean: f64,
     var: f64,
+}
+
+impl Clone for TailTable {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows.clone(),
+            boundaries: self.boundaries.clone(),
+            cond_mean: self.cond_mean.clone(),
+            cond_var: self.cond_var.clone(),
+            mean: self.mean,
+            var: self.var,
+        }
+    }
+
+    /// Field-wise, reusing every row and column buffer of `self`.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows.clone_from(&source.rows);
+        self.boundaries.clone_from(&source.boundaries);
+        self.cond_mean.clone_from(&source.cond_mean);
+        self.cond_var.clone_from(&source.cond_var);
+        self.mean = source.mean;
+        self.var = source.var;
+    }
 }
 
 /// Lower boundary of progress band `row`: band 0 starts at zero, band `r`
@@ -323,7 +362,7 @@ fn quantile_of_sum(
 }
 
 /// The pair of precomputed tables Rubik consults on every decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct TargetTailTables {
     compute: TailTable,
     memory: TailTable,
@@ -332,6 +371,28 @@ pub struct TargetTailTables {
     /// z-score of the target quantile, computed once at build time so the
     /// decision path never evaluates the inverse normal CDF.
     tail: GaussianTail,
+}
+
+impl Clone for TargetTailTables {
+    fn clone(&self) -> Self {
+        Self {
+            compute: self.compute.clone(),
+            memory: self.memory.clone(),
+            quantile: self.quantile,
+            cutoff: self.cutoff,
+            tail: self.tail,
+        }
+    }
+
+    /// Field-wise, reusing both tables' storage: copying between tables of
+    /// the same shape allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.compute.clone_from(&source.compute);
+        self.memory.clone_from(&source.memory);
+        self.quantile = source.quantile;
+        self.cutoff = source.cutoff;
+        self.tail = source.tail;
+    }
 }
 
 /// A decision-scoped cursor over [`TargetTailTables`]: the progress rows for
@@ -373,17 +434,16 @@ impl TailsCursor<'_> {
 /// Persistent spectral table builder (see the module docs, "Rebuild cost:
 /// incremental builder").
 ///
-/// The controller owns one of these across its lifetime: FFT plans are
-/// cached per transform size, and every working buffer — the trimmed base,
-/// per-row conditionals, spectra, rung PMF/CDF — is reused from rebuild to
-/// rebuild, so a warm [`TableBuilder::build_with_into`] performs no
-/// allocation once the buffers have reached their high-water sizes. One-off
-/// callers go through [`TargetTailTables::build`], which spins up a
-/// throwaway builder.
-#[derive(Debug, Clone)]
+/// Every working buffer — the trimmed base, per-row conditionals, spectra,
+/// rung PMF/CDF — is reused from rebuild to rebuild, so a warm
+/// [`TableBuilder::build_with_into`] performs no allocation once the buffers
+/// have reached their high-water sizes; transforms go through the
+/// process-wide [`FftPlan::shared`] plans. The builder also remembers its
+/// last build and serves a bit-identical repeat of it by copying. The
+/// controller rebuilds through one builder per thread. One-off callers go
+/// through [`TargetTailTables::build`], which spins up a throwaway builder.
+#[derive(Debug)]
 pub struct TableBuilder {
-    /// FFT plans cached by transform size (a handful of powers of two).
-    plans: Vec<FftPlan>,
     /// Packed-FFT scratch shared by all transforms.
     scratch: Vec<Complex>,
     /// Trimmed copy of the histogram under construction.
@@ -402,6 +462,49 @@ pub struct TableBuilder {
     rung_pmf: Vec<f64>,
     /// Running CDF of the current rung.
     rung_cdf: Vec<f64>,
+    /// Inputs and output of the last build, once there has been one.
+    memo: Option<Memo>,
+}
+
+/// A build's complete inputs and its output: the tables are a pure function
+/// of the other fields.
+#[derive(Debug)]
+struct Memo {
+    compute: Histogram,
+    memory: Histogram,
+    quantile: f64,
+    rows: usize,
+    cutoff: usize,
+    tables: TargetTailTables,
+}
+
+/// Whether two histograms are identical bit for bit: the same bucket width
+/// and PMF (the cached CDF is derived from the PMF). Stricter than `==`,
+/// which equates `0.0` with `-0.0`.
+fn same_bits(a: &Histogram, b: &Histogram) -> bool {
+    a.bucket_width().to_bits() == b.bucket_width().to_bits()
+        && a.len() == b.len()
+        && a.pmf()
+            .iter()
+            .zip(b.pmf())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+impl Memo {
+    fn matches(
+        &self,
+        compute: &Histogram,
+        memory: &Histogram,
+        quantile: f64,
+        rows: usize,
+        cutoff: usize,
+    ) -> bool {
+        self.quantile.to_bits() == quantile.to_bits()
+            && self.rows == rows
+            && self.cutoff == cutoff
+            && same_bits(&self.compute, compute)
+            && same_bits(&self.memory, memory)
+    }
 }
 
 impl Default for TableBuilder {
@@ -411,11 +514,10 @@ impl Default for TableBuilder {
 }
 
 impl TableBuilder {
-    /// Creates an empty builder; buffers grow to their steady-state sizes on
-    /// first use.
+    /// Creates an empty builder with an empty memo; buffers grow to their
+    /// steady-state sizes on first use.
     pub fn new() -> Self {
         Self {
-            plans: Vec::new(),
             scratch: Vec::new(),
             base: Histogram::zero(),
             conds: Vec::new(),
@@ -425,6 +527,7 @@ impl TableBuilder {
             running: Spectrum::default(),
             rung_pmf: Vec::new(),
             rung_cdf: Vec::new(),
+            memo: None,
         }
     }
 
@@ -483,6 +586,10 @@ impl TableBuilder {
     /// controller's warm path: bit-identical results to
     /// [`TargetTailTables::build_with`], zero steady-state allocations.
     ///
+    /// When the inputs repeat the builder's last build bit for bit, the
+    /// remembered tables are copied into `out` instead (see the module docs,
+    /// "Last-build memo").
+    ///
     /// # Panics
     ///
     /// Panics if `quantile` is not in `(0, 1)`, or `rows`/`cutoff` are zero.
@@ -500,6 +607,12 @@ impl TableBuilder {
             "quantile must be in (0, 1)"
         );
         assert!(rows > 0 && cutoff > 0, "table dimensions must be positive");
+        if let Some(memo) = &self.memo {
+            if memo.matches(compute, memory, quantile, rows, cutoff) {
+                out.clone_from(&memo.tables);
+                return;
+            }
+        }
         self.build_table_into(compute, quantile, rows, cutoff, &mut out.compute);
         if memory.mean() < NEGLIGIBLE_MEM_TIME {
             out.memory.zero_into(rows, cutoff);
@@ -509,6 +622,26 @@ impl TableBuilder {
         out.quantile = quantile;
         out.cutoff = cutoff;
         out.tail = GaussianTail::new(quantile);
+        match &mut self.memo {
+            Some(memo) => {
+                memo.compute.clone_from(compute);
+                memo.memory.clone_from(memory);
+                memo.quantile = quantile;
+                memo.rows = rows;
+                memo.cutoff = cutoff;
+                memo.tables.clone_from(out);
+            }
+            None => {
+                self.memo = Some(Memo {
+                    compute: compute.clone(),
+                    memory: memory.clone(),
+                    quantile,
+                    rows,
+                    cutoff,
+                    tables: out.clone(),
+                })
+            }
+        }
     }
 
     /// Builds one table into `out` (see the module docs for the ladder
@@ -522,7 +655,6 @@ impl TableBuilder {
         out: &mut TailTable,
     ) {
         let Self {
-            plans,
             scratch,
             base,
             conds,
@@ -532,6 +664,7 @@ impl TableBuilder {
             running,
             rung_pmf,
             rung_cdf,
+            memo: _,
         } = self;
 
         // Trim negligible tail mass so the transform size stays small.
@@ -592,21 +725,18 @@ impl TableBuilder {
                 let support = i * (base_len - 1) + 1;
                 if i > 1 {
                     let size = support.next_power_of_two().max(2);
-                    let plan_idx = if size != cur_size {
-                        let idx = plan_index(plans, size);
-                        plans[idx].forward_into(base.pmf(), scratch, base_spec);
+                    let plan = FftPlan::shared(size);
+                    if size != cur_size {
+                        plan.forward_into(base.pmf(), scratch, base_spec);
                         running.clone_from(base_spec);
                         exp = 1;
                         cur_size = size;
-                        idx
-                    } else {
-                        plan_index(plans, size)
-                    };
+                    }
                     while exp < i {
                         running.mul_assign(base_spec);
                         exp += 1;
                     }
-                    plans[plan_idx].inverse_into(running, scratch, rung_pmf);
+                    plan.inverse_into(running, scratch, rung_pmf);
                 } else {
                     // Rung 1 *is* the base PMF — no transform needed.
                     rung_pmf.clear();
@@ -639,25 +769,13 @@ impl TableBuilder {
     }
 }
 
-/// Index of the cached plan for transform size `n`, creating it on first
-/// use. The cache holds a handful of distinct power-of-two sizes, so a
-/// linear scan beats any map.
-fn plan_index(plans: &mut Vec<FftPlan>, n: usize) -> usize {
-    match plans.iter().position(|p| p.len() == n) {
-        Some(idx) => idx,
-        None => {
-            plans.push(FftPlan::new(n));
-            plans.len() - 1
-        }
-    }
-}
-
 impl TargetTailTables {
     /// Builds the tables from the profiled compute-cycle and memory-time
     /// histograms for the given tail quantile (e.g. 0.95), with the paper's
     /// default table shape (8 progress rows, Gaussian beyond depth 16).
     ///
-    /// Thin wrapper over a throwaway [`TableBuilder`]; rebuild loops should
+    /// Thin wrapper over a throwaway [`TableBuilder`] (fresh buffers, empty
+    /// memo, so this always performs a real build); rebuild loops should
     /// hold a persistent builder and use [`TableBuilder::build_with_into`].
     pub fn build(compute: &Histogram, memory: &Histogram, quantile: f64) -> Self {
         TableBuilder::new().build(compute, memory, quantile)
@@ -928,6 +1046,43 @@ mod tests {
             let p = p.max(0.0);
             assert_eq!(t.compute.row_for(p), linear(p), "elapsed {p}");
         }
+    }
+
+    #[test]
+    fn memo_remembers_the_last_build_and_matches_only_its_exact_inputs() {
+        let c = lognormal_hist(1e6, 0.3, 1024, 15);
+        let m = lognormal_hist(80e-6, 0.3, 1024, 16);
+        let mut builder = TableBuilder::new();
+        assert!(builder.memo.is_none(), "a new builder remembers nothing");
+        let built = builder.build_with(&c, &m, 0.95, 8, 16);
+        let memo = builder.memo.as_ref().expect("the build is remembered");
+        assert_eq!(memo.tables, built);
+        assert!(memo.matches(&c, &m, 0.95, 8, 16));
+        assert!(!memo.matches(&m, &c, 0.95, 8, 16), "histograms swapped");
+        assert!(!memo.matches(&c, &m, 0.95f64.next_up(), 8, 16), "quantile");
+        assert!(!memo.matches(&c, &m, 0.95, 7, 16), "rows");
+        assert!(!memo.matches(&c, &m, 0.95, 8, 17), "cutoff");
+        let wider = Histogram::from_pmf(c.pmf().to_vec(), c.bucket_width().next_up());
+        assert_eq!(wider.pmf(), c.pmf());
+        assert!(!memo.matches(&wider, &m, 0.95, 8, 16), "bucket width");
+
+        // The next build replaces the memo.
+        let other = builder.build_with(&c, &zero_hist(), 0.9, 4, 8);
+        let memo = builder.memo.as_ref().expect("the build is remembered");
+        assert_eq!(memo.tables, other);
+        assert!(memo.matches(&c, &zero_hist(), 0.9, 4, 8));
+        assert!(!memo.matches(&c, &m, 0.95, 8, 16));
+    }
+
+    #[test]
+    fn memo_compares_histogram_bits_not_values() {
+        let plus = Histogram::from_pmf(vec![0.5, 0.0, 0.5], 2.0);
+        let minus = Histogram::from_pmf(vec![0.5, -0.0, 0.5], 2.0);
+        assert_eq!(plus, minus, "-0.0 == 0.0");
+        assert!(same_bits(&plus, &plus.clone()));
+        assert!(!same_bits(&plus, &minus));
+        let longer = Histogram::from_pmf(vec![0.5, 0.0, 0.5, 0.0], 2.0);
+        assert!(!same_bits(&plus, &longer));
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //! Quantiles are bucket-quantized, so "within 1e-9" effectively means the
 //! two builders pick the same bucket everywhere; the relative tolerance only
 //! absorbs float noise in the shared bucket-value arithmetic.
+//!
+//! The last two tests pin the shared build engine as exact: a persistent
+//! builder (buffers and last-build memo) matches fresh builds `==`, and
+//! controllers seeded on different threads run bit-identically.
 
-use rubik_core::{TableBuilder, TargetTailTables};
+use rubik_core::{RubikConfig, RubikController, TableBuilder, TargetTailTables};
+use rubik_sim::{Server, SimConfig};
 use rubik_stats::{DeterministicRng, Histogram};
+use rubik_workloads::{AppProfile, WorkloadGenerator};
 
 const REL_TOL: f64 = 1e-9;
 
@@ -150,24 +156,66 @@ fn quantile_sweep_matches() {
     }
 }
 
+/// Histogram `h` with its bucket width one ULP up and the same PMF bits.
+/// `h` must come from a power-of-two sample count, so its PMF is dyadic and
+/// sums to exactly 1 and `from_pmf`'s normalization leaves every entry as is.
+fn width_one_ulp_up(h: &Histogram) -> Histogram {
+    let out = Histogram::from_pmf(h.pmf().to_vec(), h.bucket_width().next_up());
+    assert_eq!(pmf_bits_differ(h, &out), 0, "PMF must be unchanged");
+    out
+}
+
+/// Histogram `h` with one PMF entry (its last non-zero bucket) one ULP up
+/// and every other entry and the bucket width unchanged. Same precondition
+/// as [`width_one_ulp_up`]: the extra ULP rounds away in `from_pmf`'s
+/// normalizing total, which stays exactly 1, so no other entry moves.
+fn one_pmf_entry_perturbed(h: &Histogram) -> Histogram {
+    let mut pmf = h.pmf().to_vec();
+    let last = pmf.iter().rposition(|&p| p > 0.0).expect("has mass");
+    pmf[last] = pmf[last].next_up();
+    let out = Histogram::from_pmf(pmf, h.bucket_width());
+    assert_eq!(pmf_bits_differ(h, &out), 1, "exactly one PMF entry differs");
+    out
+}
+
+fn pmf_bits_differ(a: &Histogram, b: &Histogram) -> usize {
+    assert_eq!(a.len(), b.len());
+    a.pmf()
+        .iter()
+        .zip(b.pmf())
+        .filter(|(x, y)| x.to_bits() != y.to_bits())
+        .count()
+}
+
 /// A persistent [`TableBuilder`] reused across many different profiles —
-/// warm rebuilds into the same target, shifting histogram shapes, shrinking
+/// warm rebuilds into the same targets, shifting histogram shapes, shrinking
 /// and growing supports, even changing table shapes — must produce tables
 /// `==` (exact `PartialEq`, i.e. every stored f64 equal) to a throwaway
 /// builder's fresh output each time. This pins the warm-path contract: the
 /// controller's in-place rebuilds are indistinguishable from cold builds.
+///
+/// The sequence repeats inputs (A, A, B, A) so the builder's last-build memo
+/// serves some requests as copies, and follows identical inputs with
+/// near-misses the memo must not serve: a bucket width one ULP up, one PMF
+/// entry one ULP up (compute and memory each), another quantile, and another
+/// table shape. Two targets alternate, so every memo copy lands on a target
+/// holding other tables, often of another shape.
 #[test]
 fn persistent_builder_warm_rebuilds_match_fresh_builds_exactly() {
     let mut rng = DeterministicRng::new(0xE6);
     let mut builder = TableBuilder::new();
 
-    // Start from an arbitrary profile; rebuild the same target in place for
-    // every subsequent profile.
+    // Start both targets from arbitrary profiles; every later step rebuilds
+    // one of them in place.
     let c0 = lognormal_hist(&mut rng, 1e6, 0.3, 2000);
     let m0 = lognormal_hist(&mut rng, 80e-6, 0.3, 2000);
-    let mut warm = builder.build_with(&c0, &m0, 0.95, 8, 16);
+    let mut targets = [
+        builder.build_with(&c0, &m0, 0.95, 8, 16),
+        builder.build_with(&m0, &c0, 0.9, 4, 8),
+    ];
 
-    let profiles: Vec<(Histogram, Histogram, f64, usize, usize)> = vec![
+    type Profile = (Histogram, Histogram, f64, usize, usize);
+    let profiles: Vec<Profile> = vec![
         // Same shape, new data.
         (
             lognormal_hist(&mut rng, 2e6, 0.8, 3000),
@@ -202,9 +250,109 @@ fn persistent_builder_warm_rebuilds_match_fresh_builds_exactly() {
         ),
     ];
 
-    for (step, (c, m, q, rows, cutoff)) in profiles.iter().enumerate() {
-        builder.build_with_into(c, m, *q, *rows, *cutoff, &mut warm);
+    // A is a dyadic profile (1024 samples), so its near-misses perturb
+    // exactly one input field; B is another profile of the same shape.
+    let a: Profile = (
+        lognormal_hist(&mut rng, 1e6, 0.4, 1024),
+        lognormal_hist(&mut rng, 60e-6, 0.4, 1024),
+        0.95,
+        8,
+        16,
+    );
+    let b = profiles[0].clone();
+    let (ac, am) = (&a.0, &a.1);
+    let near_misses: Vec<(&str, Profile)> = vec![
+        (
+            "compute width +1 ulp",
+            (width_one_ulp_up(ac), am.clone(), 0.95, 8, 16),
+        ),
+        (
+            "memory width +1 ulp",
+            (ac.clone(), width_one_ulp_up(am), 0.95, 8, 16),
+        ),
+        (
+            "compute PMF entry +1 ulp",
+            (one_pmf_entry_perturbed(ac), am.clone(), 0.95, 8, 16),
+        ),
+        (
+            "memory PMF entry +1 ulp",
+            (ac.clone(), one_pmf_entry_perturbed(am), 0.95, 8, 16),
+        ),
+        (
+            "quantile +1 ulp",
+            (ac.clone(), am.clone(), 0.95f64.next_up(), 8, 16),
+        ),
+        ("other quantile", (ac.clone(), am.clone(), 0.99, 8, 16)),
+        ("other row count", (ac.clone(), am.clone(), 0.95, 7, 16)),
+        ("other cutoff", (ac.clone(), am.clone(), 0.95, 8, 17)),
+    ];
+
+    let mut sequence: Vec<(String, &Profile)> = profiles
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (format!("profile {i}"), p))
+        .collect();
+    for (label, p) in [("A", &a), ("A again", &a), ("B", &b), ("A after B", &a)] {
+        sequence.push((label.to_string(), p));
+    }
+    for (label, p) in &near_misses {
+        sequence.push(("A".to_string(), &a));
+        sequence.push((format!("A, {label}"), p));
+    }
+    sequence.push(("A".to_string(), &a));
+
+    for (step, (label, (c, m, q, rows, cutoff))) in sequence.into_iter().enumerate() {
+        let target = &mut targets[step % 2];
+        builder.build_with_into(c, m, *q, *rows, *cutoff, target);
         let fresh = TargetTailTables::build_with(c, m, *q, *rows, *cutoff);
-        assert_eq!(warm, fresh, "warm rebuild diverged at step {step}");
+        assert_eq!(
+            *target, fresh,
+            "warm rebuild diverged at step {step} ({label})"
+        );
+    }
+}
+
+/// The per-thread build workspace is invisible in results. Controllers
+/// seeded from the same demands — two on the main thread (the second served
+/// by the thread's last-build memo), a clone, and one on each of two scoped
+/// threads (fresh workspaces) — hold the same tables and run a trace to the
+/// same `RunResult`, bit for bit (`{:?}` prints every f64 exactly).
+#[test]
+fn controllers_seeded_on_different_threads_match_bit_for_bit() {
+    let profile = AppProfile::masstree();
+    let sim_config = SimConfig::default();
+    let trace = WorkloadGenerator::new(profile.clone(), 11).steady_trace(0.5, 3000);
+    let config = RubikConfig::new(3.0 * profile.mean_service_time()).with_profiling_window(1024);
+    let seeded = || RubikController::seeded_for_trace(config, sim_config.dvfs.clone(), &trace, 256);
+    let run = |mut rubik: RubikController| {
+        let tables = format!(
+            "{:?}",
+            rubik.tables().expect("seeded controllers have tables")
+        );
+        let result = Server::new(sim_config.clone()).run(&trace, &mut rubik);
+        assert!(
+            rubik.stats().table_rebuilds_performed > 2,
+            "the run must rebuild on its own thread's workspace"
+        );
+        (tables, format!("{result:?}"))
+    };
+
+    let (first, second) = (seeded(), seeded());
+    let copy = second.clone();
+    let reference = run(first);
+    let mut others = vec![run(second), run(copy)];
+    others.extend(std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2).map(|_| s.spawn(|| run(seeded()))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("thread panicked"))
+            .collect::<Vec<_>>()
+    }));
+    for (i, other) in others.iter().enumerate() {
+        assert!(
+            other.0 == reference.0,
+            "controller {i}: seeded tables differ"
+        );
+        assert!(other.1 == reference.1, "controller {i}: run results differ");
     }
 }

@@ -1,18 +1,24 @@
-//! Zero steady-state allocations across the controller's warm hot loop.
+//! Zero steady-state allocations across the controller's warm hot loop, and
+//! a small per-controller heap.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase that drives every buffer (profiler window, incremental bucket
-//! counts, the table builder's plans/spectra/rows, the rolling tail
-//! tracker's sort scratch) to its high-water size, a full
-//! completion → tick (with a *performed* rebuild) → arrival cycle must not
-//! allocate at all. This is the structural guarantee behind the
-//! "incremental, allocation-free rebuilds" contract: the 100 ms tick costs
-//! arithmetic, never the allocator.
+//! counts, the process-wide FFT plans, the thread's table builder's
+//! spectra/rows and last-build memo, the rolling tail tracker's sort
+//! scratch) to its high-water size, a full completion → tick (with a
+//! *performed* rebuild) → arrival cycle must not allocate at all. This is
+//! the structural guarantee behind the "incremental, allocation-free
+//! rebuilds" contract: the 100 ms tick costs arithmetic, never the
+//! allocator.
+//!
+//! The heap-budget test pins the other half of that design: the build
+//! engine lives per thread, not per controller, so a fleet's N-th seeded
+//! controller (and a clone of one) costs its profile and tables only.
 
-use rubik_core::{RubikConfig, RubikController};
+use rubik_core::{RubikConfig, RubikController, TargetTailTables};
 use rubik_sim::{DvfsConfig, DvfsPolicy, InServiceView, QueuedView, RequestRecord, ServerState};
 use rubik_stats::DeterministicRng;
-use rubik_testalloc::{allocations, CountingAllocator};
+use rubik_testalloc::{allocations, bytes_allocated, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -124,6 +130,86 @@ fn warm_completion_tick_arrival_cycle_allocates_nothing() {
     );
 }
 
+/// The test above cycles a 64-demand pool through a 256-sample window, so
+/// once the window is full each new sample equals the one it evicts: the
+/// profile stops moving and the thread's last-build memo serves its
+/// "performed" rebuilds as copies. Here every tick takes the memo's miss
+/// path instead — a full build plus the memo's record of it — as periodic
+/// rebuilds do in the fleets and the figure sweeps. Two controllers share
+/// the thread and alternate ticks, so the memo always holds the other
+/// one's last build; their pools of 65 and 67 demands still fit the window
+/// (the bucket grid stays at its high-water shape), but each evicted sample
+/// differs from the new one, so each profile moves from tick to tick.
+#[test]
+fn warm_rebuilds_that_miss_the_memo_allocate_nothing() {
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let pools: Vec<Vec<(f64, f64)>> = [(42, 65), (43, 67)]
+        .into_iter()
+        .map(|(seed, n)| {
+            let mut rng = DeterministicRng::new(seed);
+            (0..n)
+                .map(|_| (rng.lognormal(1e6, 0.4), rng.lognormal(60e-6, 0.4)))
+                .collect()
+        })
+        .collect();
+    let mut rubiks: Vec<RubikController> = pools
+        .iter()
+        .map(|demands| {
+            let mut rubik = RubikController::new(config, dvfs.clone());
+            rubik.seed_profile(demands.iter().copied());
+            rubik
+        })
+        .collect();
+    let mut queue: Vec<QueuedView> = Vec::new();
+
+    for cycle in 0..512 {
+        for (rubik, demands) in rubiks.iter_mut().zip(&pools) {
+            drive_cycle(rubik, &dvfs, demands, cycle, &mut queue);
+        }
+    }
+
+    let before_rebuilds: Vec<u64> = rubiks
+        .iter()
+        .map(|r| r.stats().table_rebuilds_performed)
+        .collect();
+    let mut previous: Vec<TargetTailTables> = rubiks
+        .iter()
+        .map(|r| r.tables().expect("seeded").clone())
+        .collect();
+    let mut changed = [0u32; 2];
+    let mut allocated = 0;
+    for cycle in 512..768 {
+        for (i, (rubik, demands)) in rubiks.iter_mut().zip(&pools).enumerate() {
+            let before = allocations();
+            drive_cycle(rubik, &dvfs, demands, cycle, &mut queue);
+            allocated += allocations() - before;
+            // Outside the counted section: did this tick move the tables?
+            let tables = rubik.tables().expect("seeded");
+            if *tables != previous[i] {
+                changed[i] += 1;
+                previous[i].clone_from(tables);
+            }
+        }
+    }
+
+    for (i, rubik) in rubiks.iter().enumerate() {
+        assert_eq!(
+            rubik.stats().table_rebuilds_performed - before_rebuilds[i],
+            256,
+            "each steady-state tick must perform a rebuild"
+        );
+        assert_eq!(
+            changed[i], 256,
+            "every steady-state tick must change controller {i}'s tables"
+        );
+    }
+    assert_eq!(
+        allocated, 0,
+        "warm rebuilds that miss the memo must not allocate"
+    );
+}
+
 #[test]
 fn version_gated_tick_allocates_nothing_and_skips() {
     let dvfs = DvfsConfig::haswell_like();
@@ -144,4 +230,47 @@ fn version_gated_tick_allocates_nothing_and_skips() {
         "gated ticks must not allocate a byte"
     );
     assert!(rubik.stats().table_rebuilds_skipped >= 64);
+}
+
+/// A fleet seeds every server from one trace prefix. Once one controller has
+/// been seeded on this thread, seeding another from the same demands reuses
+/// the thread's build workspace (its memo serves the tables as a copy), and
+/// cloning a seeded controller copies no build engine either: each costs
+/// its profiler window, its tables and its feedback state, nothing more.
+/// The window and seed size match the benchmark fleets (1024 and 256).
+#[test]
+fn identical_seeds_and_clones_stay_within_a_per_controller_heap_budget() {
+    const SEED_BUDGET: u64 = 32 * 1024;
+    const CLONE_BUDGET: u64 = 16 * 1024;
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(1024);
+    let mut rng = DeterministicRng::new(11);
+    let demands: Vec<(f64, f64)> = (0..256)
+        .map(|_| (rng.lognormal(1e6, 0.4), rng.lognormal(60e-6, 0.4)))
+        .collect();
+    let seeded = || {
+        let mut rubik = RubikController::new(config, dvfs.clone());
+        rubik.seed_profile(demands.iter().copied());
+        rubik
+    };
+
+    let first = seeded();
+    let before = bytes_allocated();
+    let second = seeded();
+    let seed_bytes = bytes_allocated() - before;
+    let before = bytes_allocated();
+    let copy = second.clone();
+    let clone_bytes = bytes_allocated() - before;
+
+    assert!(first.tables().is_some());
+    assert_eq!(second.tables(), first.tables());
+    assert_eq!(copy.tables(), first.tables());
+    assert!(
+        seed_bytes < SEED_BUDGET,
+        "seeding an identical controller allocated {seed_bytes} bytes (budget {SEED_BUDGET})"
+    );
+    assert!(
+        clone_bytes < CLONE_BUDGET,
+        "cloning a seeded controller allocated {clone_bytes} bytes (budget {CLONE_BUDGET})"
+    );
 }

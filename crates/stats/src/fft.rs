@@ -19,8 +19,14 @@
 //!   `rubik-core::tables` exploits to rebuild all table rows from a single
 //!   base transform. All plan entry points take caller-owned scratch/output
 //!   buffers so a rebuild loop performs no steady-state allocation.
+//!
+//! A plan is an immutable, pure function of its size, so the process keeps
+//! one per power-of-two size ([`FftPlan::shared`]), built on first use and
+//! shared by every thread: the table builders and [`convolve_fft`] never
+//! construct plans of their own.
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// A complex number represented as `(re, im)`.
 ///
@@ -287,6 +293,29 @@ impl FftPlan {
         }
     }
 
+    /// The process-wide plan for real transforms of size `n`, built on the
+    /// first call for that size and kept for the life of the process.
+    ///
+    /// A plan is a pure function of its size, so every caller of a size
+    /// shares one immutable instance and transforms exactly as through
+    /// [`FftPlan::new`]. A plan of size `n` holds about `26·n` bytes, and
+    /// the sizes in use are a handful of small powers of two (up to 2048 for
+    /// the paper's 8×16 tables of 128-bucket histograms), so the registry
+    /// stays small.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two or is smaller than 2.
+    pub fn shared(n: usize) -> &'static FftPlan {
+        assert!(
+            n.is_power_of_two() && n >= 2,
+            "FFT plan size must be a power of two >= 2"
+        );
+        static PLANS: [OnceLock<FftPlan>; usize::BITS as usize] =
+            [const { OnceLock::new() }; usize::BITS as usize];
+        PLANS[n.trailing_zeros() as usize].get_or_init(|| FftPlan::new(n))
+    }
+
     /// The real transform size.
     pub fn len(&self) -> usize {
         self.n
@@ -473,14 +502,15 @@ pub fn convolve_direct(a: &[f64], b: &[f64]) -> Vec<f64> {
     out
 }
 
-/// FFT-accelerated convolution of two real sequences.
+/// FFT-accelerated convolution of two real sequences, through the
+/// process-wide plan of the transform size ([`FftPlan::shared`]).
 pub fn convolve_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
     }
     let out_len = a.len() + b.len() - 1;
     let n = out_len.next_power_of_two().max(2);
-    let plan = FftPlan::new(n);
+    let plan = FftPlan::shared(n);
     let mut scratch = Vec::new();
     let mut fa = Spectrum {
         n,
@@ -656,6 +686,39 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn plan_rejects_non_power_of_two() {
         let _ = FftPlan::new(6);
+    }
+
+    #[test]
+    fn shared_plans_are_one_instance_per_size_and_transform_like_fresh_ones() {
+        for n in [2usize, 16, 256, 4096] {
+            let shared = FftPlan::shared(n);
+            assert!(std::ptr::eq(shared, FftPlan::shared(n)), "n={n}");
+            assert_eq!(shared.len(), n);
+            let x: Vec<f64> = (0..n).map(|i| ((i * 29 + 3) % 13) as f64 / 7.0).collect();
+            let fresh = FftPlan::new(n);
+            let spec = shared.forward(&x);
+            assert_eq!(spec, fresh.forward(&x), "n={n}");
+            let (back, fresh_back) = (shared.inverse(&spec), fresh.inverse(&spec));
+            assert!(
+                back.iter()
+                    .zip(&fresh_back)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "n={n}"
+            );
+        }
+        let from_threads: Vec<&FftPlan> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2).map(|_| s.spawn(|| FftPlan::shared(512))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(from_threads
+            .iter()
+            .all(|&p| std::ptr::eq(p, FftPlan::shared(512))));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn shared_plan_rejects_non_power_of_two() {
+        let _ = FftPlan::shared(12);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::fft;
 /// [`Histogram::cdf`] is O(1) and [`Histogram::quantile`] is O(log n)
 /// instead of re-summing the PMF — these run on Rubik's per-arrival decision
 /// path, where the controller consults quantiles on every event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Histogram {
     bucket_width: f64,
     /// Probability mass per bucket. Always sums to 1 (within fp error) for a
@@ -33,6 +33,25 @@ pub struct Histogram {
     pmf: Vec<f64>,
     /// Cached running CDF: `cdf[i]` is the total mass of buckets `0..=i`.
     cdf: Vec<f64>,
+}
+
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Self {
+            bucket_width: self.bucket_width,
+            pmf: self.pmf.clone(),
+            cdf: self.cdf.clone(),
+        }
+    }
+
+    /// Field-wise, reusing `self`'s PMF/CDF storage: copying into a
+    /// histogram whose buffers already have the capacity allocates nothing
+    /// (the table builder's last-build memo relies on this).
+    fn clone_from(&mut self, source: &Self) {
+        self.bucket_width = source.bucket_width;
+        self.pmf.clone_from(&source.pmf);
+        self.cdf.clone_from(&source.cdf);
+    }
 }
 
 impl PartialEq for Histogram {
@@ -579,6 +598,18 @@ mod tests {
         let before = h.pmf().as_ptr();
         h.assign_counts(&[4, 4, 4, 4], 16, 0.25);
         assert_eq!(before, h.pmf().as_ptr(), "refill must not reallocate");
+    }
+
+    #[test]
+    fn clone_from_copies_exactly_and_reuses_storage() {
+        let wide = Histogram::from_samples(&uniform_samples(500, 10.0), 64);
+        let narrow = Histogram::from_samples(&uniform_samples(300, 2.0), 16);
+        let mut h = wide.clone();
+        let before = h.pmf().as_ptr();
+        h.clone_from(&narrow);
+        assert_eq!(h, narrow);
+        assert_eq!(h.quantile(0.9), narrow.quantile(0.9), "cached CDF copied");
+        assert_eq!(before, h.pmf().as_ptr(), "copy must not reallocate");
     }
 
     #[test]
