@@ -25,7 +25,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 use rubik_load::{ArrivalSource, TraceSource};
 use rubik_power::CorePowerModel;
@@ -78,6 +77,25 @@ pub enum ClusterError {
         /// The fleet size.
         fleet: usize,
     },
+    /// A [`Migrator`] planned a move that names a server outside the fleet
+    /// or moves a server's queue onto itself. The run is abandoned like an
+    /// out-of-range route: it produces no outcome.
+    InvalidMigration {
+        /// The migrator's [`name`](Migrator::name).
+        migrator: String,
+        /// The offending move.
+        migration: Migration,
+    },
+    /// A [`FleetController`] issued a command that names a server outside
+    /// the fleet, or a [`FleetCommand::ScaleBound`] whose scale is not
+    /// positive and finite. The run is abandoned like an out-of-range
+    /// route: it produces no outcome.
+    InvalidFleetCommand {
+        /// The controller's [`name`](FleetController::name).
+        controller: String,
+        /// The offending command.
+        command: FleetCommand,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -97,6 +115,20 @@ impl std::fmt::Display for ClusterError {
             } => write!(
                 f,
                 "router {router} chose server {server} of a {fleet}-server fleet"
+            ),
+            ClusterError::InvalidMigration {
+                migrator,
+                migration,
+            } => write!(
+                f,
+                "migrator {migrator} planned an invalid move {migration:?}"
+            ),
+            ClusterError::InvalidFleetCommand {
+                controller,
+                command,
+            } => write!(
+                f,
+                "fleet controller {controller} issued an invalid command {command:?}"
             ),
         }
     }
@@ -138,58 +170,6 @@ impl Ord for HeapEntry {
 impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// How a run is sharded across worker threads (see
-/// [`Cluster::run_sharded`]).
-///
-/// The fleet is partitioned into `shards` contiguous server blocks, each
-/// advancing on its own stamped heap between global boundaries. Shard
-/// counts are clamped to the fleet size at run time, and
-/// [`ShardSpec::single`] recovers the classic single-heap loop exactly.
-/// Sharding never changes results — every `run_sharded*` output is
-/// bit-identical to its unsharded twin — so the only tradeoff is
-/// throughput: one worker thread per extra shard, paying off once
-/// per-event work (e.g. a Rubik controller per server) dominates routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    shards: usize,
-}
-
-impl ShardSpec {
-    /// Shards the fleet `shards` ways (1 = the classic serial loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "a run needs at least one shard");
-        Self { shards }
-    }
-
-    /// One shard per available hardware thread (1 if unknown).
-    pub fn auto() -> Self {
-        Self {
-            shards: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-
-    /// The single-shard spec: no worker threads, the classic event loop.
-    pub fn single() -> Self {
-        Self { shards: 1 }
-    }
-
-    /// The configured shard count (before clamping to the fleet size).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-}
-
-impl Default for ShardSpec {
-    /// Defaults to [`ShardSpec::auto`].
-    fn default() -> Self {
-        Self::auto()
     }
 }
 
@@ -437,9 +417,12 @@ impl<P: DvfsPolicy> Cluster<P> {
     ///
     /// # Panics
     ///
-    /// Panics with the message of [`ClusterError::RouteOutOfRange`] if the
-    /// router picks a server outside the fleet (the batch `run*` methods
-    /// all do; [`Cluster::run_streamed`] returns the error instead).
+    /// Panics with the error's message if the router picks a server outside
+    /// the fleet ([`ClusterError::RouteOutOfRange`]), the migrator plans an
+    /// invalid move ([`ClusterError::InvalidMigration`]), or the fleet
+    /// controller issues an invalid command
+    /// ([`ClusterError::InvalidFleetCommand`]). The batch `run*` methods all
+    /// do; [`Cluster::run_streamed`] returns the error instead.
     pub fn run(self, trace: &Trace) -> ClusterOutcome {
         self.run_with_results(trace).0
     }
@@ -459,8 +442,13 @@ impl<P: DvfsPolicy> Cluster<P> {
     ///
     /// Returns [`ClusterError::OutOfOrderArrival`] if the source yields
     /// arrivals out of time order (a violation of the [`ArrivalSource`]
-    /// contract), and [`ClusterError::RouteOutOfRange`] if the router sends
-    /// an arrival, a retry, or a requeued request outside the fleet.
+    /// contract), [`ClusterError::RouteOutOfRange`] if the router sends an
+    /// arrival, a retry, or a requeued request outside the fleet,
+    /// [`ClusterError::InvalidMigration`] if the migrator plans a move that
+    /// names a server outside the fleet or moves a server's queue onto
+    /// itself, and [`ClusterError::InvalidFleetCommand`] if the fleet
+    /// controller commands an unknown server or scales a bound by a
+    /// non-positive or non-finite factor.
     pub fn run_streamed<S: ArrivalSource>(self, source: S) -> Result<ClusterOutcome, ClusterError> {
         Ok(self.run_streamed_with_results(source)?.0)
     }
@@ -471,7 +459,7 @@ impl<P: DvfsPolicy> Cluster<P> {
         self,
         mut source: S,
     ) -> Result<(ClusterOutcome, Vec<RunResult>), ClusterError> {
-        let (outcome, results, _) = self.run_core(&mut source, 1, None)?;
+        let (outcome, results, _) = self.run_core(&mut source)?;
         Ok((outcome, results))
     }
 
@@ -486,7 +474,7 @@ impl<P: DvfsPolicy> Cluster<P> {
         if !self.telemetry.is_enabled() {
             self.telemetry = Telemetry::recording();
         }
-        let (outcome, results, log) = self.run_core(&mut source, 1, None)?;
+        let (outcome, results, log) = self.run_core(&mut source)?;
         Ok((outcome, results, log.expect("telemetry is enabled")))
     }
 
@@ -508,7 +496,7 @@ impl<P: DvfsPolicy> Cluster<P> {
     /// path (and produces the exact bits) it did before hooks existed.
     pub fn run_with_results(self, trace: &Trace) -> (ClusterOutcome, Vec<RunResult>) {
         let (outcome, results, _) = self
-            .run_core(&mut TraceSource::new(trace), 1, None)
+            .run_core(&mut TraceSource::new(trace))
             .unwrap_or_else(|e| panic!("{e}"));
         (outcome, results)
     }
@@ -523,32 +511,23 @@ impl<P: DvfsPolicy> Cluster<P> {
             self.telemetry = Telemetry::recording();
         }
         let (outcome, results, log) = self
-            .run_core(&mut TraceSource::new(trace), 1, None)
+            .run_core(&mut TraceSource::new(trace))
             .unwrap_or_else(|e| panic!("{e}"));
         (outcome, results, log.expect("telemetry is enabled"))
     }
 
     /// The one event loop every public run method funnels into.
-    ///
-    /// `shard_count` partitions the fleet (1 = the classic single-heap
-    /// loop, bit-for-bit); when a [`ShardPool`] is supplied, event windows
-    /// between boundaries are drained on its worker threads whenever that
-    /// is provably equivalent to the serial order (see
-    /// [`EventLoop::drain`]).
     fn run_core<S: ArrivalSource>(
         mut self,
         source: &mut S,
-        shard_count: usize,
-        pool: Option<&ShardPool<P>>,
     ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
         let n = self.servers.len();
         // One view per server, maintained incrementally: only a stepped or
         // offered server's view changes, so view writes cost O(events), not
         // O(arrivals × fleet). A keyed router also routes in O(log n) per
         // changed view; any other router reads the whole slice per route.
-        let mut loop_state = EventLoop::new(
+        let mut state = EventLoop::new(
             std::mem::take(&mut self.servers),
-            shard_count,
             std::mem::take(&mut self.capacities),
             std::mem::take(&mut self.classes),
             self.router.as_ref(),
@@ -568,25 +547,44 @@ impl<P: DvfsPolicy> Cluster<P> {
                 None
             };
 
-        let mut fleet = self.fleet.take();
-        let mut migrator = self.migrator.take();
+        let fleet = self.fleet.take();
+        let migrator = self.migrator.take();
         let epoch = fleet
             .as_deref()
             .map_or(f64::INFINITY, FleetController::epoch);
         let rebalance = migrator
             .as_deref()
             .map_or(f64::INFINITY, Migrator::interval);
+        // Telemetry sampling shares the boundary mechanism. Disabled
+        // telemetry keeps `next_sample` infinite and allocates nothing —
+        // every boundary computes exactly as it did without the sampling
+        // clock. Enabled sampling only *partitions* the drains at sample
+        // instants (events are still processed in the same order), so even
+        // a recording run leaves the simulation bit-exact.
+        let mut tele = std::mem::take(&mut self.telemetry);
+        let sample_epoch = tele.sample_epoch().unwrap_or(f64::INFINITY);
         let mut hooks = Hooks {
+            fleet,
+            migrator,
+            epoch,
+            next_epoch: epoch,
+            rebalance,
+            next_rebalance: rebalance,
+            sample_epoch,
+            next_sample: sample_epoch,
             meter: EpochMeter::new(n),
+            tele_meter: tele.is_enabled().then(|| EpochMeter::new(n)),
             power: self.power,
             powers: Vec::with_capacity(n),
+            tele_powers: Vec::new(),
             commands: Vec::new(),
             moves: Vec::new(),
             batch: Vec::new(),
             // The original per-policy latency objectives: `ScaleBound`
             // commands rescale relative to these, never compounding.
-            base_bounds: loop_state
-                .servers()
+            base_bounds: state
+                .servers
+                .iter()
                 .map(|s| s.policy().latency_bound())
                 .collect(),
             migrated: 0,
@@ -594,23 +592,9 @@ impl<P: DvfsPolicy> Cluster<P> {
 
         // Initial apportioning before any event, so a finite budget is in
         // force from the very first request.
-        if let Some(ctl) = fleet.as_deref_mut() {
-            hooks.run_epoch(ctl, 0.0, 0.0, &mut loop_state);
+        if hooks.fleet.is_some() {
+            hooks.run_epoch(0.0, 0.0, &mut state)?;
         }
-        let mut next_epoch = epoch;
-        let mut next_rebalance = rebalance;
-
-        // Telemetry sampling shares the boundary mechanism. Disabled
-        // telemetry keeps `next_sample` infinite and allocates nothing —
-        // every boundary below computes exactly as it did without the
-        // `.min(next_sample)` term. Enabled sampling only *partitions* the
-        // drains at sample instants (events are still processed in the same
-        // order), so even a recording run leaves the simulation bit-exact.
-        let mut tele = std::mem::take(&mut self.telemetry);
-        let sample_epoch = tele.sample_epoch().unwrap_or(f64::INFINITY);
-        let mut tele_meter = tele.is_enabled().then(|| EpochMeter::new(n));
-        let mut tele_powers: Vec<f64> = Vec::new();
-        let mut next_sample = sample_epoch;
 
         // Pull arrivals lazily: the stream is consumed one request at a
         // time, so the driver's resident memory tracks in-flight work, not
@@ -635,65 +619,17 @@ impl<P: DvfsPolicy> Cluster<P> {
                 });
             }
             last_arrival = request.arrival;
-            // Run any hook boundaries at or before the arrival instant
-            // (boundary actions happen *between* events; an arrival at
-            // exactly the boundary is routed after the hooks ran). Fault
-            // work — scripted ops, retry deliveries, attempt timeouts —
-            // shares the boundary mechanism and runs first at equal
-            // instants, so migration and capping observe the post-fault
-            // fleet.
-            loop {
-                let fault_b = layer
-                    .as_ref()
-                    .map_or(f64::INFINITY, FaultLayer::next_boundary);
-                let boundary = next_rebalance.min(next_epoch).min(fault_b).min(next_sample);
-                if boundary > request.arrival {
-                    break;
-                }
-                loop_state.drain(boundary, pool, layer.as_mut(), &mut tele);
-                if fault_b <= boundary {
-                    let l = layer.as_mut().expect("fault boundary implies layer");
-                    run_faults(
-                        l,
-                        &mut tele,
-                        boundary,
-                        self.router.as_mut(),
-                        &mut loop_state,
-                    )?;
-                }
-                if next_rebalance == boundary {
-                    let m = migrator.as_deref_mut().expect("rebalance implies migrator");
-                    hooks.run_migration(m, &mut tele, boundary, &mut loop_state);
-                    next_rebalance += rebalance;
-                }
-                if next_epoch == boundary {
-                    let ctl = fleet.as_deref_mut().expect("epoch implies controller");
-                    hooks.run_epoch(ctl, boundary, epoch, &mut loop_state);
-                    next_epoch += epoch;
-                }
-                if next_sample == boundary {
-                    let meter = tele_meter.as_mut().expect("sampling implies telemetry");
-                    sample_fleet(
-                        &mut tele,
-                        meter,
-                        &mut tele_powers,
-                        boundary,
-                        &loop_state,
-                        layer.as_ref(),
-                        &hooks.power,
-                    );
-                    next_sample += sample_epoch;
-                }
-            }
+            hooks.advance(
+                request.arrival,
+                &mut state,
+                layer.as_mut(),
+                &mut tele,
+                self.router.as_mut(),
+            )?;
 
-            // Process every fleet event strictly before the arrival; events
-            // at exactly the arrival instant are left for the destination
-            // server's engine to order against the arrival itself.
-            loop_state.drain(request.arrival, pool, layer.as_mut(), &mut tele);
-
-            let target = loop_state.route(self.router.as_mut(), &request)?;
-            loop_state.server_mut(target).offer(request);
-            loop_state.schedule(target);
+            let target = state.route(self.router.as_mut(), &request)?;
+            state.servers[target].offer(request);
+            state.schedule(target);
             if let Some(l) = layer.as_mut() {
                 l.on_routed(request, target, 1, request.arrival);
             }
@@ -711,97 +647,47 @@ impl<P: DvfsPolicy> Cluster<P> {
         }
 
         // The stream is exhausted: no more work will ever be offered, so
-        // close every server and let the remaining events drain — still
-        // honouring hook boundaries while any event, retry, timeout, or
-        // scripted op remains (a retried request may be delivered into a
-        // closed server, and a late `Recover` must still be applied so
-        // downtime closes out).
+        // close every server and let the remaining events drain through the
+        // same boundaries.
         for i in 0..n {
-            loop_state.server_mut(i).close();
-            loop_state.schedule(i);
+            state.servers[i].close();
+            state.schedule(i);
         }
-        loop {
-            let fault_b = layer
-                .as_ref()
-                .map_or(f64::INFINITY, FaultLayer::next_boundary);
-            let boundary = next_rebalance.min(next_epoch).min(fault_b).min(next_sample);
-            loop_state.drain(boundary, pool, layer.as_mut(), &mut tele);
-            if fault_b.is_infinite() && !loop_state.has_events() {
-                break;
-            }
-            if fault_b <= boundary {
-                let l = layer.as_mut().expect("fault boundary implies layer");
-                run_faults(
-                    l,
-                    &mut tele,
-                    boundary,
-                    self.router.as_mut(),
-                    &mut loop_state,
-                )?;
-            }
-            if next_rebalance == boundary {
-                let m = migrator.as_deref_mut().expect("rebalance implies migrator");
-                hooks.run_migration(m, &mut tele, boundary, &mut loop_state);
-                next_rebalance += rebalance;
-            }
-            if next_epoch == boundary {
-                let ctl = fleet.as_deref_mut().expect("epoch implies controller");
-                hooks.run_epoch(ctl, boundary, epoch, &mut loop_state);
-                next_epoch += epoch;
-            }
-            if next_sample == boundary {
-                let meter = tele_meter.as_mut().expect("sampling implies telemetry");
-                sample_fleet(
-                    &mut tele,
-                    meter,
-                    &mut tele_powers,
-                    boundary,
-                    &loop_state,
-                    layer.as_ref(),
-                    &hooks.power,
-                );
-                next_sample += sample_epoch;
-            }
-        }
+        hooks.advance(
+            f64::INFINITY,
+            &mut state,
+            layer.as_mut(),
+            &mut tele,
+            self.router.as_mut(),
+        )?;
 
         // Align every server's timeline with the fleet's end so idle/sleep
         // power is charged through the whole run: without this, a server
         // that drained early would be charged nothing while a backlogged
         // neighbour worked on, flattering imbalanced routings.
-        let end = loop_state.servers().map(ServerSim::now).fold(0.0, f64::max);
-        for shard in &mut loop_state.shards {
-            for server in &mut shard.servers {
-                server.coast_to(end);
-            }
+        let end = state.servers.iter().map(ServerSim::now).fold(0.0, f64::max);
+        for server in &mut state.servers {
+            server.coast_to(end);
         }
 
         // Close out the telemetry time series with the final (possibly
         // partial) window, so the run's whole span is covered.
-        if let Some(meter) = tele_meter.as_mut() {
-            if end > meter.last_time() {
-                sample_fleet(
-                    &mut tele,
-                    meter,
-                    &mut tele_powers,
-                    end,
-                    &loop_state,
-                    layer.as_ref(),
-                    &hooks.power,
-                );
-            }
+        if hooks
+            .tele_meter
+            .as_ref()
+            .is_some_and(|meter| end > meter.last_time())
+        {
+            hooks.sample(&mut tele, end, &state, layer.as_ref());
         }
 
-        let downtimes: Vec<f64> = loop_state.servers().map(|s| s.downtime()).collect();
+        let downtimes: Vec<f64> = state.servers.iter().map(|s| s.downtime()).collect();
         let EventLoop {
-            shards, classes, ..
-        } = loop_state;
-        // Shards are contiguous ascending blocks, so flattening them
-        // restores global server order.
-        let results: Vec<RunResult> = shards
-            .into_iter()
-            .flat_map(|shard| shard.servers)
-            .map(ServerSim::finish)
-            .collect();
+            servers, classes, ..
+        } = state;
+        // A fresh buffer of exactly `n` results, not an in-place collect
+        // over the servers' buffer: the in-place form raised peak RSS.
+        let mut results: Vec<RunResult> = Vec::with_capacity(n);
+        results.extend(servers.into_iter().map(ServerSim::finish));
         let mut outcome =
             ClusterOutcome::aggregate_classed(&results, Some(&classes), &self.power, self.quantile);
         outcome.migrated_requests = hooks.migrated;
@@ -816,273 +702,15 @@ impl<P: DvfsPolicy> Cluster<P> {
     }
 }
 
-impl<P: DvfsPolicy + Send> Cluster<P> {
-    /// [`Cluster::run`], sharded: partitions the fleet per `shards` and
-    /// drains event windows on worker threads, merging at every boundary
-    /// in deterministic `(time, server)` order. **Bit-identical** to
-    /// [`Cluster::run`] — outcome, per-server results, and telemetry all
-    /// carry the same bytes at any shard count (pinned by the
-    /// `shard_equivalence` suite).
-    pub fn run_sharded(self, shards: ShardSpec, trace: &Trace) -> ClusterOutcome {
-        self.run_sharded_with_results(shards, trace).0
-    }
-
-    /// [`Cluster::run_with_results`], sharded (see [`Cluster::run_sharded`]).
-    pub fn run_sharded_with_results(
-        self,
-        shards: ShardSpec,
-        trace: &Trace,
-    ) -> (ClusterOutcome, Vec<RunResult>) {
-        let (outcome, results, _) = self
-            .run_sharded_core(&mut TraceSource::new(trace), shards.shards())
-            .unwrap_or_else(|e| panic!("{e}"));
-        (outcome, results)
-    }
-
-    /// [`Cluster::run_traced`], sharded (see [`Cluster::run_sharded`]).
-    pub fn run_sharded_traced(
-        mut self,
-        shards: ShardSpec,
-        trace: &Trace,
-    ) -> (ClusterOutcome, Vec<RunResult>, TraceLog) {
-        if !self.telemetry.is_enabled() {
-            self.telemetry = Telemetry::recording();
-        }
-        let (outcome, results, log) = self
-            .run_sharded_core(&mut TraceSource::new(trace), shards.shards())
-            .unwrap_or_else(|e| panic!("{e}"));
-        (outcome, results, log.expect("telemetry is enabled"))
-    }
-
-    /// [`Cluster::run_streamed`], sharded: pulls arrivals lazily from any
-    /// [`ArrivalSource`] while draining event windows on worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::OutOfOrderArrival`] if the source yields
-    /// arrivals out of time order.
-    pub fn run_sharded_streamed<S: ArrivalSource>(
-        self,
-        shards: ShardSpec,
-        source: S,
-    ) -> Result<ClusterOutcome, ClusterError> {
-        Ok(self.run_sharded_streamed_with_results(shards, source)?.0)
-    }
-
-    /// [`Cluster::run_streamed_with_results`], sharded (see
-    /// [`Cluster::run_sharded_streamed`]).
-    pub fn run_sharded_streamed_with_results<S: ArrivalSource>(
-        self,
-        shards: ShardSpec,
-        mut source: S,
-    ) -> Result<(ClusterOutcome, Vec<RunResult>), ClusterError> {
-        let (outcome, results, _) = self.run_sharded_core(&mut source, shards.shards())?;
-        Ok((outcome, results))
-    }
-
-    /// Spawns the worker pool (one thread per shard beyond the first, which
-    /// the driver thread drains itself) and runs the shared core loop.
-    /// Workers live for the whole run inside a [`std::thread::scope`], so
-    /// non-`'static` policies work and a mid-run error still joins them.
-    fn run_sharded_core<S: ArrivalSource>(
-        self,
-        source: &mut S,
-        shard_count: usize,
-    ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
-        let k = shard_count.clamp(1, self.servers.len().max(1));
-        if k <= 1 {
-            return self.run_core(source, 1, None);
-        }
-        std::thread::scope(|scope| {
-            let mut workers = Vec::with_capacity(k - 1);
-            for _ in 1..k {
-                let (task_tx, task_rx) = mpsc::channel::<Task<P>>();
-                let (done_tx, done_rx) = mpsc::channel::<Shard<P>>();
-                scope.spawn(move || worker_loop(task_rx, done_tx));
-                workers.push(WorkerHandle {
-                    tasks: task_tx,
-                    done: done_rx,
-                });
-            }
-            let pool = ShardPool { workers };
-            self.run_core(source, k, Some(&pool))
-        })
-    }
-}
-
-/// A completion observed during an off-thread shard drain, replayed to the
-/// fault layer at the barrier in global `(time, server)` order.
-#[derive(Debug, Clone, Copy)]
-struct CompletionNote {
-    at: f64,
-    server: usize,
-    id: u64,
-    latency: f64,
-}
-
-/// One shard of the fleet: a contiguous block of servers
-/// `[base, base + servers.len())` with its own stamped heap. Between
-/// global boundaries a shard's events are independent of every other
-/// shard's, so shards drain concurrently; `dirty` and `notes` carry the
-/// side effects (router-view refreshes, fault-layer completions) back to
-/// the driver thread for deterministic barrier replay.
-struct Shard<P: DvfsPolicy> {
-    base: usize,
-    servers: Vec<ServerSim<P>>,
-    stamps: Vec<u64>,
-    /// Heap entries carry *global* server indices, so merged serial drains
-    /// order identically to the single-heap loop.
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Global indices of servers stepped during an off-thread drain, in
-    /// step order (duplicates allowed; view refresh is idempotent).
-    dirty: Vec<u32>,
-    /// Completions observed during an off-thread drain, in step order —
-    /// which within one shard is already `(time, server)` order.
-    notes: Vec<CompletionNote>,
-}
-
-impl<P: DvfsPolicy> Default for Shard<P> {
-    /// An empty placeholder, swapped in while the real shard is away on a
-    /// worker thread.
-    fn default() -> Self {
-        Self {
-            base: 0,
-            servers: Vec::new(),
-            stamps: Vec::new(),
-            heap: BinaryHeap::new(),
-            dirty: Vec::new(),
-            notes: Vec::new(),
-        }
-    }
-}
-
-impl<P: DvfsPolicy> Shard<P> {
-    /// The earliest still-valid event in this shard, as `(time, global
-    /// server index)`. Pops stale entries on the way — safe, because a
-    /// stale entry is never processed by any drain order.
-    fn peek_due(&mut self) -> Option<(f64, usize)> {
-        while let Some(&Reverse(entry)) = self.heap.peek() {
-            if entry.stamp == self.stamps[entry.server - self.base] {
-                return Some((entry.time, entry.server));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Steps this shard's events in `(time, server)` order while they lie
-    /// strictly before `limit`, recording stepped servers in `dirty` and
-    /// (when `collect`) completions in `notes`. Runs on worker threads: no
-    /// router views, no fault layer, no telemetry — those are driver-side
-    /// and replayed at the barrier.
-    fn drain(&mut self, limit: f64, collect: bool) {
-        while let Some(&Reverse(entry)) = self.heap.peek() {
-            if entry.time >= limit {
-                break;
-            }
-            self.heap.pop();
-            let local = entry.server - self.base;
-            if entry.stamp != self.stamps[local] {
-                continue; // stale: the server was stepped or offered work since
-            }
-            let stepped = self.servers[local].step();
-            debug_assert!(stepped.is_some(), "a scheduled event must fire");
-            if collect {
-                if let Some(SimEvent::Completion(rec)) = &stepped {
-                    self.notes.push(CompletionNote {
-                        at: rec.completion,
-                        server: entry.server,
-                        id: rec.id,
-                        latency: rec.latency(),
-                    });
-                }
-            }
-            self.dirty.push(entry.server as u32);
-            self.stamps[local] += 1;
-            if let Some(time) = self.servers[local].next_event_time() {
-                self.heap.push(Reverse(HeapEntry {
-                    time,
-                    server: entry.server,
-                    stamp: self.stamps[local],
-                }));
-            }
-        }
-    }
-}
-
-/// A drain assignment shipped to a worker: the shard travels by value and
-/// comes back through the worker's `done` channel.
-struct Task<P: DvfsPolicy> {
-    shard: Shard<P>,
-    limit: f64,
-    collect: bool,
-}
-
-struct WorkerHandle<P: DvfsPolicy> {
-    tasks: mpsc::Sender<Task<P>>,
-    done: mpsc::Receiver<Shard<P>>,
-}
-
-impl<P: DvfsPolicy> WorkerHandle<P> {
-    /// Collects a drained shard, spinning briefly before parking — the
-    /// barrier round-trip is the per-arrival hot path.
-    fn recv_done(&self) -> Shard<P> {
-        for _ in 0..4096 {
-            match self.done.try_recv() {
-                Ok(shard) => return shard,
-                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(mpsc::TryRecvError::Disconnected) => panic!("shard worker exited mid-run"),
-            }
-        }
-        self.done.recv().expect("shard worker exited mid-run")
-    }
-}
-
-/// The per-run worker pool: worker `w` serves shard `w + 1` (the driver
-/// thread drains shard 0 itself, overlapping with the workers).
-struct ShardPool<P: DvfsPolicy> {
-    workers: Vec<WorkerHandle<P>>,
-}
-
-/// A pool worker: receives drain tasks until the pool (and its sender) is
-/// dropped at the end of the run. Spins briefly between tasks before
-/// falling back to a blocking receive, so back-to-back barriers don't pay
-/// an OS wakeup but an idle stretch doesn't burn a core.
-fn worker_loop<P: DvfsPolicy>(tasks: mpsc::Receiver<Task<P>>, done: mpsc::Sender<Shard<P>>) {
-    'serve: loop {
-        let mut task = None;
-        for spin in 0..4096 {
-            match tasks.try_recv() {
-                Ok(t) => {
-                    task = Some(t);
-                    break;
-                }
-                Err(mpsc::TryRecvError::Empty) if spin % 64 == 63 => std::thread::yield_now(),
-                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(mpsc::TryRecvError::Disconnected) => break 'serve,
-            }
-        }
-        let mut task = match task {
-            Some(t) => t,
-            None => match tasks.recv() {
-                Ok(t) => t,
-                Err(_) => break 'serve,
-            },
-        };
-        task.shard.drain(task.limit, task.collect);
-        if done.send(task.shard).is_err() {
-            break 'serve;
-        }
-    }
-}
-
-/// The driver's event-loop state: the fleet partitioned into shards (one
-/// for the classic serial loop), the incrementally maintained router
-/// views, and the static per-server labels the views carry.
+/// The driver's event-loop state: the fleet, one stamped heap of server
+/// events, the incrementally maintained router views, and the static
+/// per-server labels the views carry.
 struct EventLoop<P: DvfsPolicy> {
-    shards: Vec<Shard<P>>,
-    /// Global server index → owning shard.
-    owner: Vec<u32>,
+    servers: Vec<ServerSim<P>>,
+    /// Per-server stamps: a heap entry whose stamp trails its server's is
+    /// stale and skipped on pop.
+    stamps: Vec<u64>,
+    heap: BinaryHeap<Reverse<HeapEntry>>,
     views: Vec<ServerView>,
     /// The keys of a keyed router over `views` (`None` for every other
     /// router, decided once per run). Every view write marks the server.
@@ -1090,65 +718,37 @@ struct EventLoop<P: DvfsPolicy> {
     capacities: Vec<f64>,
     classes: Vec<u32>,
     healths: Vec<ServerHealth>,
-    /// Reused per-barrier scratch: which shards had due work this window.
-    scratch_active: Vec<bool>,
-    /// Reused per-barrier scratch: per-shard cursors for the notes merge.
-    scratch_cursors: Vec<usize>,
 }
 
 impl<P: DvfsPolicy> EventLoop<P> {
-    /// Partitions `servers` into `shard_count` contiguous balanced blocks
-    /// (clamped to the fleet size) and seeds each shard's heap, every
-    /// router view, and — when `router` is keyed — the route tree.
+    /// Seeds the heap with every server's first event, every router view,
+    /// and — when `router` is keyed — the route tree.
     fn new(
         servers: Vec<ServerSim<P>>,
-        shard_count: usize,
         capacities: Vec<f64>,
         classes: Vec<u32>,
         router: &dyn Router,
     ) -> Self {
         let n = servers.len();
-        let k = shard_count.clamp(1, n.max(1));
-        let mut owner = vec![0u32; n];
-        let mut shards: Vec<Shard<P>> = Vec::with_capacity(k);
-        let mut remaining = servers.into_iter();
-        let mut base = 0usize;
-        for s in 0..k {
-            let size = n / k + usize::from(s < n % k);
-            let block: Vec<ServerSim<P>> = remaining.by_ref().take(size).collect();
-            for slot in &mut owner[base..base + size] {
-                *slot = s as u32;
+        let mut heap = BinaryHeap::with_capacity(2 * n);
+        for (server, sim) in servers.iter().enumerate() {
+            if let Some(time) = sim.next_event_time() {
+                heap.push(Reverse(HeapEntry {
+                    time,
+                    server,
+                    stamp: 0,
+                }));
             }
-            let mut shard = Shard {
-                base,
-                servers: block,
-                stamps: vec![0; size],
-                heap: BinaryHeap::with_capacity(2 * size),
-                dirty: Vec::new(),
-                notes: Vec::new(),
-            };
-            for local in 0..size {
-                if let Some(time) = shard.servers[local].next_event_time() {
-                    shard.heap.push(Reverse(HeapEntry {
-                        time,
-                        server: base + local,
-                        stamp: 0,
-                    }));
-                }
-            }
-            base += size;
-            shards.push(shard);
         }
         let mut state = Self {
-            shards,
-            owner,
+            servers,
+            stamps: vec![0; n],
+            heap,
             views: Vec::with_capacity(n),
             tree: None,
             capacities,
             classes,
             healths: vec![ServerHealth::Up; n],
-            scratch_active: Vec::new(),
-            scratch_cursors: Vec::new(),
         };
         for i in 0..n {
             let view = state.view_of(i);
@@ -1158,34 +758,13 @@ impl<P: DvfsPolicy> EventLoop<P> {
         state
     }
 
-    /// Number of servers in the fleet.
-    fn len(&self) -> usize {
-        self.owner.len()
-    }
-
-    fn server(&self, i: usize) -> &ServerSim<P> {
-        let shard = &self.shards[self.owner[i] as usize];
-        &shard.servers[i - shard.base]
-    }
-
-    fn server_mut(&mut self, i: usize) -> &mut ServerSim<P> {
-        let shard = &mut self.shards[self.owner[i] as usize];
-        &mut shard.servers[i - shard.base]
-    }
-
-    /// Every server, in global index order (shards are contiguous
-    /// ascending blocks).
-    fn servers(&self) -> impl Iterator<Item = &ServerSim<P>> {
-        self.shards.iter().flat_map(|shard| shard.servers.iter())
-    }
-
     /// Whether any server still has a pending event.
     fn has_events(&self) -> bool {
-        self.servers().any(|s| s.next_event_time().is_some())
+        self.servers.iter().any(|s| s.next_event_time().is_some())
     }
 
     fn view_of(&self, i: usize) -> ServerView {
-        let s = self.server(i);
+        let s = &self.servers[i];
         ServerView {
             index: i,
             in_flight: s.in_flight(),
@@ -1220,90 +799,48 @@ impl<P: DvfsPolicy> EventLoop<P> {
             Some(tree) => tree.route(router, &self.views),
             None => router.route(request, &self.views),
         };
-        if target < self.len() {
+        if target < self.servers.len() {
             Ok(target)
         } else {
             Err(ClusterError::RouteOutOfRange {
                 router: router.name().to_string(),
                 server: target,
-                fleet: self.len(),
+                fleet: self.servers.len(),
             })
         }
     }
 
     /// Re-registers server `i` after its state changed: refreshes its router
-    /// view, advances its stamp (invalidating any entry already in its
-    /// shard's heap), and pushes its current next-event time, if any.
+    /// view, advances its stamp (invalidating any entry already in the
+    /// heap), and pushes its current next-event time, if any.
     fn schedule(&mut self, i: usize) {
         self.refresh_view(i);
-        let shard = &mut self.shards[self.owner[i] as usize];
-        let local = i - shard.base;
-        shard.stamps[local] += 1;
-        if let Some(time) = shard.servers[local].next_event_time() {
-            shard.heap.push(Reverse(HeapEntry {
+        self.stamps[i] += 1;
+        if let Some(time) = self.servers[i].next_event_time() {
+            self.heap.push(Reverse(HeapEntry {
                 time,
                 server: i,
-                stamp: shard.stamps[local],
+                stamp: self.stamps[i],
             }));
         }
     }
 
-    /// Drains every fleet event strictly before `limit`, choosing between
-    /// the merged serial order and the sharded parallel path.
-    ///
-    /// The parallel path is taken only when it is provably bit-identical
-    /// to the serial one: server simulations are independent inside an
-    /// event window, and with hedging disabled the fault layer's
-    /// per-completion bookkeeping (retiring pending attempts) commutes —
-    /// the barrier replay in global `(time, server)` order reproduces the
-    /// serial layer state exactly. A hedged completion, by contrast,
-    /// cancels the losing copy on *another* server mid-window, so hedged
-    /// runs always use the merged serial drain.
-    fn drain(
-        &mut self,
-        limit: f64,
-        pool: Option<&ShardPool<P>>,
-        layer: Option<&mut FaultLayer>,
-        tele: &mut Telemetry,
-    ) {
-        match pool {
-            Some(pool) if !layer.as_ref().is_some_and(|l| l.hedging_enabled()) => {
-                self.drain_parallel(limit, pool, layer);
-            }
-            _ => self.drain_serial(limit, layer, tele),
-        }
-    }
-
     /// Steps fleet events in `(time, server)` order while they lie strictly
-    /// before `limit`, merging across shard heaps (with one shard this is
-    /// the classic single-heap loop). When a fault layer is attached,
-    /// completions are reported to it so pending timeouts are retired — and
-    /// a completion that resolves a hedged pair cancels the losing copy on
-    /// the spot (first-completion-wins).
-    fn drain_serial(
-        &mut self,
-        limit: f64,
-        mut layer: Option<&mut FaultLayer>,
-        tele: &mut Telemetry,
-    ) {
-        loop {
-            // The earliest still-valid entry across shards, ordered by
-            // (time, server) — exactly the single-heap pop order, since a
-            // server lives in exactly one shard.
-            let mut best: Option<(f64, usize, usize)> = None;
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                if let Some((time, server)) = shard.peek_due() {
-                    if time < limit && best.is_none_or(|(bt, bs, _)| (time, server) < (bt, bs)) {
-                        best = Some((time, server, s));
-                    }
-                }
+    /// before `limit`. When a fault layer is attached, completions are
+    /// reported to it so pending timeouts are retired — and a completion
+    /// that resolves a hedged pair cancels the losing copy on the spot
+    /// (first-completion-wins).
+    fn drain(&mut self, limit: f64, mut layer: Option<&mut FaultLayer>, tele: &mut Telemetry) {
+        while let Some(&Reverse(entry)) = self.heap.peek() {
+            if entry.time >= limit {
+                break;
             }
-            let Some((_, server, s)) = best else { break };
-            let stepped = {
-                let shard = &mut self.shards[s];
-                shard.heap.pop();
-                shard.servers[server - shard.base].step()
-            };
+            self.heap.pop();
+            let server = entry.server;
+            if entry.stamp != self.stamps[server] {
+                continue; // stale: the server was stepped or offered work since
+            }
+            let stepped = self.servers[server].step();
             debug_assert!(stepped.is_some(), "a scheduled event must fire");
             if let (Some(SimEvent::Completion(rec)), Some(l)) = (&stepped, layer.as_deref_mut()) {
                 if let Some(res) = l.on_completion(rec.id, server, rec.latency()) {
@@ -1311,94 +848,6 @@ impl<P: DvfsPolicy> EventLoop<P> {
                 }
             }
             self.schedule(server);
-        }
-    }
-
-    /// Drains shards concurrently up to `limit`: dispatches every shard
-    /// with due work to its worker (the driver thread takes the first
-    /// active shard itself), then replays the side effects at the barrier —
-    /// router-view refreshes, and fault-layer completions merged across
-    /// shards in global `(time, server)` order.
-    fn drain_parallel(&mut self, limit: f64, pool: &ShardPool<P>, layer: Option<&mut FaultLayer>) {
-        let k = self.shards.len();
-        self.scratch_active.clear();
-        self.scratch_active.resize(k, false);
-        let mut active = 0usize;
-        let mut first = usize::MAX;
-        for s in 0..k {
-            if self.shards[s].peek_due().is_some_and(|(t, _)| t < limit) {
-                self.scratch_active[s] = true;
-                active += 1;
-                first = first.min(s);
-            }
-        }
-        if active == 0 {
-            return;
-        }
-        let collect = layer.is_some();
-        for s in (first + 1)..k {
-            if self.scratch_active[s] {
-                let shard = std::mem::take(&mut self.shards[s]);
-                pool.workers[s - 1]
-                    .tasks
-                    .send(Task {
-                        shard,
-                        limit,
-                        collect,
-                    })
-                    .expect("shard worker exited mid-run");
-            }
-        }
-        self.shards[first].drain(limit, collect);
-        for s in (first + 1)..k {
-            if self.scratch_active[s] {
-                self.shards[s] = pool.workers[s - 1].recv_done();
-            }
-        }
-
-        // Barrier, part 1: refresh the router view of every server stepped
-        // off-thread. Order doesn't matter (refresh is idempotent and views
-        // are only read after the drain); the work is the same O(events)
-        // view writes the serial path does inline.
-        for s in first..k {
-            if !self.scratch_active[s] {
-                continue;
-            }
-            let dirty = std::mem::take(&mut self.shards[s].dirty);
-            for &i in &dirty {
-                self.refresh_view(i as usize);
-            }
-            let mut dirty = dirty;
-            dirty.clear();
-            self.shards[s].dirty = dirty;
-        }
-
-        // Barrier, part 2: replay completions to the fault layer in global
-        // (time, server) order — a k-way merge over the shards' note lists,
-        // each already sorted by its own drain order. With hedging disabled
-        // (guaranteed on this path) no completion resolves a hedge, so
-        // replay leaves the layer in exactly the serial drain's state.
-        if let Some(l) = layer {
-            self.scratch_cursors.clear();
-            self.scratch_cursors.resize(k, 0);
-            loop {
-                let mut best: Option<(f64, usize, usize)> = None;
-                for s in first..k {
-                    if let Some(note) = self.shards[s].notes.get(self.scratch_cursors[s]) {
-                        if best.is_none_or(|(bt, bs, _)| (note.at, note.server) < (bt, bs)) {
-                            best = Some((note.at, note.server, s));
-                        }
-                    }
-                }
-                let Some((_, _, s)) = best else { break };
-                let note = self.shards[s].notes[self.scratch_cursors[s]];
-                self.scratch_cursors[s] += 1;
-                let resolved = l.on_completion(note.id, note.server, note.latency);
-                debug_assert!(resolved.is_none(), "hedged runs must drain serially");
-            }
-            for shard in &mut self.shards {
-                shard.notes.clear();
-            }
         }
     }
 }
@@ -1431,13 +880,13 @@ fn resolve_hedge<P: DvfsPolicy>(
     // A server that coasted past `at` (e.g. under an earlier fault
     // alignment at this same boundary) cancels at its own clock instead.
     let cancel = |state: &mut EventLoop<P>, j: usize| {
-        let t = at.max(state.server(j).now());
-        state.server_mut(j).cancel(t, id).is_some()
+        let t = at.max(state.servers[j].now());
+        state.servers[j].cancel(t, id).is_some()
     };
     let found = if cancel(state, res.loser) {
         Some(res.loser)
     } else {
-        (0..state.len()).find(|&j| j != res.loser && cancel(state, j))
+        (0..state.servers.len()).find(|&j| j != res.loser && cancel(state, j))
     };
     if let Some(j) = found {
         state.schedule(j);
@@ -1463,14 +912,14 @@ fn align_server_to<P: DvfsPolicy>(
     layer: &mut FaultLayer,
     tele: &mut Telemetry,
 ) {
-    while state.server(i).next_event_time().is_some_and(|te| te <= t) {
-        if let Some(SimEvent::Completion(rec)) = state.server_mut(i).step() {
+    while state.servers[i].next_event_time().is_some_and(|te| te <= t) {
+        if let Some(SimEvent::Completion(rec)) = state.servers[i].step() {
             if let Some(res) = layer.on_completion(rec.id, i, rec.latency()) {
                 resolve_hedge(state, tele, rec.id, rec.completion, i, res);
             }
         }
     }
-    state.server_mut(i).coast_to(t);
+    state.servers[i].coast_to(t);
 }
 
 /// Applies every scripted op, retry delivery, hedge launch, and attempt
@@ -1502,7 +951,7 @@ fn run_faults<P: DvfsPolicy>(
                     server: op.server as u32,
                     kind: ServerEventKind::Down,
                 });
-                let in_flight = state.server_mut(op.server).fail(now);
+                let in_flight = state.servers[op.server].fail(now);
                 state.healths[op.server] = layer.health_of(op.server);
                 if let Some(spec) = in_flight {
                     if layer.copy_lost(spec.id, op.server) {
@@ -1536,7 +985,7 @@ fn run_faults<P: DvfsPolicy>(
                 state.schedule(op.server);
                 if layer.policy().drain_on_crash {
                     let mut stranded = Vec::new();
-                    while let Some(spec) = state.server_mut(op.server).steal_queued() {
+                    while let Some(spec) = state.servers[op.server].steal_queued() {
                         stranded.push(spec);
                     }
                     state.schedule(op.server);
@@ -1544,7 +993,7 @@ fn run_faults<P: DvfsPolicy>(
                     // reverse preserves arrival order across the receivers.
                     for spec in stranded.into_iter().rev() {
                         let target = state.route(router, &spec)?;
-                        state.server_mut(target).inject(now, spec);
+                        state.servers[target].inject(now, spec);
                         layer.requeued(spec.id, op.server, target);
                         tele.request_event(
                             spec.id,
@@ -1566,11 +1015,11 @@ fn run_faults<P: DvfsPolicy>(
                     server: op.server as u32,
                     kind: ServerEventKind::Up,
                 });
-                if state.server(op.server).is_down() {
-                    state.server_mut(op.server).recover(now);
+                if state.servers[op.server].is_down() {
+                    state.servers[op.server].recover(now);
                 }
-                if state.server(op.server).stuck_freq().is_some() {
-                    state.server_mut(op.server).stick_freq(None);
+                if state.servers[op.server].stuck_freq().is_some() {
+                    state.servers[op.server].stick_freq(None);
                 }
                 state.healths[op.server] = layer.health_of(op.server);
                 state.schedule(op.server);
@@ -1581,13 +1030,13 @@ fn run_faults<P: DvfsPolicy>(
                     server: op.server as u32,
                     kind: ServerEventKind::StraggleStart { slowdown },
                 });
-                state.server_mut(op.server).set_slowdown(slowdown);
+                state.servers[op.server].set_slowdown(slowdown);
                 state.healths[op.server] = layer.health_of(op.server);
                 state.schedule(op.server);
             }
             OpKind::StraggleEnd => {
                 if effective {
-                    state.server_mut(op.server).set_slowdown(1.0);
+                    state.servers[op.server].set_slowdown(1.0);
                     tele.server_event(ServerEvent {
                         at: now,
                         server: op.server as u32,
@@ -1605,7 +1054,7 @@ fn run_faults<P: DvfsPolicy>(
                         mhz: level.map(|f| f.mhz()),
                     },
                 });
-                state.server_mut(op.server).stick_freq(level);
+                state.servers[op.server].stick_freq(level);
                 state.schedule(op.server);
             }
         }
@@ -1615,7 +1064,7 @@ fn run_faults<P: DvfsPolicy>(
     // in `HealthAware` to keep retries off down or straggling servers.
     while let Some((spec, attempt)) = layer.pop_due_retry(now) {
         let target = state.route(router, &spec)?;
-        state.server_mut(target).inject(now, spec);
+        state.servers[target].inject(now, spec);
         layer.on_routed(spec, target, attempt, now);
         tele.request_event(
             spec.id,
@@ -1644,7 +1093,7 @@ fn run_faults<P: DvfsPolicy>(
         let Some(target) = target else {
             continue;
         };
-        state.server_mut(target).inject(now, spec);
+        state.servers[target].inject(now, spec);
         layer.hedge_launched(spec.id, target);
         tele.request_event(
             spec.id,
@@ -1662,7 +1111,7 @@ fn run_faults<P: DvfsPolicy>(
     // them to the retry schedule. Work already in service is never
     // interrupted — the timeout is recorded and the attempt runs out.
     while let Some((id, attempt, server)) = layer.pop_due_timeout(now) {
-        if let Some(spec) = state.server_mut(server).remove_queued(id) {
+        if let Some(spec) = state.servers[server].remove_queued(id) {
             tele.request_event(
                 id,
                 RequestEvent {
@@ -1697,55 +1146,31 @@ fn run_faults<P: DvfsPolicy>(
     Ok(())
 }
 
-/// Takes one telemetry sample window ending at `now`: per-server mean power
-/// over the window (via a dedicated [`EpochMeter`], independent of the
-/// fleet controller's), queue/in-flight/DVFS snapshots from the live router
-/// views, and cumulative retry/timeout counters from the fault layer.
-#[allow(clippy::too_many_arguments)]
-fn sample_fleet<P: DvfsPolicy>(
-    tele: &mut Telemetry,
-    meter: &mut EpochMeter,
-    powers: &mut Vec<f64>,
-    now: f64,
-    state: &EventLoop<P>,
-    layer: Option<&FaultLayer>,
-    power: &CorePowerModel,
-) {
-    let start = meter.last_time();
-    meter.measure(state.servers(), power, now, powers);
-    let per_server: Vec<ServerSample> = state
-        .views
-        .iter()
-        .zip(powers.iter())
-        .map(|(view, &watts)| ServerSample {
-            queued: view.queued as u32,
-            in_flight: view.in_flight as u32,
-            freq_mhz: view.current_freq.mhz(),
-            power: watts,
-            down: view.health == ServerHealth::Down,
-        })
-        .collect();
-    let (retries, timeouts) = layer.map_or((0, 0), |l| {
-        (l.stats().retries as u64, l.stats().timeouts as u64)
-    });
-    tele.epoch_sample(EpochSample {
-        start,
-        end: now,
-        power: powers.iter().sum(),
-        queued: per_server.iter().map(|s| s.queued).sum(),
-        in_flight: per_server.iter().map(|s| s.in_flight).sum(),
-        completions: 0, // filled at finalize by bucketing records
-        retries,
-        timeouts,
-        per_server,
-    });
-}
-
-/// Scratch state for the migration and power-capping hooks.
+/// The boundary hooks and their clocks: the attached migrator and fleet
+/// controller, telemetry sampling, and the buffers they reuse. Fault
+/// work — scripted ops, retry deliveries, hedge launches, attempt timeouts —
+/// has its clock in the fault layer and shares the same boundary sequence.
 struct Hooks {
+    fleet: Option<Box<dyn FleetController>>,
+    migrator: Option<Box<dyn Migrator>>,
+    /// The fleet controller's epoch and next boundary (infinite without one).
+    epoch: f64,
+    next_epoch: f64,
+    /// The migrator's interval and next boundary (infinite without one).
+    rebalance: f64,
+    next_rebalance: f64,
+    /// The telemetry sampling epoch and next boundary (infinite when
+    /// telemetry is disabled).
+    sample_epoch: f64,
+    next_sample: f64,
+    /// Per-window power for the fleet controller.
     meter: EpochMeter,
+    /// Per-window power for telemetry samples, independent of the fleet
+    /// controller's meter (`None` when telemetry is disabled).
+    tele_meter: Option<EpochMeter>,
     power: CorePowerModel,
     powers: Vec<f64>,
+    tele_powers: Vec<f64>,
     commands: Vec<FleetCommand>,
     moves: Vec<Migration>,
     batch: Vec<RequestSpec>,
@@ -1754,28 +1179,103 @@ struct Hooks {
 }
 
 impl Hooks {
+    /// Runs every boundary at or before `until`, then drains every fleet
+    /// event strictly before `until`.
+    ///
+    /// Each boundary first drains the events strictly before it. Then fault
+    /// work runs, so migration and capping observe the post-fault fleet;
+    /// then the migrator, the fleet controller, and the telemetry sample,
+    /// in that order at equal instants. Boundary actions happen *between*
+    /// events: an arrival at exactly a boundary is routed after the hooks
+    /// ran, and events at exactly `until` are left for the destination
+    /// server's engine to order against the arrival itself.
+    ///
+    /// With `until = ∞` (the closing drain) it returns once no event and no
+    /// fault work remain — a retried request may still be delivered into a
+    /// closed server, and a late `Recover` must still be applied so
+    /// downtime closes out.
+    ///
+    /// # Errors
+    ///
+    /// Returns the typed error of a hook's invalid output: an out-of-range
+    /// retry or requeue route, an invalid migration, or an invalid fleet
+    /// command.
+    fn advance<P: DvfsPolicy>(
+        &mut self,
+        until: f64,
+        state: &mut EventLoop<P>,
+        mut layer: Option<&mut FaultLayer>,
+        tele: &mut Telemetry,
+        router: &mut dyn Router,
+    ) -> Result<(), ClusterError> {
+        loop {
+            let fault_b = layer
+                .as_deref()
+                .map_or(f64::INFINITY, FaultLayer::next_boundary);
+            let boundary = self
+                .next_rebalance
+                .min(self.next_epoch)
+                .min(fault_b)
+                .min(self.next_sample);
+            if boundary > until {
+                break;
+            }
+            state.drain(boundary, layer.as_deref_mut(), tele);
+            if until == f64::INFINITY && fault_b == f64::INFINITY && !state.has_events() {
+                return Ok(());
+            }
+            if fault_b <= boundary {
+                let l = layer.as_deref_mut().expect("fault boundary implies layer");
+                run_faults(l, tele, boundary, router, state)?;
+            }
+            if self.next_rebalance == boundary {
+                self.run_migration(tele, boundary, state)?;
+                self.next_rebalance += self.rebalance;
+            }
+            if self.next_epoch == boundary {
+                self.run_epoch(boundary, self.epoch, state)?;
+                self.next_epoch += self.epoch;
+            }
+            if self.next_sample == boundary {
+                self.sample(tele, boundary, state, layer.as_deref());
+                self.next_sample += self.sample_epoch;
+            }
+        }
+        state.drain(until, layer, tele);
+        Ok(())
+    }
+
     /// Runs one migration boundary: plan against the live views, then move
     /// each planned batch donor-tail → receiver, preserving arrival order
     /// within the batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidMigration`] for a move that names a
+    /// server outside the fleet or moves a server's queue onto itself.
     fn run_migration<P: DvfsPolicy>(
         &mut self,
-        migrator: &mut dyn Migrator,
         tele: &mut Telemetry,
         now: f64,
         state: &mut EventLoop<P>,
-    ) {
+    ) -> Result<(), ClusterError> {
+        let migrator = self
+            .migrator
+            .as_deref_mut()
+            .expect("rebalance implies migrator");
         self.moves.clear();
         migrator.plan(now, &state.views, &mut self.moves);
-        for k in 0..self.moves.len() {
-            let m = self.moves[k];
-            assert!(
-                m.from < state.len() && m.to < state.len() && m.from != m.to,
-                "migrator {} planned an invalid move {m:?}",
-                migrator.name()
-            );
+        let n = state.servers.len();
+        for &m in &self.moves {
+            if m.from >= n || m.to >= n || m.from == m.to {
+                return Err(ClusterError::InvalidMigration {
+                    migrator: migrator.name().to_string(),
+                    migration: m,
+                });
+            }
             self.batch.clear();
             for _ in 0..m.count {
-                match state.server_mut(m.from).steal_queued() {
+                match state.servers[m.from].steal_queued() {
                     Some(spec) => self.batch.push(spec),
                     None => break, // queue shorter than planned: move less
                 }
@@ -1789,7 +1289,7 @@ impl Hooks {
             // happens at the boundary instant, advancing the receiver's
             // clock to `now` first.
             for spec in self.batch.drain(..).rev() {
-                state.server_mut(m.to).inject(now, spec);
+                state.servers[m.to].inject(now, spec);
                 tele.request_event(
                     spec.id,
                     RequestEvent {
@@ -1804,28 +1304,35 @@ impl Hooks {
             state.schedule(m.from);
             state.schedule(m.to);
         }
+        Ok(())
     }
 
     /// Runs one fleet-controller epoch: measure per-server power over the
     /// closing window, let the controller command, and apply the commands.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidFleetCommand`] for a command that
+    /// names a server outside the fleet or scales a bound by a
+    /// non-positive or non-finite factor.
     fn run_epoch<P: DvfsPolicy>(
         &mut self,
-        ctl: &mut dyn FleetController,
         now: f64,
         elapsed: f64,
         state: &mut EventLoop<P>,
-    ) {
+    ) -> Result<(), ClusterError> {
+        let ctl = self.fleet.as_deref_mut().expect("epoch implies controller");
         if elapsed > 0.0 {
             self.meter
-                .measure(state.servers(), &self.power, now, &mut self.powers);
+                .measure(&state.servers, &self.power, now, &mut self.powers);
         } else {
             self.powers.clear();
-            self.powers.resize(state.len(), 0.0);
+            self.powers.resize(state.servers.len(), 0.0);
         }
         let power_views: Vec<ServerPowerView<'_>> = state
             .views
             .iter()
-            .zip(state.servers())
+            .zip(&state.servers)
             .zip(&self.powers)
             .map(|((&view, server), &measured_power)| ServerPowerView {
                 view,
@@ -1836,30 +1343,83 @@ impl Hooks {
         self.commands.clear();
         ctl.on_epoch(now, elapsed, &power_views, &mut self.commands);
         drop(power_views);
-        for k in 0..self.commands.len() {
-            match self.commands[k] {
+        let n = state.servers.len();
+        for &command in &self.commands {
+            let valid = match command {
+                FleetCommand::SetCeiling { server, .. } => server < n,
+                FleetCommand::ScaleBound { server, scale } => {
+                    server < n && scale > 0.0 && scale.is_finite()
+                }
+            };
+            if !valid {
+                return Err(ClusterError::InvalidFleetCommand {
+                    controller: ctl.name().to_string(),
+                    command,
+                });
+            }
+            match command {
                 FleetCommand::SetCeiling { server, ceiling } => {
-                    assert!(server < state.len(), "ceiling for unknown server");
-                    state.server_mut(server).retarget(ceiling);
+                    state.servers[server].retarget(ceiling);
                     // A retarget can start a V/F transition, changing the
                     // server's next event time.
                     state.schedule(server);
                 }
                 FleetCommand::ScaleBound { server, scale } => {
-                    assert!(server < state.len(), "bound scale for unknown server");
-                    assert!(
-                        scale > 0.0 && scale.is_finite(),
-                        "bound scale must be positive and finite"
-                    );
                     if let Some(base) = self.base_bounds[server] {
-                        state
-                            .server_mut(server)
+                        state.servers[server]
                             .policy_mut()
                             .set_latency_bound(base * scale);
                     }
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Takes one telemetry sample window ending at `now`: per-server mean
+    /// power over the window (via the telemetry meter, independent of the
+    /// fleet controller's), queue/in-flight/DVFS snapshots from the live
+    /// router views, and cumulative retry/timeout counters from the fault
+    /// layer.
+    fn sample<P: DvfsPolicy>(
+        &mut self,
+        tele: &mut Telemetry,
+        now: f64,
+        state: &EventLoop<P>,
+        layer: Option<&FaultLayer>,
+    ) {
+        let meter = self
+            .tele_meter
+            .as_mut()
+            .expect("sampling implies telemetry");
+        let start = meter.last_time();
+        meter.measure(&state.servers, &self.power, now, &mut self.tele_powers);
+        let per_server: Vec<ServerSample> = state
+            .views
+            .iter()
+            .zip(&self.tele_powers)
+            .map(|(view, &watts)| ServerSample {
+                queued: view.queued as u32,
+                in_flight: view.in_flight as u32,
+                freq_mhz: view.current_freq.mhz(),
+                power: watts,
+                down: view.health == ServerHealth::Down,
+            })
+            .collect();
+        let (retries, timeouts) = layer.map_or((0, 0), |l| {
+            (l.stats().retries as u64, l.stats().timeouts as u64)
+        });
+        tele.epoch_sample(EpochSample {
+            start,
+            end: now,
+            power: self.tele_powers.iter().sum(),
+            queued: per_server.iter().map(|s| s.queued).sum(),
+            in_flight: per_server.iter().map(|s| s.in_flight).sum(),
+            completions: 0, // filled at finalize by bucketing records
+            retries,
+            timeouts,
+            per_server,
+        });
     }
 }
 
@@ -2067,5 +1627,105 @@ mod tests {
         let cfg = config();
         let cluster = Cluster::new(cfg.clone(), 2, Rogue::new(Some(5)), fixed(&cfg));
         let _ = cluster.run(&burst(40, 1e-4));
+    }
+
+    /// Plans the same move at every rebalance check.
+    struct RogueMigrator(Migration);
+
+    impl Migrator for RogueMigrator {
+        fn name(&self) -> &str {
+            "rogue"
+        }
+
+        fn interval(&self) -> f64 {
+            1e-3
+        }
+
+        fn plan(&mut self, _now: f64, _servers: &[ServerView], moves: &mut Vec<Migration>) {
+            moves.push(self.0);
+        }
+    }
+
+    #[test]
+    fn an_invalid_migration_is_a_typed_error() {
+        let cfg = config();
+        for (from, to) in [(0, 0), (0, 2), (2, 1)] {
+            let migration = Migration { from, to, count: 1 };
+            let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg))
+                .with_migrator(Box::new(RogueMigrator(migration)));
+            let err = cluster
+                .run_streamed(TraceSource::new(&burst(40, 1e-4)))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ClusterError::InvalidMigration {
+                    migrator: "rogue".to_string(),
+                    migration,
+                }
+            );
+        }
+    }
+
+    /// Issues the same command at every epoch, the initial one at `t = 0`
+    /// included.
+    struct RogueController(FleetCommand);
+
+    impl FleetController for RogueController {
+        fn name(&self) -> &str {
+            "rogue"
+        }
+
+        fn epoch(&self) -> f64 {
+            1e-3
+        }
+
+        fn on_epoch(
+            &mut self,
+            _now: f64,
+            _elapsed: f64,
+            _servers: &[ServerPowerView<'_>],
+            commands: &mut Vec<FleetCommand>,
+        ) {
+            commands.push(self.0);
+        }
+    }
+
+    #[test]
+    fn an_invalid_fleet_command_is_a_typed_error() {
+        let cfg = config();
+        for command in [
+            FleetCommand::SetCeiling {
+                server: 2,
+                ceiling: None,
+            },
+            FleetCommand::ScaleBound {
+                server: 2,
+                scale: 1.0,
+            },
+            FleetCommand::ScaleBound {
+                server: 0,
+                scale: 0.0,
+            },
+            FleetCommand::ScaleBound {
+                server: 1,
+                scale: f64::INFINITY,
+            },
+            FleetCommand::ScaleBound {
+                server: 1,
+                scale: f64::NAN,
+            },
+        ] {
+            let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg))
+                .with_fleet_controller(Box::new(RogueController(command)));
+            let err = cluster
+                .run_streamed(TraceSource::new(&burst(40, 1e-4)))
+                .unwrap_err();
+            // Compared through the message: a NaN scale is never `==` itself.
+            assert!(matches!(err, ClusterError::InvalidFleetCommand { .. }));
+            assert_eq!(
+                err.to_string(),
+                format!("fleet controller rogue issued an invalid command {command:?}")
+            );
+        }
     }
 }

@@ -701,14 +701,6 @@ impl FaultLayer {
         &self.policy
     }
 
-    /// Whether hedging is enabled. A hedge resolution cancels the losing
-    /// copy on *another* server mid-drain — the one cross-server feedback
-    /// inside an event window — so the sharded driver falls back to the
-    /// merged serial drain whenever this is true.
-    pub(crate) fn hedging_enabled(&self) -> bool {
-        self.policy.hedge_quantile.is_some()
-    }
-
     pub(crate) fn health_of(&self, server: usize) -> ServerHealth {
         self.tracker.health_of(server)
     }

@@ -520,12 +520,11 @@ impl EpochMeter {
         self.last_t
     }
 
-    /// Mean power per server over `[last boundary, t]`, written into `out`.
-    /// Accepts any iterator over the fleet in server-index order, so the
-    /// driver's sharded loop can feed it without materializing a slice.
-    pub(crate) fn measure<'a, P: DvfsPolicy + 'a>(
+    /// Mean power per server over `[last boundary, t]`, written into `out`
+    /// in server-index order.
+    pub(crate) fn measure<P: DvfsPolicy>(
         &mut self,
-        servers: impl Iterator<Item = &'a ServerSim<P>>,
+        servers: &[ServerSim<P>],
         power: &CorePowerModel,
         t: f64,
         out: &mut Vec<f64>,
@@ -541,7 +540,7 @@ impl EpochMeter {
             CoreActivity::Idle => power.idle_power(freq),
             CoreActivity::Sleep => power.sleep_power(),
         };
-        for (server, cursor) in servers.zip(&mut self.cursors) {
+        for (server, cursor) in servers.iter().zip(&mut self.cursors) {
             let segments = server.segments();
             let mut energy = 0.0;
             let mut i = *cursor;
@@ -775,7 +774,7 @@ mod tests {
         let servers = std::slice::from_mut(&mut sim);
         for boundary in [1.0, 2.0, 3.0] {
             servers[0].drain_until(boundary - 0.05);
-            meter.measure(servers.iter(), &power, boundary, &mut out);
+            meter.measure(servers, &power, boundary, &mut out);
             assert!(
                 (out[0] - idle).abs() < 1e-9,
                 "window ending at {boundary}: measured {} W, expected {idle} W",

@@ -5,11 +5,12 @@
 //! open-loop [`rubik_sim::ServerSim`] with its **own** DVFS controller
 //! (Rubik per server) — behind a pluggable [`Router`]. A single
 //! deterministic binary-heap event loop multiplexes every server, so
-//! thousands of servers fit in one process with no threads per server —
-//! and the loop itself shards across worker threads for large fleets
-//! (see [Sharded execution](#sharded-execution)) without changing a
-//! single bit of the result. Fleet-scale parallelism across *runs* comes
-//! from sweeping many cluster configurations on `rubik-sweep`.
+//! thousands of servers fit in one process with no threads per server.
+//! The loop is sequential because its lookahead is zero — the router reads
+//! live server views, so every arrival synchronizes the whole fleet — and a
+//! loop partitioned across worker threads measured slower than this one at
+//! every fleet size. Parallelism lives across *runs*: `rubik-sweep` runs
+//! many cluster configurations at once.
 //!
 //! The pieces:
 //!
@@ -130,63 +131,6 @@
 //! source that hands back a non-monotone arrival violates the
 //! [`ArrivalSource`] contract and is reported as
 //! [`ClusterError::OutOfOrderArrival`] instead of panicking.
-//!
-//! # Sharded execution
-//!
-//! One stamped heap serializes the whole fleet, and past a few hundred
-//! servers the heap — not the servers — is the bottleneck.
-//! [`Cluster::run_sharded`] (and the `run_sharded_streamed` /
-//! `run_sharded_traced` variants) partitions the fleet into contiguous
-//! shards, each with its own stamped heap, and advances the shards **in
-//! parallel on worker threads** between global boundary instants:
-//!
-//! * Arrivals, router decisions, migration epochs, fleet-controller
-//!   epochs, fault ops, and telemetry samples are *boundaries* — every
-//!   shard stops there, so cross-server state is only ever read or
-//!   written at the same instants the single-heap loop honors.
-//! * Between boundaries, a server's events depend on nothing outside the
-//!   server, so each shard drains its own heap independently.
-//! * At the barrier the side effects merge deterministically: router
-//!   views refresh per stepped server, and fault-layer completions replay
-//!   in global `(time, server index)` order — the exact order the
-//!   single heap would have produced them.
-//!
-//! The result is **bit-identical** to the single-heap run — outcome,
-//! every per-server `RunResult`, and telemetry bytes — at any shard
-//! count, pinned across a router × fleet × fault × seed grid in
-//! `tests/shard_equivalence.rs`. One caveat keeps that promise airtight:
-//! a *hedged* completion cancels its twin on another server mid-window,
-//! which is genuinely cross-shard, so runs with hedging enabled
-//! automatically fall back to a serial k-way merged drain (same bits,
-//! no parallelism inside the window).
-//!
-//! Pick shard counts with [`ShardSpec`]: [`ShardSpec::auto`] uses the
-//! host's available parallelism, [`ShardSpec::new`] pins a count
-//! (clamped to the fleet size). Sharding pays off when the fleet is
-//! large (hundreds of servers or more) and boundaries are coarse; for
-//! small fleets or dense boundary schedules the barrier round-trip
-//! dominates and [`ShardSpec::single`] — or plain [`Cluster::run`] — is
-//! the right call. Worker threads are spawned once per run and parked
-//! between drains.
-//!
-//! ```
-//! use rubik_cluster::{fleet_trace, Cluster, JoinShortestQueue, ShardSpec};
-//! use rubik_sim::{FixedFrequencyPolicy, SimConfig};
-//! use rubik_workloads::AppProfile;
-//!
-//! let config = SimConfig::paper_simulated();
-//! let trace = fleet_trace(&AppProfile::masstree(), 0.4, 8, 400, 42);
-//! let build = || Cluster::new(
-//!     config.clone(),
-//!     8,
-//!     Box::new(JoinShortestQueue::new()),
-//!     |_server| FixedFrequencyPolicy::new(config.dvfs.nominal()),
-//! );
-//!
-//! let single = build().run(&trace);
-//! let sharded = build().run_sharded(ShardSpec::new(4), &trace);
-//! assert_eq!(single, sharded); // bit-identical, not just statistically close
-//! ```
 //!
 //! # Example: a capped heterogeneous fleet with migration
 //!
@@ -427,7 +371,7 @@ mod outcome;
 mod router;
 mod topology;
 
-pub use driver::{Cluster, ClusterError, ShardSpec};
+pub use driver::{Cluster, ClusterError};
 pub use fault::{FaultEvent, FaultPlan, RequestPolicy};
 pub use fleet::{
     CoreClass, FleetCommand, FleetController, FleetSpec, PegasusFleet, ServerPowerView,

@@ -9,59 +9,17 @@
 //!    vectors at 1, 2, and 8 threads — including a 1000-server fleet in one
 //!    process.
 
+mod common;
+
+use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, ClusterOutcome, JoinShortestQueue, Passthrough, PowerAware, RoundRobin,
     Router,
 };
 use rubik_core::{PegasusConfig, PegasusPolicy, RubikConfig, RubikController};
-use rubik_sim::{DvfsPolicy, FixedFrequencyPolicy, IdleMode, RunResult, Server, SimConfig, Trace};
+use rubik_sim::{DvfsPolicy, FixedFrequencyPolicy, IdleMode, Server, SimConfig, Trace};
 use rubik_sweep::{SweepExecutor, SweepSpec};
 use rubik_workloads::{AppProfile, WorkloadGenerator};
-
-fn result_bits(r: &RunResult) -> Vec<u64> {
-    let mut bits = vec![r.end_time().to_bits()];
-    for rec in r.records() {
-        bits.extend_from_slice(&[
-            rec.id,
-            rec.arrival.to_bits(),
-            rec.start.to_bits(),
-            rec.completion.to_bits(),
-            rec.queue_len_at_arrival as u64,
-        ]);
-    }
-    for s in r.segments() {
-        bits.extend_from_slice(&[
-            s.start.to_bits(),
-            s.end.to_bits(),
-            s.freq.mhz() as u64,
-            s.activity as u64,
-        ]);
-    }
-    bits
-}
-
-fn outcome_bits(o: &ClusterOutcome) -> Vec<u64> {
-    let mut bits = vec![
-        o.requests as u64,
-        o.tail_latency.to_bits(),
-        o.mean_latency.to_bits(),
-        o.fleet_energy.to_bits(),
-        o.fleet_power.to_bits(),
-        o.duration.to_bits(),
-    ];
-    for s in &o.per_server {
-        bits.extend_from_slice(&[
-            s.requests as u64,
-            s.tail_latency.to_bits(),
-            s.energy.to_bits(),
-            s.busy_time.to_bits(),
-            s.idle_time.to_bits(),
-            s.sleep_time.to_bits(),
-            s.end_time.to_bits(),
-        ]);
-    }
-    bits
-}
 
 /// Every policy the 1-server equivalence runs, built fresh per invocation.
 fn policies(config: &SimConfig, trace: &Trace, bound: f64) -> Vec<(String, Box<dyn DvfsPolicy>)> {

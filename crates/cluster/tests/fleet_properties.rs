@@ -19,62 +19,18 @@
 //! reproduces the homogeneous big-only fleet bitwise, and per-class
 //! residency stays inside each class's DVFS domain.
 
+mod common;
+
+use common::{outcome_bits, result_bits};
 use rubik_cluster::{
-    fleet_trace, Cluster, ClusterOutcome, FleetSpec, JoinShortestQueue, PegasusFleet, PowerAware,
-    RoundRobin, Router, ThresholdMigrator,
+    fleet_trace, Cluster, FleetSpec, JoinShortestQueue, PegasusFleet, PowerAware, RoundRobin,
+    Router, ThresholdMigrator,
 };
 use rubik_core::{RubikConfig, RubikController};
 use rubik_power::CorePowerModel;
 use rubik_sim::{DvfsConfig, FixedFrequencyPolicy, Freq, RequestSpec, RunResult, SimConfig, Trace};
 use rubik_sweep::{SweepExecutor, SweepSpec};
 use rubik_workloads::AppProfile;
-
-fn result_bits(r: &RunResult) -> Vec<u64> {
-    let mut bits = vec![r.end_time().to_bits()];
-    for rec in r.records() {
-        bits.extend_from_slice(&[
-            rec.id,
-            rec.arrival.to_bits(),
-            rec.start.to_bits(),
-            rec.completion.to_bits(),
-            rec.queue_len_at_arrival as u64,
-        ]);
-    }
-    for s in r.segments() {
-        bits.extend_from_slice(&[
-            s.start.to_bits(),
-            s.end.to_bits(),
-            s.freq.mhz() as u64,
-            s.activity as u64,
-        ]);
-    }
-    bits
-}
-
-fn outcome_bits(o: &ClusterOutcome) -> Vec<u64> {
-    let mut bits = vec![
-        o.requests as u64,
-        o.migrated_requests as u64,
-        o.tail_latency.to_bits(),
-        o.mean_latency.to_bits(),
-        o.fleet_energy.to_bits(),
-        o.fleet_power.to_bits(),
-        o.duration.to_bits(),
-    ];
-    for s in &o.per_server {
-        bits.extend_from_slice(&[
-            s.class as u64,
-            s.requests as u64,
-            s.tail_latency.to_bits(),
-            s.energy.to_bits(),
-            s.busy_time.to_bits(),
-            s.idle_time.to_bits(),
-            s.sleep_time.to_bits(),
-            s.end_time.to_bits(),
-        ]);
-    }
-    bits
-}
 
 fn routers() -> Vec<Box<dyn Router>> {
     vec![

@@ -13,76 +13,18 @@
 //! 3. **Thread counts don't matter.** The whole grid of bit-images is
 //!    identical under serial, 2-thread, and 8-thread sweep execution.
 
+mod common;
+
+use common::{outcome_bits, result_bits};
 use rubik_cluster::{
-    fleet_trace, Cluster, ClusterOutcome, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet,
-    RequestPolicy, RoundRobin, Router, ThresholdMigrator, TraceSource,
+    fleet_trace, Cluster, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet, RequestPolicy,
+    RoundRobin, Router, ThresholdMigrator, TraceSource,
 };
 use rubik_load::{drain_to_trace, PoissonSource};
 use rubik_power::CorePowerModel;
-use rubik_sim::{FixedFrequencyPolicy, RunResult, SimConfig};
+use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 use rubik_sweep::{SweepExecutor, SweepSpec};
 use rubik_workloads::AppProfile;
-
-fn result_bits(r: &RunResult) -> Vec<u64> {
-    let mut bits = vec![r.end_time().to_bits()];
-    for rec in r.records() {
-        bits.extend_from_slice(&[
-            rec.id,
-            rec.arrival.to_bits(),
-            rec.start.to_bits(),
-            rec.completion.to_bits(),
-            rec.queue_len_at_arrival as u64,
-        ]);
-    }
-    for s in r.segments() {
-        bits.extend_from_slice(&[
-            s.start.to_bits(),
-            s.end.to_bits(),
-            s.freq.mhz() as u64,
-            s.activity as u64,
-        ]);
-    }
-    bits
-}
-
-fn outcome_bits(o: &ClusterOutcome) -> Vec<u64> {
-    let a = &o.availability;
-    let mut bits = vec![
-        o.requests as u64,
-        o.migrated_requests as u64,
-        o.tail_latency.to_bits(),
-        o.mean_latency.to_bits(),
-        o.fleet_energy.to_bits(),
-        o.fleet_power.to_bits(),
-        o.duration.to_bits(),
-        a.offered as u64,
-        a.completed as u64,
-        a.goodput as u64,
-        a.lost as u64,
-        a.deadline_exceeded as u64,
-        a.timeouts as u64,
-        a.retries as u64,
-        a.requeued_on_failure as u64,
-        a.salvaged_in_flight as u64,
-        a.hedged as u64,
-        a.hedge_wins as u64,
-        a.hedge_cancelled as u64,
-        a.tail_latency_ok.map_or(u64::MAX, f64::to_bits),
-    ];
-    for s in &o.per_server {
-        bits.extend_from_slice(&[
-            s.class as u64,
-            s.requests as u64,
-            s.tail_latency.to_bits(),
-            s.energy.to_bits(),
-            s.busy_time.to_bits(),
-            s.idle_time.to_bits(),
-            s.sleep_time.to_bits(),
-            s.end_time.to_bits(),
-        ]);
-    }
-    bits
-}
 
 fn router(which: usize) -> Box<dyn Router> {
     match which {
@@ -99,14 +41,17 @@ fn eventful_plan(duration: f64) -> FaultPlan {
 }
 
 /// One fully-loaded cluster per grid cell: router, watt cap, migrator, and
-/// (for half the grid) faults with timeouts and retries — equivalence is
-/// proven against every boundary the driver sequences, not just the plain
-/// event stream.
+/// a `plan` — 0 = no faults, 1 = crash and straggle faults with timeouts
+/// and retries, 2 = the same plus hedging — so equivalence is proven
+/// against every boundary the driver sequences, not just the plain event
+/// stream. Plan 2 combines hedging with faults, retries, a power cap and a
+/// migrator, so hedge launches and cancellations interleave with every
+/// other kind of boundary.
 fn cell_cluster(
     config: &SimConfig,
     fleet: usize,
     which_router: usize,
-    faulted: bool,
+    plan: usize,
     duration: f64,
     seed: u64,
 ) -> Cluster<FixedFrequencyPolicy> {
@@ -120,17 +65,19 @@ fn cell_cluster(
         PegasusFleet::new(4.0 * fleet as f64, power).with_epoch(duration / 20.0),
     ))
     .with_migrator(Box::new(ThresholdMigrator::default()));
-    if faulted {
+    if plan > 0 {
+        let mut policy = RequestPolicy::new()
+            .with_timeout(8.0 * mean)
+            .with_retries(4, mean, 16.0 * mean)
+            .with_jitter_seed(seed)
+            .salvaging_in_flight()
+            .draining_on_crash();
+        if plan == 2 {
+            policy = policy.with_hedging(0.9, 0.5 * mean).with_hedge_window(64);
+        }
         cluster = cluster
             .with_fault_plan(eventful_plan(duration))
-            .with_request_policy(
-                RequestPolicy::new()
-                    .with_timeout(8.0 * mean)
-                    .with_retries(4, mean, 16.0 * mean)
-                    .with_jitter_seed(seed)
-                    .salvaging_in_flight()
-                    .draining_on_crash(),
-            );
+            .with_request_policy(policy);
     }
     cluster
 }
@@ -142,21 +89,28 @@ fn run_streamed_is_bitwise_identical_across_the_grid_and_thread_counts() {
     let spec = SweepSpec::new()
         .axis("router", 2)
         .axis("fleet", fleets.len())
-        .axis("plan", 2)
+        .axis("plan", 3)
         .axis("seed", seeds.len());
 
     let cell = |c: &rubik_sweep::Cell<'_>| {
         let config = SimConfig::paper_simulated();
         let fleet = fleets[c.get("fleet")];
         let seed = seeds[c.get("seed")];
-        let faulted = c.get("plan") == 1;
+        let plan = c.get("plan");
         let requests = 100 * fleet;
         let trace = fleet_trace(&AppProfile::masstree(), 0.5, fleet, requests, seed);
         let duration = trace.duration();
-        let build = || cell_cluster(&config, fleet, c.get("router"), faulted, duration, seed);
+        let build = || cell_cluster(&config, fleet, c.get("router"), plan, duration, seed);
 
         // Contender 1: the classic batch path.
         let (batch_o, batch_r) = build().run_with_results(&trace);
+        if plan == 2 {
+            assert!(
+                batch_o.availability.hedged > 0,
+                "the hedged plan launched no hedge (cell {})",
+                c.index()
+            );
+        }
         // Contender 2: the same trace adapted into a source.
         let (adapted_o, adapted_r) = build()
             .run_streamed_with_results(TraceSource::new(&trace))
@@ -291,12 +245,10 @@ fn run_streamed_rejects_out_of_order_sources() {
         }
     }
     let config = SimConfig::paper_simulated();
-    let build = || {
-        Cluster::new(config.clone(), 1, Box::new(RoundRobin::new()), |_| {
-            FixedFrequencyPolicy::new(config.dvfs.nominal())
-        })
-    };
-    let err = build()
+    let cluster = Cluster::new(config.clone(), 1, Box::new(RoundRobin::new()), |_| {
+        FixedFrequencyPolicy::new(config.dvfs.nominal())
+    });
+    let err = cluster
         .run_streamed(Backwards(0))
         .expect_err("an out-of-order source must be rejected");
     match &err {
@@ -311,12 +263,4 @@ fn run_streamed_rejects_out_of_order_sources() {
         err.to_string().contains("time-ordered"),
         "error message should state the contract: {err}"
     );
-    // The sharded path surfaces the same typed error.
-    let sharded_err = build()
-        .run_sharded_streamed(rubik_cluster::ShardSpec::new(2), Backwards(0))
-        .expect_err("the sharded path must reject out-of-order sources too");
-    assert!(matches!(
-        sharded_err,
-        rubik_cluster::ClusterError::OutOfOrderArrival { index: 1, .. }
-    ));
 }

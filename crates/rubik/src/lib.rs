@@ -67,7 +67,7 @@ pub use rubik_cluster::{
     CorrelatedFaults, FailureTopology, FaultEvent, FaultPlan, FleetCommand, FleetController,
     FleetSpec, HealthAware, JoinShortestQueue, Migration, Migrator, Passthrough, PegasusFleet,
     PowerAware, RequestPolicy, RoundRobin, RouteKey, Router, ServerHealth, ServerPowerView,
-    ServerView, ShardSpec, StochasticFaults, ThresholdMigrator,
+    ServerView, StochasticFaults, ThresholdMigrator,
 };
 pub use rubik_coloc::{
     ColocOutcome, ColocScheme, ColocatedCore, DatacenterComparison, DatacenterConfig,
