@@ -2,23 +2,29 @@
 //! are refreshed every 100 ms tick), and of setting up a fleet's
 //! controllers.
 //!
-//! Five tiers, from the common case to the worst case:
+//! Six tiers, from the common case to the worst case:
 //!
 //! * `on_tick_unchanged_profile` — no request completed since the last
 //!   build: the version gate short-circuits the whole rebuild, so a tick is
 //!   the version compare plus one frequency decision (~ns, vs a full
 //!   ~ms-class rebuild before gating).
-//! * `on_tick_one_new_sample` — one completion recorded, then the tick: the
-//!   incremental profiler updates its bucket counts in O(1) and the
-//!   thread's persistent `TableBuilder` performs a full warm rebuild
-//!   through the process-wide FFT plans with zero allocations (when the new
-//!   sample lands in the evicted sample's bucket the histograms repeat and
-//!   the builder's last-build memo serves the rebuild as a copy). The
-//!   acceptance bar is ≥ 20% under the pre-builder
-//!   `table_rebuild/spectral_8x16_128_buckets` median (855 µs, recorded
-//!   when that build also constructed its FFT plans). The bench's current
-//!   entry is not that bar: it performs the same build with fresh buffers
-//!   over the shared plans, so it runs close to this tier.
+//! * `on_tick_depth_2` — one completion recorded, then the tick, with one
+//!   request queued behind the one in service: the incremental profiler
+//!   updates its bucket counts in O(1), the thread's persistent
+//!   `TableBuilder` rebuilds the tables up to row setup (boundaries,
+//!   conditionals, moments, position 0), and the tick's decision extends
+//!   them to the two positions it reads — the depth most decisions read
+//!   before the next rebuild. Zero allocations; when the new sample lands
+//!   in the evicted sample's bucket the histograms repeat and the builder's
+//!   last-build memo serves the rebuild as a copy.
+//! * `on_tick_one_new_sample` — the same with the five queued requests of
+//!   the bench's busy state: a row-setup rebuild plus an extension to
+//!   depth 6. Before tick rebuilds stopped at row setup this tier timed a
+//!   full warm rebuild, and its acceptance bar was ≥ 20% under the
+//!   pre-builder `table_rebuild/spectral_8x16_128_buckets` median (855 µs,
+//!   recorded when that build also constructed its FFT plans).
+//!   `table_rebuild` still times full builds, with fresh buffers over the
+//!   shared plans.
 //! * `cold_build_8x16_128` — a throwaway builder with fresh buffers and an
 //!   empty memo (the FFT plans are process-wide, so they already exist):
 //!   what a thread's first build pays.
@@ -43,7 +49,8 @@ use rubik_sim::{InServiceView, QueuedView, RequestRecord, ServerState};
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_controller.json");
 
-fn busy_state(now: f64, dvfs: &DvfsConfig) -> ServerState {
+/// A busy server at `now`: a request in service and `queued` behind it.
+fn busy_state(now: f64, dvfs: &DvfsConfig, queued: u64) -> ServerState {
     ServerState {
         now,
         current_freq: dvfs.min(),
@@ -57,7 +64,7 @@ fn busy_state(now: f64, dvfs: &DvfsConfig) -> ServerState {
             oracle_membound_time: 80e-6,
             class: 0,
         }),
-        queued: (1..6)
+        queued: (1..=queued)
             .map(|i| QueuedView {
                 id: i,
                 arrival: now - 5e-5,
@@ -83,7 +90,7 @@ fn bench_rebuild_amortized(c: &mut Criterion) {
     // Tier 1: version-gated no-op tick.
     {
         let (mut rubik, dvfs) = warm_controller();
-        let state = busy_state(0.5, &dvfs);
+        let state = busy_state(0.5, &dvfs, 5);
         rubik.on_tick(&state); // settle: first tick performs nothing new
         group.bench_function("on_tick_unchanged_profile", |b| {
             b.iter(|| rubik.on_tick(&state))
@@ -91,12 +98,13 @@ fn bench_rebuild_amortized(c: &mut Criterion) {
         assert!(rubik.stats().table_rebuilds_skipped > 0);
     }
 
-    // Tier 2: one new sample per tick — the warm incremental rebuild.
-    {
+    // Tiers 2 and 3: one new sample per tick — the warm incremental
+    // rebuild, extended by the tick's decision to 2 and 6 positions.
+    for (name, queued) in [("on_tick_depth_2", 1), ("on_tick_one_new_sample", 5)] {
         let (mut rubik, dvfs) = warm_controller();
-        let state = busy_state(0.5, &dvfs);
+        let state = busy_state(0.5, &dvfs, queued);
         let mut rng = DeterministicRng::new(3);
-        group.bench_function("on_tick_one_new_sample", |b| {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let record = RequestRecord {
                     id: 1,
@@ -113,9 +121,10 @@ fn bench_rebuild_amortized(c: &mut Criterion) {
             })
         });
         assert!(rubik.stats().table_rebuilds_performed > 1);
+        assert_eq!(rubik.tables().map(|t| t.depth()), Some(queued as usize + 1));
     }
 
-    // Tier 3: cold build through the public wrapper (throwaway builder).
+    // Tier 4: cold build through the public wrapper (throwaway builder).
     {
         let mut profiler = OnlineProfiler::new(4096);
         let mut rng = DeterministicRng::new(1);
@@ -129,7 +138,7 @@ fn bench_rebuild_amortized(c: &mut Criterion) {
         });
     }
 
-    // Tiers 4 and 5: a fleet's controllers, seeded from one trace prefix.
+    // Tiers 5 and 6: a fleet's controllers, seeded from one trace prefix.
     {
         let dvfs = DvfsConfig::haswell_like();
         let config = RubikConfig::new(1e-3).with_profiling_window(1024);

@@ -64,6 +64,24 @@ impl DynamicOracle {
     where
         P: Fn(Freq) -> f64,
     {
+        self.schedule_sorted_by(trace, latency_bound, active_power, sort_by_cached_savings)
+    }
+
+    /// [`DynamicOracle::schedule`] with the per-pass sort as a parameter:
+    /// `sort_pass` orders the `(savings, index)` candidates of one pass,
+    /// most-saving first and stable on ties, given the savings of a request
+    /// at its current level.
+    fn schedule_sorted_by<P, S>(
+        &self,
+        trace: &Trace,
+        latency_bound: f64,
+        active_power: P,
+        sort_pass: S,
+    ) -> OracleSchedule
+    where
+        P: Fn(Freq) -> f64,
+        S: Fn(&mut [(f64, usize)], &dyn Fn(usize) -> f64),
+    {
         assert!(latency_bound > 0.0, "latency bound must be positive");
         let n = trace.len();
         if n == 0 {
@@ -94,19 +112,25 @@ impl DynamicOracle {
                 - active_power(lower) * spec.service_time_at(lower)
         };
 
+        let specs = trace.requests();
+        // One pass's candidates, keyed by their savings, and the rollback
+        // log of `try_lower`: both reused from pass to pass.
+        let mut order: Vec<(f64, usize)> = Vec::with_capacity(n);
+        let mut touched: Vec<(usize, f64)> = Vec::new();
         loop {
-            let mut order: Vec<usize> = (0..n).filter(|&i| freqs[i] > self.dvfs.min()).collect();
+            order.clear();
+            order.extend(
+                (0..n)
+                    .filter(|&i| freqs[i] > self.dvfs.min())
+                    .map(|i| (savings_of(&specs[i], freqs[i]), i)),
+            );
             if order.is_empty() {
                 break;
             }
-            order.sort_by(|&a, &b| {
-                let sa = savings_of(&trace.requests()[a], freqs[a]);
-                let sb = savings_of(&trace.requests()[b], freqs[b]);
-                sb.partial_cmp(&sa).expect("finite savings")
-            });
+            sort_pass(&mut order, &|i| savings_of(&specs[i], freqs[i]));
 
             let mut changed = false;
-            for &idx in &order {
+            for &(_, idx) in &order {
                 if freqs[idx] <= self.dvfs.min() {
                     continue;
                 }
@@ -115,6 +139,7 @@ impl DynamicOracle {
                     trace,
                     &mut freqs,
                     &mut completions,
+                    &mut touched,
                     idx,
                     lower,
                     latency_bound,
@@ -141,6 +166,12 @@ impl DynamicOracle {
     }
 }
 
+/// The pass order: descending savings, each computed once per candidate
+/// (the key beside each index), in a stable sort.
+fn sort_by_cached_savings(order: &mut [(f64, usize)], _savings: &dyn Fn(usize) -> f64) {
+    order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite savings"));
+}
+
 /// FIFO completion times when request `i` runs at `freqs[i]`.
 fn completions_for(trace: &Trace, freqs: &[Freq]) -> Vec<f64> {
     let mut completions = Vec::with_capacity(trace.len());
@@ -163,14 +194,16 @@ fn count_violations(trace: &Trace, completions: &[f64], bound: f64) -> usize {
 }
 
 /// Attempts to lower request `idx` to `new_freq`. Completion times are
-/// re-propagated from `idx` forward only as far as the change reaches. If the
-/// resulting violation count exceeds `allowed`, the change is rolled back and
-/// `None` is returned; otherwise the new violation count is returned.
+/// re-propagated from `idx` forward only as far as the change reaches,
+/// logging the old values in `touched`. If the resulting violation count
+/// exceeds `allowed`, the change is rolled back and `None` is returned;
+/// otherwise the new violation count is returned.
 #[allow(clippy::too_many_arguments)]
 fn try_lower(
     trace: &Trace,
     freqs: &mut [Freq],
     completions: &mut [f64],
+    touched: &mut Vec<(usize, f64)>,
     idx: usize,
     new_freq: Freq,
     bound: f64,
@@ -183,7 +216,7 @@ fn try_lower(
 
     // Propagate new completion times forward; remember the old values so the
     // change can be rolled back.
-    let mut touched: Vec<(usize, f64)> = Vec::new();
+    touched.clear();
     let mut new_violations = violations as isize;
     let mut prev_completion = if idx == 0 { 0.0 } else { completions[idx - 1] };
     let mut j = idx;
@@ -207,7 +240,7 @@ fn try_lower(
     if new_violations as usize > allowed {
         // Roll back.
         freqs[idx] = old_freq;
-        for &(k, old) in &touched {
+        for &(k, old) in touched.iter() {
             completions[k] = old;
         }
         None
@@ -326,6 +359,52 @@ mod tests {
         let loose = oracle.schedule(&trace, 3e-3, power);
         let tight = oracle.schedule(&trace, 0.7e-3, power);
         assert!(tight.energy >= loose.energy);
+    }
+
+    /// The pass sort before keys were cached: `savings` on both sides of
+    /// every comparison. Kept as the reference the cached keys must match.
+    fn sort_per_comparison(order: &mut [(f64, usize)], savings: &dyn Fn(usize) -> f64) {
+        order.sort_by(|&(_, a), &(_, b)| {
+            savings(b).partial_cmp(&savings(a)).expect("finite savings")
+        });
+    }
+
+    #[test]
+    fn cached_keys_schedule_exactly_as_per_comparison_sorting() {
+        let dvfs = DvfsConfig::haswell_like();
+        let oracle = DynamicOracle::new(dvfs.clone(), 0.95);
+        let static_oracle = StaticOracle::new(dvfs, 0.95);
+        let mut traces = Vec::new();
+        for (k, app) in AppProfile::all().into_iter().enumerate() {
+            for (j, load) in [0.2, 0.5, 0.8].into_iter().enumerate() {
+                let seed = 100 + (3 * k + j) as u64;
+                traces.push(WorkloadGenerator::new(app.clone(), seed).steady_trace(load, 300));
+            }
+        }
+        // Three demand sizes repeated: equal savings everywhere, so the
+        // order rests on the sort's stability.
+        traces.push(Trace::new(
+            (0..300)
+                .map(|i| {
+                    let cycles = [1.0e6, 2.0e6, 1.5e6][i % 3];
+                    rubik_sim::RequestSpec::new(i as u64, i as f64 * 6e-4, cycles, 0.0)
+                })
+                .collect(),
+        ));
+        for (t, trace) in traces.iter().enumerate() {
+            let tail = static_oracle
+                .tail_at(trace, Freq::from_mhz(2400))
+                .expect("non-empty trace");
+            for scale in [0.6, 1.0, 2.0] {
+                let bound = tail * scale;
+                let cached = oracle.schedule(trace, bound, power);
+                let reference = oracle.schedule_sorted_by(trace, bound, power, sort_per_comparison);
+                assert!(
+                    cached == reference,
+                    "trace {t}, bound {scale} x tail: schedules differ"
+                );
+            }
+        }
     }
 
     #[test]

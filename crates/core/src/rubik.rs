@@ -30,6 +30,15 @@
 //! incrementally maintained bucket counts are materialized into. A
 //! controller holds only its profile, its tables and its feedback state.
 //!
+//! A tick's rebuild stops after row setup (band boundaries, per-row
+//! moments, queue position 0), and each decision first builds the positions
+//! it reads — queue positions 0 to the queue length, up to the Gaussian
+//! cutoff — through the same workspace ([`TableBuilder::extend`]). Between
+//! two ticks the queue is usually short, so most rebuilds never pay for
+//! the deep, large-transform rungs. Extended positions are bit-identical
+//! to a full build's, so no decision changes. Seeds, and a controller's
+//! first build, are full.
+//!
 //! The controller **version-gates** the whole rebuild:
 //! [`OnlineProfiler::version`] is bumped on every recorded sample, so a tick
 //! on which no request completed short-circuits in nanoseconds — identical
@@ -37,9 +46,9 @@
 //! bit. [`RubikStats::table_rebuilds_performed`] /
 //! [`RubikStats::table_rebuilds_skipped`] count the two cases. A performed
 //! rebuild whose histograms, quantile and table shape repeat the thread's
-//! last build bit for bit is served by the memo as a table copy (it still
-//! counts as performed): seeding N controllers from one trace prefix on a
-//! thread costs one build and N−1 copies.
+//! last build bit for bit, at least as deep, is served by the memo as a
+//! table copy (it still counts as performed): seeding N controllers from
+//! one trace prefix on a thread costs one build and N−1 copies.
 
 use std::cell::RefCell;
 
@@ -164,7 +173,9 @@ impl RubikConfig {
 pub struct RubikStats {
     /// Number of frequency decisions evaluated (arrivals + completions).
     pub decisions: u64,
-    /// Number of times the target tail tables were actually rebuilt.
+    /// Number of times the target tail tables were actually rebuilt: seeds
+    /// (full tables) and ticks (row setup only). The extensions decisions
+    /// make to the positions they read are not counted.
     pub table_rebuilds_performed: u64,
     /// Number of periodic rebuilds skipped because the profiler version was
     /// unchanged since the last build (the histograms — and therefore the
@@ -235,7 +246,7 @@ impl RubikController {
         I: IntoIterator<Item = (f64, f64)>,
     {
         self.profiler.seed(demands);
-        self.rebuild_tables();
+        self.rebuild_tables(true);
     }
 
     /// The standard experiment-harness construction: a controller seeded
@@ -275,7 +286,11 @@ impl RubikController {
         self.stats
     }
 
-    /// The current target tail tables, if the model has been built.
+    /// The current target tail tables, if the model has been built. They
+    /// are built only as deep as decisions have read since the last tick
+    /// ([`TargetTailTables::depth`]); reading a position between that depth
+    /// and the Gaussian cutoff panics, so extend a copy with a
+    /// [`TableBuilder`] first.
     pub fn tables(&self) -> Option<&TargetTailTables> {
         self.tables.as_ref()
     }
@@ -308,7 +323,10 @@ impl RubikController {
         }
     }
 
-    fn rebuild_tables(&mut self) {
+    /// Rebuilds the tables from the profile: full tables when `full` (a
+    /// seed) or when the controller has none yet, row setup only otherwise
+    /// (a tick; decisions extend the tables as far as they read).
+    fn rebuild_tables(&mut self, full: bool) {
         if self.profiler.len() < self.config.min_samples {
             return;
         }
@@ -326,24 +344,19 @@ impl RubikController {
         WORKSPACE.with_borrow_mut(|ws| {
             self.profiler.compute_histogram_into(&mut ws.compute);
             self.profiler.membound_histogram_into(&mut ws.membound);
+            let (c, m) = (&ws.compute, &ws.membound);
+            let RubikConfig {
+                quantile,
+                progress_rows: rows,
+                gaussian_cutoff: cutoff,
+                ..
+            } = self.config;
             match &mut self.tables {
-                Some(tables) => ws.builder.build_with_into(
-                    &ws.compute,
-                    &ws.membound,
-                    self.config.quantile,
-                    self.config.progress_rows,
-                    self.config.gaussian_cutoff,
-                    tables,
-                ),
-                None => {
-                    self.tables = Some(ws.builder.build_with(
-                        &ws.compute,
-                        &ws.membound,
-                        self.config.quantile,
-                        self.config.progress_rows,
-                        self.config.gaussian_cutoff,
-                    ))
-                }
+                Some(tables) if full => ws
+                    .builder
+                    .build_with_into(c, m, quantile, rows, cutoff, tables),
+                Some(tables) => ws.builder.set_up_into(c, m, quantile, rows, cutoff, tables),
+                None => self.tables = Some(ws.builder.build_with(c, m, quantile, rows, cutoff)),
             }
         });
         self.built_version = Some(version);
@@ -358,16 +371,20 @@ impl RubikController {
         if state.is_idle() {
             return self.dvfs.min();
         }
-        let tables = match &self.tables {
-            Some(t) => t,
-            None => {
-                // Model not warmed up yet: run at nominal, the paper's
-                // baseline frequency.
-                self.stats.cold_decisions += 1;
-                return self.dvfs.nominal();
-            }
-        };
         let bound = self.internal_target();
+        let Some(tables) = &mut self.tables else {
+            // Model not warmed up yet: run at nominal, the paper's baseline
+            // frequency.
+            self.stats.cold_decisions += 1;
+            return self.dvfs.nominal();
+        };
+
+        // This decision reads positions 0..=queued.len(); build the ones
+        // below the cutoff that the tables do not hold yet.
+        let depth = (state.queued.len() + 1).min(tables.gaussian_cutoff());
+        if tables.depth() < depth {
+            WORKSPACE.with_borrow_mut(|ws| ws.builder.extend(tables, depth));
+        }
 
         let in_service = state
             .in_service
@@ -433,7 +450,7 @@ impl DvfsPolicy for RubikController {
     fn on_tick(&mut self, state: &ServerState) -> PolicyDecision {
         // Rebuild the target tail tables from the latest profile (the 100 ms
         // periodic update of Sec. 4.2).
-        self.rebuild_tables();
+        self.rebuild_tables(false);
 
         // Feedback fine-tuning over the rolling measurement window.
         if self.config.feedback

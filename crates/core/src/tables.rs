@@ -49,9 +49,10 @@
 //!   [`FftPlan::shared`] builds on first use. The ladder also *right-sizes*
 //!   each rung's transform — rung `i` only needs `i·(len−1)+1` points of
 //!   support, so early rungs run at 256–1024 instead of the deepest rung's
-//!   size (the running product at the final size receives exactly the same
-//!   pointwise-product sequence as before, so deep rungs are bit-identical
-//!   to the single-size ladder).
+//!   size. At each size the running product starts from a fresh transform
+//!   of the base and is multiplied up to the rung's power, so rung `i`'s
+//!   bits depend on `i` alone, and deep rungs are bit-identical to a
+//!   single-size ladder.
 //! * **Per-thread buffers.** The trimmed base, the per-row conditionals,
 //!   the spectra, the rung PMF/CDF buffers, and the target's own row
 //!   storage are all reused across rebuilds via `*_into` APIs
@@ -60,16 +61,37 @@
 //!   once every buffer has reached its high-water size. The controller
 //!   keeps one builder per thread (not per controller), shared by every
 //!   `RubikController` that rebuilds on that thread.
+//! * **Rungs on demand.** A decision reads queue positions 0 to the queue
+//!   length, and between two ticks the queue is short: in the paper-figure
+//!   grid most tables are read no deeper than position 2, while a full
+//!   table builds all `cutoff − 1` rungs, the deepest at the largest
+//!   transforms. So the controller's tick rebuild
+//!   ([`TableBuilder::set_up_into`]) stops after row setup — the trim, the
+//!   band boundaries, the per-row conditionals and moments, and position 0
+//!   — and each table records its built depth and, while it is short of
+//!   the cutoff, the last rung's quantile index per row and its trimmed
+//!   base PMF (at most the histogram's bucket count). Before each decision
+//!   the controller calls [`TableBuilder::extend`] to build the positions
+//!   that decision reads. An extension replays the full build's ladder
+//!   from the stored base, so an extended table is bit-identical to a full
+//!   one however the extensions are split, and decisions do not change by
+//!   a bit. Every `build*` entry point ([`TargetTailTables::build`],
+//!   [`TableBuilder::build_with_into`], …) and every controller seed still
+//!   builds full tables: a fleet seeds many controllers from one prefix and
+//!   would otherwise extend each copy on its own. A full table keeps no
+//!   base.
 //! * **Last-build memo.** A builder remembers the inputs and output of its
-//!   last build. When a request matches them bit for bit (`to_bits`) — the
+//!   last build, at the depth it was built to (extensions do not update
+//!   it). When a request matches the inputs bit for bit (`to_bits`) — the
 //!   same quantile, the same table shape, and both histograms with the same
-//!   bucket width and PMF — it copies the stored tables into the target
-//!   instead of rebuilding. The output is a pure function of exactly those
-//!   inputs, so a copy is `==` to a fresh build. It hits when table inputs
-//!   repeat on one thread: a fleet seeding every server from one trace
-//!   prefix builds once and copies N−1 times. Periodic rebuilds of servers
-//!   with diverging profiles miss and pay a full build plus an O(table)
-//!   copy into the memo.
+//!   bucket width and PMF — and the stored tables are at least as deep as
+//!   the request (a set-up needs depth 1, a `build*` needs the cutoff), it
+//!   copies the stored tables into the target instead of rebuilding. The
+//!   output is a pure function of exactly those inputs, so a copy is `==`
+//!   to a fresh build. It hits when table inputs repeat on one thread: a
+//!   fleet seeding every server from one trace prefix builds once and
+//!   copies N−1 times. Periodic rebuilds of servers with diverging profiles
+//!   miss and pay a row setup plus an O(table) copy into the memo.
 //! * **Warm-start quantile bisection.** Within one build, the quantile index
 //!   for a row is nondecreasing in queue depth and moves by at most the base
 //!   support per rung, so each bisection brackets from the previous rung's
@@ -84,7 +106,17 @@
 //! says the histograms are unchanged (see `RubikController`), making the
 //! periodic tick O(1) in the no-new-samples case.
 //! `crates/bench/benches/rebuild_amortized.rs` tracks every tier (skipped
-//! tick, warm rebuild, cold build, memo-served seed, controller clone).
+//! tick, tick rebuilds extended to depths 2 and 6, cold build, memo-served
+//! seed, controller clone).
+//!
+//! # Equality
+//!
+//! `==` on [`TargetTailTables`] compares what decisions can read, whatever
+//! the two depths: the quantile and shape, each table's row setup, the
+//! positions both sides have built, and — when both tables are short — the
+//! base PMF their unbuilt positions derive from. A full table's base is
+//! gone, so against a full table only the built prefix counts. A zero
+//! memory table (a workload without memory-bound time) is full.
 //!
 //! # Lookup cost
 //!
@@ -115,10 +147,11 @@ const NEGLIGIBLE_MEM_TIME: f64 = 1e-9;
 const QUANTILE_EPS: f64 = 1e-12;
 
 /// One precomputed table (compute cycles or memory time).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct TailTable {
     /// `rows[row][pos]`: tail remaining work for queue position `pos` when
-    /// the in-service request's elapsed work falls in band `row`.
+    /// the in-service request's elapsed work falls in band `row`. Every row
+    /// holds positions `0..depth`.
     rows: Vec<Vec<f64>>,
     /// Lower boundary of each elapsed-work band (ascending; first is 0).
     boundaries: Vec<f64>,
@@ -129,9 +162,25 @@ struct TailTable {
     /// Mean/variance of the unconditioned service distribution.
     mean: f64,
     var: f64,
+    /// Number of explicit positions built, from 1 (row setup) to the
+    /// cutoff (full); [`TableBuilder::extend`] builds the rest.
+    depth: usize,
+    /// Bucket width of the trimmed base: an entry with quantile index `t`
+    /// is `(t + 1)·width`.
+    width: f64,
+    /// Quantile index of the last built position, per row: the next rung's
+    /// warm start. Empty once the table is full.
+    last_t: Vec<usize>,
+    /// The trimmed base PMF the unbuilt rungs derive from. Empty once the
+    /// table is full.
+    base: Vec<f64>,
 }
 
 impl Clone for TailTable {
+    // Inlined into the controller's derived `clone`: as an out-of-line
+    // call, `rebuild_amortized/clone_seeded_controller` ran ~35% slower
+    // (2-vCPU Xeon VM).
+    #[inline]
     fn clone(&self) -> Self {
         Self {
             rows: self.rows.clone(),
@@ -140,6 +189,10 @@ impl Clone for TailTable {
             cond_var: self.cond_var.clone(),
             mean: self.mean,
             var: self.var,
+            depth: self.depth,
+            width: self.width,
+            last_t: self.last_t.clone(),
+            base: self.base.clone(),
         }
     }
 
@@ -151,6 +204,32 @@ impl Clone for TailTable {
         self.cond_var.clone_from(&source.cond_var);
         self.mean = source.mean;
         self.var = source.var;
+        self.depth = source.depth;
+        self.width = source.width;
+        self.last_t.clone_from(&source.last_t);
+        self.base.clone_from(&source.base);
+    }
+}
+
+/// What a decision can read (see the module docs, "Equality"). The
+/// warm-start indices follow from the built entries and are not compared.
+impl PartialEq for TailTable {
+    fn eq(&self, other: &Self) -> bool {
+        let depth = self.depth.min(other.depth);
+        self.boundaries == other.boundaries
+            && self.cond_mean == other.cond_mean
+            && self.cond_var == other.cond_var
+            && self.mean == other.mean
+            && self.var == other.var
+            && self.rows.len() == other.rows.len()
+            && self
+                .rows
+                .iter()
+                .zip(&other.rows)
+                .all(|(a, b)| a[..depth] == b[..depth])
+            && (self.base.is_empty()
+                || other.base.is_empty()
+                || (self.width == other.width && self.base == other.base))
     }
 }
 
@@ -207,9 +286,15 @@ impl TailTable {
             cond_var,
             mean: base.mean(),
             var: base.variance(),
+            depth: cutoff,
+            width: base.bucket_width(),
+            last_t: Vec::new(),
+            base: Vec::new(),
         }
     }
 
+    /// A full table of zeros: the memory table of a workload without
+    /// memory-bound time.
     fn zero(rows: usize, cutoff: usize) -> Self {
         Self {
             rows: vec![vec![0.0; cutoff]; rows],
@@ -218,6 +303,10 @@ impl TailTable {
             cond_var: vec![0.0; rows],
             mean: 0.0,
             var: 0.0,
+            depth: cutoff,
+            width: 0.0,
+            last_t: Vec::new(),
+            base: Vec::new(),
         }
     }
 
@@ -241,6 +330,10 @@ impl TailTable {
         }
         self.mean = 0.0;
         self.var = 0.0;
+        self.depth = cutoff;
+        self.width = 0.0;
+        self.last_t.clear();
+        self.base.clear();
     }
 
     /// Largest row whose boundary is `<= elapsed`. Boundaries are ascending,
@@ -252,12 +345,25 @@ impl TailTable {
             .saturating_sub(1)
     }
 
+    /// Position `pos` of band `row`: an explicit entry below the built
+    /// depth, the Gaussian approximation at or past `cutoff`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is at or past the built depth but below `cutoff`:
+    /// that entry has not been built yet.
     #[inline]
-    fn lookup_row(&self, row: usize, pos: usize, tail: &GaussianTail) -> f64 {
+    fn lookup_row(&self, row: usize, pos: usize, cutoff: usize, tail: &GaussianTail) -> f64 {
         let explicit = &self.rows[row];
         if pos < explicit.len() {
             explicit[pos]
         } else {
+            assert!(
+                pos >= cutoff,
+                "queue position {pos} is past the built depth {} (Gaussian cutoff {cutoff}); \
+                 extend the tables with TableBuilder::extend first",
+                self.depth
+            );
             let mean = self.cond_mean[row] + pos as f64 * self.mean;
             let var = self.cond_var[row] + pos as f64 * self.var;
             tail.tail(mean, var)
@@ -374,6 +480,7 @@ pub struct TargetTailTables {
 }
 
 impl Clone for TargetTailTables {
+    #[inline]
     fn clone(&self) -> Self {
         Self {
             compute: self.compute.clone(),
@@ -413,7 +520,7 @@ impl TailsCursor<'_> {
     pub fn tail_compute_cycles(&self, pos: usize) -> f64 {
         self.tables
             .compute
-            .lookup_row(self.compute_row, pos, &self.tables.tail)
+            .lookup_row(self.compute_row, pos, self.tables.cutoff, &self.tables.tail)
     }
 
     /// Tail remaining memory-bound time for queue position `pos`.
@@ -421,7 +528,7 @@ impl TailsCursor<'_> {
     pub fn tail_membound_time(&self, pos: usize) -> f64 {
         self.tables
             .memory
-            .lookup_row(self.memory_row, pos, &self.tables.tail)
+            .lookup_row(self.memory_row, pos, self.tables.cutoff, &self.tables.tail)
     }
 
     /// Both tails for queue position `pos`.
@@ -436,24 +543,23 @@ impl TailsCursor<'_> {
 ///
 /// Every working buffer — the trimmed base, per-row conditionals, spectra,
 /// rung PMF/CDF — is reused from rebuild to rebuild, so a warm
-/// [`TableBuilder::build_with_into`] performs no allocation once the buffers
-/// have reached their high-water sizes; transforms go through the
-/// process-wide [`FftPlan::shared`] plans. The builder also remembers its
-/// last build and serves a bit-identical repeat of it by copying. The
-/// controller rebuilds through one builder per thread. One-off callers go
-/// through [`TargetTailTables::build`], which spins up a throwaway builder.
+/// [`TableBuilder::build_with_into`], [`TableBuilder::set_up_into`] or
+/// [`TableBuilder::extend`] performs no allocation once the buffers have
+/// reached their high-water sizes; transforms go through the process-wide
+/// [`FftPlan::shared`] plans. The builder also remembers its last build and
+/// serves a bit-identical repeat of it by copying. The controller rebuilds
+/// through one builder per thread. One-off callers go through
+/// [`TargetTailTables::build`], which spins up a throwaway builder.
 #[derive(Debug)]
 pub struct TableBuilder {
     /// Packed-FFT scratch shared by all transforms.
     scratch: Vec<Complex>,
-    /// Trimmed copy of the histogram under construction.
+    /// Trimmed base of the table under construction or extension.
     base: Histogram,
     /// Per-row conditional distributions.
     conds: Vec<Histogram>,
     /// Non-zero support `[first, last]` of each row's conditional PMF.
     row_nnz: Vec<(usize, usize)>,
-    /// Previous rung's quantile index per row (warm-start bisection).
-    prev_t: Vec<usize>,
     /// Spectrum of the trimmed base at the current ladder size.
     base_spec: Spectrum,
     /// Running product `base_spec^i`.
@@ -467,7 +573,7 @@ pub struct TableBuilder {
 }
 
 /// A build's complete inputs and its output: the tables are a pure function
-/// of the other fields.
+/// of the other fields, built to their own depth.
 #[derive(Debug)]
 struct Memo {
     compute: Histogram,
@@ -522,7 +628,6 @@ impl TableBuilder {
             base: Histogram::zero(),
             conds: Vec::new(),
             row_nnz: Vec::new(),
-            prev_t: Vec::new(),
             base_spec: Spectrum::default(),
             running: Spectrum::default(),
             rung_pmf: Vec::new(),
@@ -582,13 +687,13 @@ impl TableBuilder {
     }
 
     /// Rebuilds `out` in place from the given histograms, reusing both the
-    /// builder's scratch state and the target's own storage. This is the
-    /// controller's warm path: bit-identical results to
-    /// [`TargetTailTables::build_with`], zero steady-state allocations.
+    /// builder's scratch state and the target's own storage. Bit-identical
+    /// results to [`TargetTailTables::build_with`], zero steady-state
+    /// allocations.
     ///
-    /// When the inputs repeat the builder's last build bit for bit, the
-    /// remembered tables are copied into `out` instead (see the module docs,
-    /// "Last-build memo").
+    /// When the inputs repeat the builder's last build bit for bit and that
+    /// build is full, the remembered tables are copied into `out` instead
+    /// (see the module docs, "Last-build memo").
     ///
     /// # Panics
     ///
@@ -602,22 +707,91 @@ impl TableBuilder {
         cutoff: usize,
         out: &mut TargetTailTables,
     ) {
+        self.build_into(compute, memory, quantile, rows, cutoff, cutoff, out);
+    }
+
+    /// Rebuilds `out` in place up to row setup only: band boundaries,
+    /// per-row moments and queue position 0, plus the trimmed base the
+    /// deeper positions derive from. This is the controller's periodic
+    /// rebuild; decisions then build the positions they read with
+    /// [`TableBuilder::extend`], and every position they build is
+    /// bit-identical to [`TableBuilder::build_with_into`]'s.
+    ///
+    /// The last-build memo serves these inputs at any depth (see the
+    /// module docs, "Last-build memo").
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantile` is not in `(0, 1)`, or `rows`/`cutoff` are zero.
+    pub fn set_up_into(
+        &mut self,
+        compute: &Histogram,
+        memory: &Histogram,
+        quantile: f64,
+        rows: usize,
+        cutoff: usize,
+        out: &mut TargetTailTables,
+    ) {
+        self.build_into(compute, memory, quantile, rows, cutoff, 1, out);
+    }
+
+    /// Builds the explicit positions of both tables up to `depth` (capped
+    /// at the Gaussian cutoff): afterwards every position below
+    /// `depth.min(tables.gaussian_cutoff())` can be read. Positions already
+    /// built are kept, so this is a no-op on full tables. Each added rung
+    /// replays the full build's size-stepped product — a fresh forward
+    /// transform of the base at the rung's transform size, multiplied up to
+    /// the rung's power — so extended tables are bit-identical to full
+    /// builds however the extensions are split.
+    pub fn extend(&mut self, tables: &mut TargetTailTables, depth: usize) {
+        let depth = depth.min(tables.cutoff);
+        let TargetTailTables {
+            compute,
+            memory,
+            quantile,
+            cutoff,
+            ..
+        } = tables;
+        for table in [compute, memory] {
+            if table.depth < depth {
+                self.base.assign_pmf(&table.base, table.width);
+                self.condition_rows(&table.boundaries);
+                self.build_rungs(*quantile, *cutoff, depth, table);
+            }
+        }
+    }
+
+    /// Builds `out` from the inputs to `depth` explicit positions, or
+    /// copies the memo's tables when they match the inputs and are at
+    /// least that deep.
+    #[allow(clippy::too_many_arguments)]
+    fn build_into(
+        &mut self,
+        compute: &Histogram,
+        memory: &Histogram,
+        quantile: f64,
+        rows: usize,
+        cutoff: usize,
+        depth: usize,
+        out: &mut TargetTailTables,
+    ) {
         assert!(
             quantile > 0.0 && quantile < 1.0,
             "quantile must be in (0, 1)"
         );
         assert!(rows > 0 && cutoff > 0, "table dimensions must be positive");
         if let Some(memo) = &self.memo {
-            if memo.matches(compute, memory, quantile, rows, cutoff) {
+            if memo.tables.depth() >= depth && memo.matches(compute, memory, quantile, rows, cutoff)
+            {
                 out.clone_from(&memo.tables);
                 return;
             }
         }
-        self.build_table_into(compute, quantile, rows, cutoff, &mut out.compute);
+        self.build_table_into(compute, quantile, rows, cutoff, depth, &mut out.compute);
         if memory.mean() < NEGLIGIBLE_MEM_TIME {
             out.memory.zero_into(rows, cutoff);
         } else {
-            self.build_table_into(memory, quantile, rows, cutoff, &mut out.memory);
+            self.build_table_into(memory, quantile, rows, cutoff, depth, &mut out.memory);
         }
         out.quantile = quantile;
         out.cutoff = cutoff;
@@ -644,127 +818,151 @@ impl TableBuilder {
         }
     }
 
-    /// Builds one table into `out` (see the module docs for the ladder
-    /// scheme).
+    /// Builds one table into `out` to `depth` explicit positions: row
+    /// setup, then the ladder (see the module docs).
     fn build_table_into(
         &mut self,
         hist: &Histogram,
         quantile: f64,
         rows: usize,
         cutoff: usize,
+        depth: usize,
         out: &mut TailTable,
     ) {
-        let Self {
-            scratch,
-            base,
-            conds,
-            row_nnz,
-            prev_t,
-            base_spec,
-            running,
-            rung_pmf,
-            rung_cdf,
-            memo: _,
-        } = self;
-
         // Trim negligible tail mass so the transform size stays small.
-        hist.trim_tail_into(1e-9, base);
-        let width = base.bucket_width();
-        let base_len = base.pmf().len();
+        hist.trim_tail_into(1e-9, &mut self.base);
 
         // Row setup: boundaries, conditionals (with their non-zero support),
         // moments, and the position-0 column — all into reused storage.
         out.boundaries.clear();
+        out.boundaries
+            .extend((0..rows).map(|row| row_boundary(&self.base, row, rows)));
+        self.condition_rows(&out.boundaries);
         out.cond_mean.clear();
         out.cond_var.clear();
+        out.last_t.clear();
         out.rows.truncate(rows);
         while out.rows.len() < rows {
             out.rows.push(Vec::new());
         }
-        if conds.len() < rows {
-            conds.resize(rows, Histogram::zero());
-        }
-        row_nnz.clear();
-        prev_t.clear();
-        for row in 0..rows {
-            let boundary = row_boundary(base, row, rows);
-            out.boundaries.push(boundary);
-            let cond = &mut conds[row];
-            base.conditional_on_elapsed_into(boundary, cond);
+        for (cond, row_vals) in self.conds.iter().zip(&mut out.rows) {
             out.cond_mean.push(cond.mean());
             out.cond_var.push(cond.variance());
+            // Position 0 needs no convolution: the conditioned distribution's
+            // own quantile (also the warm start for rung 1).
+            let j0 = cond.quantile_bucket(quantile);
+            row_vals.clear();
+            row_vals.reserve(cutoff);
+            row_vals.push(cond.bucket_value(j0));
+            out.last_t.push(j0);
+        }
+        out.mean = self.base.mean();
+        out.var = self.base.variance();
+        out.width = self.base.bucket_width();
+        out.depth = 1;
+        // Keep the base only for a table that stays short of the cutoff.
+        out.base.clear();
+        if depth < cutoff {
+            out.base.extend_from_slice(self.base.pmf());
+        }
+
+        self.build_rungs(quantile, cutoff, depth, out);
+    }
+
+    /// The conditional of `self.base` at each row boundary, and its
+    /// non-zero support, into the builder's per-row buffers.
+    fn condition_rows(&mut self, boundaries: &[f64]) {
+        if self.conds.len() < boundaries.len() {
+            self.conds.resize(boundaries.len(), Histogram::zero());
+        }
+        self.row_nnz.clear();
+        for (cond, &boundary) in self.conds.iter_mut().zip(boundaries) {
+            self.base.conditional_on_elapsed_into(boundary, cond);
             let pmf = cond.pmf();
             let first = pmf
                 .iter()
                 .position(|&p| p != 0.0)
                 .expect("conditional PMF has mass");
             let last = pmf.iter().rposition(|&p| p != 0.0).expect("has mass");
-            row_nnz.push((first, last));
-            // Position 0 needs no convolution: the conditioned distribution's
-            // own quantile (also the warm start for rung 1).
-            let j0 = cond.quantile_bucket(quantile);
-            let row_vals = &mut out.rows[row];
-            row_vals.clear();
-            row_vals.reserve(cutoff);
-            row_vals.push(cond.bucket_value(j0));
-            prev_t.push(j0);
+            self.row_nnz.push((first, last));
         }
-        out.mean = base.mean();
-        out.var = base.variance();
+    }
 
-        if cutoff > 1 {
-            // Right-sized ladder: rung base^⊛i has linear-convolution support
-            // i(len−1)+1, so early rungs transform at small power-of-two
-            // sizes. When the size steps up, the running product at the new
-            // size is caught up with the same pointwise-product sequence a
-            // single-size ladder would have applied, so rungs at the deepest
-            // size are bit-identical to the uniform-size build.
-            let mut cur_size = 0usize;
-            let mut exp = 0usize;
-            for i in 1..cutoff {
-                let support = i * (base_len - 1) + 1;
-                if i > 1 {
-                    let size = support.next_power_of_two().max(2);
-                    let plan = FftPlan::shared(size);
-                    if size != cur_size {
-                        plan.forward_into(base.pmf(), scratch, base_spec);
-                        running.clone_from(base_spec);
-                        exp = 1;
-                        cur_size = size;
-                    }
-                    while exp < i {
-                        running.mul_assign(base_spec);
-                        exp += 1;
-                    }
-                    plan.inverse_into(running, scratch, rung_pmf);
-                } else {
-                    // Rung 1 *is* the base PMF — no transform needed.
-                    rung_pmf.clear();
-                    rung_pmf.extend_from_slice(base.pmf());
-                }
+    /// Builds rungs `out.depth..depth` of the ladder into `out`, from the
+    /// base and conditionals already in the builder's buffers. A table that
+    /// reaches the cutoff drops its base and warm starts (keeping their
+    /// storage for the next rebuild).
+    fn build_rungs(&mut self, quantile: f64, cutoff: usize, depth: usize, out: &mut TailTable) {
+        let Self {
+            scratch,
+            base,
+            conds,
+            row_nnz,
+            base_spec,
+            running,
+            rung_pmf,
+            rung_cdf,
+            memo: _,
+        } = self;
+        let base_len = base.pmf().len();
 
-                // The single running-CDF pass over this rung, clamping FFT
-                // round-off (a convolution of PMFs cannot go negative).
-                rung_cdf.clear();
-                let mut cum = 0.0;
-                for &p in &rung_pmf[..support] {
-                    cum += p.max(0.0);
-                    rung_cdf.push(cum);
+        // Right-sized ladder: rung base^⊛i has linear-convolution support
+        // i(len−1)+1, so early rungs transform at small power-of-two sizes.
+        // The running product at each size starts from a fresh transform of
+        // the base and is multiplied up to the rung's power, so a rung's
+        // bits depend only on i — not on which rung this call starts from,
+        // nor on whether the ladder was split across calls — and rungs at
+        // the deepest size are bit-identical to a single-size ladder.
+        let mut cur_size = 0usize;
+        let mut exp = 0usize;
+        for i in out.depth..depth {
+            let support = i * (base_len - 1) + 1;
+            if i > 1 {
+                let size = support.next_power_of_two().max(2);
+                let plan = FftPlan::shared(size);
+                if size != cur_size {
+                    plan.forward_into(base.pmf(), scratch, base_spec);
+                    running.clone_from(base_spec);
+                    exp = 1;
+                    cur_size = size;
                 }
-
-                for (row, cond) in conds.iter().enumerate().take(rows) {
-                    let t = quantile_of_sum(
-                        cond.pmf(),
-                        row_nnz[row],
-                        rung_cdf,
-                        i,
-                        quantile,
-                        Some((prev_t[row], base_len)),
-                    );
-                    prev_t[row] = t;
-                    out.rows[row].push((t + 1) as f64 * width);
+                while exp < i {
+                    running.mul_assign(base_spec);
+                    exp += 1;
                 }
+                plan.inverse_into(running, scratch, rung_pmf);
+            } else {
+                // Rung 1 *is* the base PMF — no transform needed.
+                rung_pmf.clear();
+                rung_pmf.extend_from_slice(base.pmf());
             }
+
+            // The single running-CDF pass over this rung, clamping FFT
+            // round-off (a convolution of PMFs cannot go negative).
+            rung_cdf.clear();
+            let mut cum = 0.0;
+            for &p in &rung_pmf[..support] {
+                cum += p.max(0.0);
+                rung_cdf.push(cum);
+            }
+
+            for (row, (cond, row_vals)) in conds.iter().zip(&mut out.rows).enumerate() {
+                let t = quantile_of_sum(
+                    cond.pmf(),
+                    row_nnz[row],
+                    rung_cdf,
+                    i,
+                    quantile,
+                    Some((out.last_t[row], base_len)),
+                );
+                out.last_t[row] = t;
+                row_vals.push((t + 1) as f64 * out.width);
+            }
+        }
+        out.depth = out.depth.max(depth);
+        if out.depth == cutoff {
+            out.base.clear();
+            out.last_t.clear();
         }
     }
 }
@@ -854,10 +1052,22 @@ impl TargetTailTables {
         self.cutoff
     }
 
+    /// The number of explicit queue positions built: positions below
+    /// `depth()` and at or past [`TargetTailTables::gaussian_cutoff`] can
+    /// be read, the ones in between panic until [`TableBuilder::extend`]
+    /// builds them. Every `build*` constructor returns full tables
+    /// (`depth() == gaussian_cutoff()`); [`TableBuilder::set_up_into`]
+    /// leaves depth 1.
+    pub fn depth(&self) -> usize {
+        self.compute.depth.min(self.memory.depth)
+    }
+
     /// Resolves the progress rows for the in-service request's elapsed work
     /// once and returns a cursor for per-position lookups. This is the
     /// decision-path entry point: one decision resolves the rows a single
-    /// time and then walks the queue with O(1) lookups.
+    /// time and then walks the queue with O(1) lookups. The cursor's
+    /// lookups panic at positions from [`TargetTailTables::depth`] up to
+    /// the cutoff.
     pub fn tails_at(&self, elapsed_compute: f64, elapsed_mem: f64) -> TailsCursor<'_> {
         TailsCursor {
             tables: self,
@@ -869,16 +1079,26 @@ impl TargetTailTables {
     /// Tail *remaining compute cycles* until the request at queue position
     /// `pos` completes, given that the in-service request has already
     /// executed `elapsed_compute_cycles`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is at or past [`TargetTailTables::depth`] but below
+    /// the Gaussian cutoff (the position has not been built).
     pub fn tail_compute_cycles(&self, elapsed_compute_cycles: f64, pos: usize) -> f64 {
         let row = self.compute.row_for(elapsed_compute_cycles);
-        self.compute.lookup_row(row, pos, &self.tail)
+        self.compute.lookup_row(row, pos, self.cutoff, &self.tail)
     }
 
     /// Tail *remaining memory-bound time* until the request at queue position
     /// `pos` completes, given the in-service request's elapsed memory time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is at or past [`TargetTailTables::depth`] but below
+    /// the Gaussian cutoff (the position has not been built).
     pub fn tail_membound_time(&self, elapsed_membound_time: f64, pos: usize) -> f64 {
         let row = self.memory.row_for(elapsed_membound_time);
-        self.memory.lookup_row(row, pos, &self.tail)
+        self.memory.lookup_row(row, pos, self.cutoff, &self.tail)
     }
 
     /// Convenience: both tails at once. For repeated lookups at the same
@@ -1083,6 +1303,34 @@ mod tests {
         assert!(!same_bits(&plus, &minus));
         let longer = Histogram::from_pmf(vec![0.5, 0.0, 0.5, 0.0], 2.0);
         assert!(!same_bits(&plus, &longer));
+    }
+
+    #[test]
+    fn equality_reads_the_base_only_while_both_tables_are_short() {
+        let c = lognormal_hist(1e6, 0.3, 1024, 17);
+        let m = lognormal_hist(80e-6, 0.3, 1024, 18);
+        let full = TargetTailTables::build(&c, &m, 0.95);
+        let mut short = full.clone();
+        TableBuilder::new().set_up_into(&c, &m, 0.95, 8, 16, &mut short);
+        assert_eq!(short.depth(), 1);
+        assert!(full.compute.base.is_empty() && full.memory.base.is_empty());
+        assert!(full.compute.last_t.is_empty() && full.memory.last_t.is_empty());
+
+        // A base the unbuilt rungs would derive from differently.
+        let mut other_base = short.clone();
+        let last = other_base.compute.base.len() - 1;
+        other_base.compute.base[last] = other_base.compute.base[last].next_up();
+        assert!(short != other_base);
+        assert!(other_base != short);
+        // Against a full table only the built prefix counts.
+        assert!(short == full);
+        assert!(other_base == full);
+        assert!(full == other_base);
+
+        // Extending to the cutoff drops the base.
+        TableBuilder::new().extend(&mut short, 16);
+        assert!(short.compute.base.is_empty() && short.memory.base.is_empty());
+        assert_eq!(format!("{short:?}"), format!("{full:?}"));
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //! two builders pick the same bucket everywhere; the relative tolerance only
 //! absorbs float noise in the shared bucket-value arithmetic.
 //!
-//! The last two tests pin the shared build engine as exact: a persistent
+//! The next tests pin the shared build engine as exact: a persistent
 //! builder (buffers and last-build memo) matches fresh builds `==`, and
 //! controllers seeded on different threads run bit-identically.
+//!
+//! The last ones pin on-demand rungs: tables set up to depth 1 and extended
+//! in any split — one rung at a time, in two jumps, at once, through one
+//! builder or several — equal a full build at every position they can
+//! read; a shallower memo never serves a deeper request; a read past the
+//! built depth panics; and `==` is defined over what decisions can read.
 
 use rubik_core::{RubikConfig, RubikController, TableBuilder, TargetTailTables};
 use rubik_sim::{Server, SimConfig};
@@ -355,4 +361,208 @@ fn controllers_seeded_on_different_threads_match_bit_for_bit() {
         );
         assert!(other.1 == reference.1, "controller {i}: run results differ");
     }
+}
+
+/// The shapes the extension tests cover, with their compute and memory
+/// histograms: the paper's (8, 16), a (4, 8) table with a zero memory
+/// table, and a deep (8, 32) ladder that reaches 2048-point transforms.
+fn extension_cases() -> Vec<(String, Histogram, Histogram, usize, usize)> {
+    let mut rng = DeterministicRng::new(0xE7);
+    vec![
+        (
+            "8x16".to_string(),
+            lognormal_hist(&mut rng, 1e6, 0.5, 4000),
+            lognormal_hist(&mut rng, 60e-6, 0.5, 4000),
+            8,
+            16,
+        ),
+        (
+            "4x8, zero memory".to_string(),
+            lognormal_hist(&mut rng, 7e5, 0.9, 3000),
+            zero_hist(),
+            4,
+            8,
+        ),
+        (
+            "8x32".to_string(),
+            lognormal_hist(&mut rng, 2e6, 0.3, 2000),
+            lognormal_hist(&mut rng, 90e-6, 0.3, 2000),
+            8,
+            32,
+        ),
+    ]
+}
+
+/// Tables for `(c, m)` rebuilt in place to depth 1 through `builder`.
+fn set_up(
+    builder: &mut TableBuilder,
+    c: &Histogram,
+    m: &Histogram,
+    rows: usize,
+    cutoff: usize,
+) -> TargetTailTables {
+    // Start from unrelated tables: the set-up must overwrite all of them.
+    let mut tables = TargetTailTables::build_with(m, c, 0.9, rows + 1, cutoff + 3);
+    builder.set_up_into(c, m, 0.95, rows, cutoff, &mut tables);
+    assert_eq!(tables.depth(), 1);
+    tables
+}
+
+/// `tables` equals the full build `eager` under `==`, and every position
+/// `tables` can read — the ones it has built and the Gaussian ones —
+/// returns the same bits as `eager` at every progress band.
+fn assert_readable_positions_match(
+    label: &str,
+    tables: &TargetTailTables,
+    eager: &TargetTailTables,
+    probes: &[f64],
+) {
+    assert!(
+        tables == eager,
+        "{label}: tables differ from the full build"
+    );
+    let cutoff = eager.gaussian_cutoff();
+    let readable = (0..tables.depth()).chain(cutoff..cutoff + 4);
+    for pos in readable {
+        for &elapsed in probes {
+            let em = elapsed * 1e-10;
+            assert_eq!(
+                tables.tails_at(elapsed, em).tails(pos),
+                eager.tails_at(elapsed, em).tails(pos),
+                "{label}: position {pos} at elapsed {elapsed}"
+            );
+        }
+    }
+}
+
+#[test]
+fn extensions_in_any_split_match_full_builds_exactly() {
+    for (label, c, m, rows, cutoff) in extension_cases() {
+        let eager = TargetTailTables::build_with(&c, &m, 0.95, rows, cutoff);
+        assert_eq!(eager.depth(), cutoff, "{label}: build_with is full");
+        let probes = probes_for(&c);
+        let mut builder = TableBuilder::new();
+        let mut other = TableBuilder::new();
+
+        // One rung at a time, alternating builders: the state an extension
+        // needs lives in the tables, not in a builder.
+        let mut tables = set_up(&mut builder, &c, &m, rows, cutoff);
+        assert_readable_positions_match(&label, &tables, &eager, &probes);
+        for depth in 2..=cutoff {
+            let b = if depth % 2 == 0 {
+                &mut other
+            } else {
+                &mut builder
+            };
+            b.extend(&mut tables, depth);
+            assert_eq!(tables.depth(), depth, "{label}");
+            assert_readable_positions_match(
+                &format!("{label}, one rung at a time, depth {depth}"),
+                &tables,
+                &eager,
+                &probes,
+            );
+        }
+
+        // Two jumps, 3 then 9 (capped at the cutoff), then the rest.
+        let mut tables = set_up(&mut builder, &c, &m, rows, cutoff);
+        for depth in [3, 9, cutoff] {
+            builder.extend(&mut tables, depth);
+            assert_eq!(tables.depth(), depth.min(cutoff), "{label}");
+            assert_readable_positions_match(
+                &format!("{label}, jump to depth {depth}"),
+                &tables,
+                &eager,
+                &probes,
+            );
+        }
+
+        // At once, past the cutoff; a repeat is a no-op.
+        let mut tables = set_up(&mut builder, &c, &m, rows, cutoff);
+        for _ in 0..2 {
+            builder.extend(&mut tables, cutoff + 5);
+            assert_eq!(tables.depth(), cutoff, "{label}");
+            assert_readable_positions_match(
+                &format!("{label}, 1 to the cutoff"),
+                &tables,
+                &eager,
+                &probes,
+            );
+        }
+        assert_eq!(format!("{tables:?}"), format!("{eager:?}"), "{label}");
+    }
+}
+
+/// The memo serves a request only from tables at least as deep as it asks
+/// for: a set-up build of the same inputs must not stand in for a full one,
+/// while a full build may serve a later set-up.
+#[test]
+fn a_shallower_memo_never_serves_a_deeper_request() {
+    for (label, c, m, rows, cutoff) in extension_cases() {
+        let eager = TargetTailTables::build_with(&c, &m, 0.95, rows, cutoff);
+        let mut builder = TableBuilder::new();
+        let mut tables = set_up(&mut builder, &c, &m, rows, cutoff);
+        assert_eq!(tables.depth(), 1, "{label}");
+
+        builder.build_with_into(&c, &m, 0.95, rows, cutoff, &mut tables);
+        assert_eq!(tables.depth(), cutoff, "{label}: a full request");
+        assert_eq!(format!("{tables:?}"), format!("{eager:?}"), "{label}");
+
+        // The memo now holds the full build and serves the set-up from it.
+        builder.set_up_into(&c, &m, 0.95, rows, cutoff, &mut tables);
+        assert_eq!(tables.depth(), cutoff, "{label}: served from the memo");
+        assert_eq!(format!("{tables:?}"), format!("{eager:?}"), "{label}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "past the built depth 3")]
+fn reading_below_the_cutoff_past_the_built_depth_panics() {
+    let (_, c, m, rows, cutoff) = extension_cases().swap_remove(0);
+    let mut builder = TableBuilder::new();
+    let mut tables = set_up(&mut builder, &c, &m, rows, cutoff);
+    builder.extend(&mut tables, 3);
+    let cursor = tables.tails_at(0.0, 0.0);
+    // Built positions and Gaussian ones read fine ...
+    let _ = (cursor.tails(2), cursor.tails(cutoff));
+    // ... the first unbuilt explicit one does not.
+    let _ = cursor.tails(3);
+}
+
+/// `==` compares what decisions can read: the row setup, the positions both
+/// sides have built, and — when both are short — the base PMF their unbuilt
+/// positions derive from. A full table keeps no base, and a zero memory
+/// table is full.
+#[test]
+fn equality_compares_the_built_prefix_and_the_base_of_short_tables() {
+    let mut rng = DeterministicRng::new(0xE8);
+    let (rows, cutoff) = (8, 16);
+    let c = lognormal_hist(&mut rng, 1e6, 0.4, 1024);
+    let m = lognormal_hist(&mut rng, 50e-6, 0.4, 1024);
+    let eager = TargetTailTables::build_with(&c, &m, 0.95, rows, cutoff);
+    let mut builder = TableBuilder::new();
+
+    let short = set_up(&mut builder, &c, &m, rows, cutoff);
+    assert!(short == eager, "short vs full");
+    assert!(eager == short, "full vs short");
+    let mut deeper = short.clone();
+    builder.extend(&mut deeper, 5);
+    assert!(short == deeper, "depth 1 vs depth 5");
+    assert!(deeper == short, "depth 5 vs depth 1");
+
+    // A zero memory table is full: short compute tables still compare
+    // through their base.
+    let zero_short = set_up(&mut TableBuilder::new(), &c, &zero_hist(), rows, cutoff);
+    let zero_eager = TargetTailTables::build_with(&c, &zero_hist(), 0.95, rows, cutoff);
+    assert!(zero_short == zero_eager, "zero memory, short vs full");
+    assert!(zero_short != short, "memory table differs");
+
+    // Short tables of other inputs differ: the last compute bucket one ULP
+    // up.
+    let mut pmf = c.pmf().to_vec();
+    let last = pmf.iter().rposition(|&p| p > 0.0).expect("has mass");
+    pmf[last] = pmf[last].next_up();
+    let nudged = Histogram::from_pmf(pmf, c.bucket_width());
+    let nudged_short = set_up(&mut TableBuilder::new(), &nudged, &m, rows, cutoff);
+    assert!(nudged_short != short, "other base");
 }

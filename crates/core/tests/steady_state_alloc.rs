@@ -6,10 +6,11 @@
 //! counts, the process-wide FFT plans, the thread's table builder's
 //! spectra/rows and last-build memo, the rolling tail tracker's sort
 //! scratch) to its high-water size, a full completion → tick (with a
-//! *performed* rebuild) → arrival cycle must not allocate at all. This is
-//! the structural guarantee behind the "incremental, allocation-free
-//! rebuilds" contract: the 100 ms tick costs arithmetic, never the
-//! allocator.
+//! *performed* rebuild) → arrival cycle must not allocate at all, nor must
+//! the decisions that extend the rebuilt tables to the positions they read.
+//! This is the structural guarantee behind the "incremental,
+//! allocation-free rebuilds" contract: the 100 ms tick costs arithmetic,
+//! never the allocator.
 //!
 //! The heap-budget test pins the other half of that design: the build
 //! engine lives per thread, not per controller, so a fleet's N-th seeded
@@ -44,10 +45,10 @@ fn state(now: f64, dvfs: &DvfsConfig, queue: &mut Vec<QueuedView>) -> ServerStat
 }
 
 /// One steady-state iteration: a completion (new profile sample), the
-/// periodic tick (which must perform a full rebuild — the profile changed),
-/// and an arrival decision. Cycles are spaced 4 ms apart so the 1 s
-/// feedback window saturates and fires during warm-up and steady state
-/// alike.
+/// periodic tick (which must perform a rebuild — the profile changed — and
+/// whose decision extends the rebuilt tables to the queue's depth), and an
+/// arrival decision. Cycles are spaced 4 ms apart so the 1 s feedback
+/// window saturates and fires during warm-up and steady state alike.
 fn drive_cycle(
     rubik: &mut RubikController,
     dvfs: &DvfsConfig,
@@ -130,20 +131,13 @@ fn warm_completion_tick_arrival_cycle_allocates_nothing() {
     );
 }
 
-/// The test above cycles a 64-demand pool through a 256-sample window, so
-/// once the window is full each new sample equals the one it evicts: the
-/// profile stops moving and the thread's last-build memo serves its
-/// "performed" rebuilds as copies. Here every tick takes the memo's miss
-/// path instead — a full build plus the memo's record of it — as periodic
-/// rebuilds do in the fleets and the figure sweeps. Two controllers share
-/// the thread and alternate ticks, so the memo always holds the other
-/// one's last build; their pools of 65 and 67 demands still fit the window
-/// (the bucket grid stays at its high-water shape), but each evicted sample
-/// differs from the new one, so each profile moves from tick to tick.
-#[test]
-fn warm_rebuilds_that_miss_the_memo_allocate_nothing() {
-    let dvfs = DvfsConfig::haswell_like();
-    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+/// Two controllers whose profiles move on every tick (see
+/// [`warm_rebuilds_that_miss_the_memo_allocate_nothing`]), seeded on this
+/// thread, with their demand pools.
+fn moving_profiles(
+    config: RubikConfig,
+    dvfs: &DvfsConfig,
+) -> (Vec<RubikController>, Vec<Vec<(f64, f64)>>) {
     let pools: Vec<Vec<(f64, f64)>> = [(42, 65), (43, 67)]
         .into_iter()
         .map(|(seed, n)| {
@@ -153,7 +147,7 @@ fn warm_rebuilds_that_miss_the_memo_allocate_nothing() {
                 .collect()
         })
         .collect();
-    let mut rubiks: Vec<RubikController> = pools
+    let rubiks = pools
         .iter()
         .map(|demands| {
             let mut rubik = RubikController::new(config, dvfs.clone());
@@ -161,6 +155,26 @@ fn warm_rebuilds_that_miss_the_memo_allocate_nothing() {
             rubik
         })
         .collect();
+    (rubiks, pools)
+}
+
+/// The test above cycles a 64-demand pool through a 256-sample window, so
+/// once the window is full each new sample equals the one it evicts: the
+/// profile stops moving and the thread's last-build memo serves its
+/// "performed" rebuilds as copies. Here every tick takes the memo's miss
+/// path instead — a row-setup rebuild plus the memo's record of it — as
+/// periodic rebuilds do in the fleets and the figure sweeps. Two
+/// controllers share the thread and alternate ticks, so the memo always
+/// holds the other one's last build; their pools of 65 and 67 demands
+/// still fit the window (the bucket grid stays at its high-water shape),
+/// but each evicted sample differs from the new one, so each profile moves
+/// from tick to tick. The queue stays empty, so no decision extends the
+/// tables (see [`warm_extensions_allocate_nothing`]).
+#[test]
+fn warm_rebuilds_that_miss_the_memo_allocate_nothing() {
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let (mut rubiks, pools) = moving_profiles(config, &dvfs);
     let mut queue: Vec<QueuedView> = Vec::new();
 
     for cycle in 0..512 {
@@ -208,6 +222,77 @@ fn warm_rebuilds_that_miss_the_memo_allocate_nothing() {
         allocated, 0,
         "warm rebuilds that miss the memo must not allocate"
     );
+}
+
+/// Decisions build the table positions they read on demand, through the
+/// thread's build workspace. Two controllers alternate on the memo's miss
+/// path, as in the test above, while their queues grow from empty to past
+/// the Gaussian cutoff and back every 20 cycles: each tick sets its tables
+/// up at depth 1 and its own decision extends them to the queue's depth,
+/// through every transform size of the ladder, within the counted cycles.
+#[test]
+fn warm_extensions_allocate_nothing() {
+    const PERIOD: usize = 20;
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let cutoff = config.gaussian_cutoff;
+    assert!(PERIOD > cutoff);
+    let (mut rubiks, pools) = moving_profiles(config, &dvfs);
+    let mut queue: Vec<QueuedView> = Vec::with_capacity(PERIOD);
+    let resize_queue = |queue: &mut Vec<QueuedView>, cycle: u64| {
+        let len = cycle as usize % PERIOD;
+        queue.truncate(len);
+        while queue.len() < len {
+            queue.push(QueuedView {
+                id: queue.len() as u64 + 1,
+                arrival: 0.19,
+                oracle_compute_cycles: 1e6,
+                oracle_membound_time: 60e-6,
+                class: 0,
+            });
+        }
+    };
+
+    for cycle in 0..512 {
+        resize_queue(&mut queue, cycle);
+        for (rubik, demands) in rubiks.iter_mut().zip(&pools) {
+            drive_cycle(rubik, &dvfs, demands, cycle, &mut queue);
+        }
+    }
+
+    let before_rebuilds: Vec<u64> = rubiks
+        .iter()
+        .map(|r| r.stats().table_rebuilds_performed)
+        .collect();
+    let mut full_depth = [0u32; 2];
+    let mut allocated = 0;
+    for cycle in 512..768 {
+        resize_queue(&mut queue, cycle);
+        for (i, (rubik, demands)) in rubiks.iter_mut().zip(&pools).enumerate() {
+            let before = allocations();
+            drive_cycle(rubik, &dvfs, demands, cycle, &mut queue);
+            allocated += allocations() - before;
+            // Outside the counted section: how deep did this cycle build?
+            let depth = rubik.tables().expect("seeded").depth();
+            assert_eq!(depth, (queue.len() + 1).min(cutoff), "cycle {cycle}");
+            if depth == cutoff {
+                full_depth[i] += 1;
+            }
+        }
+    }
+
+    for (i, rubik) in rubiks.iter().enumerate() {
+        assert_eq!(
+            rubik.stats().table_rebuilds_performed - before_rebuilds[i],
+            256,
+            "each steady-state tick must perform a rebuild"
+        );
+        assert!(
+            full_depth[i] >= 12,
+            "controller {i}'s tables must reach the cutoff in the counted cycles"
+        );
+    }
+    assert_eq!(allocated, 0, "warm extensions must not allocate");
 }
 
 #[test]

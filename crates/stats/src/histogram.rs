@@ -196,6 +196,25 @@ impl Histogram {
         self.rebuild_cdf();
     }
 
+    /// Overwrites the histogram with `pmf` and `bucket_width` verbatim,
+    /// reusing the PMF/CDF storage. Unlike [`Histogram::from_pmf`] it does
+    /// not renormalize, so a PMF read from another histogram's
+    /// [`Histogram::pmf`] restores that histogram bit for bit (the table
+    /// builder keeps a trimmed base PMF this way and restores it to build
+    /// further rungs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pmf` is empty or `bucket_width` is not positive.
+    pub fn assign_pmf(&mut self, pmf: &[f64], bucket_width: f64) {
+        assert!(!pmf.is_empty(), "pmf must be non-empty");
+        assert!(bucket_width > 0.0, "bucket width must be positive");
+        self.bucket_width = bucket_width;
+        self.pmf.clear();
+        self.pmf.extend_from_slice(pmf);
+        self.rebuild_cdf();
+    }
+
     /// The width of each bucket, in the histogram's unit.
     pub fn bucket_width(&self) -> f64 {
         self.bucket_width
@@ -643,6 +662,22 @@ mod tests {
         for i in 0..=20 {
             let q = i as f64 / 20.0;
             assert_eq!(h.quantile(q), h.bucket_value(h.quantile_bucket(q)));
+        }
+    }
+
+    #[test]
+    fn assign_pmf_restores_a_histogram_bit_for_bit() {
+        let h = Histogram::from_samples(&uniform_samples(300, 5.0), 64).trim_tail(1e-3);
+        let mut restored = Histogram::zero();
+        restored.assign_pmf(h.pmf(), h.bucket_width());
+        assert_eq!(
+            restored.bucket_width().to_bits(),
+            h.bucket_width().to_bits()
+        );
+        assert_eq!(restored.pmf(), h.pmf());
+        for i in 0..=20 {
+            let q = i as f64 / 20.0;
+            assert_eq!(restored.quantile_bucket(q), h.quantile_bucket(q));
         }
     }
 
