@@ -421,78 +421,18 @@ pub fn max_epoch_power(
 /// pairs, and each bench overwrites only its own section so independent
 /// benches (`cluster_throughput`, `fleet_cap`) can share the file. `body`
 /// must be a complete JSON value. Sections are written in name order, so
-/// the output is deterministic regardless of which bench ran last.
+/// the output is deterministic regardless of which bench ran last, and
+/// every other section is copied byte for byte. The merge is
+/// [`rubik_json::merge_sections`], the one criterion writes
+/// `BENCH_controller.json` through.
 ///
-/// The file is rewritten from the sections that could be recovered; a file
-/// in an unrecognized format is replaced by the new section alone.
+/// A file that is not such an object is replaced by the new section alone.
 pub fn merge_bench_section(path: &str, section: &str, body: &str) -> std::io::Result<()> {
-    let mut sections = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| parse_top_level_sections(&text))
-        .unwrap_or_default();
-    match sections.iter_mut().find(|(name, _)| name == section) {
-        Some((_, value)) => *value = body.to_string(),
-        None => sections.push((section.to_string(), body.to_string())),
-    }
-    sections.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::from("{\n");
-    for (i, (name, value)) in sections.iter().enumerate() {
-        out.push_str(&format!("  \"{name}\": {}", value.trim()));
-        out.push_str(if i + 1 < sections.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
-/// Splits a JSON object's source text into its top-level `(key, raw value)`
-/// pairs. Handles nested objects/arrays and strings; returns `None` if the
-/// text is not a JSON object of string keys (e.g. a legacy flat file from
-/// before sections existed, which callers then simply replace).
-pub fn parse_top_level_sections(text: &str) -> Option<Vec<(String, String)>> {
-    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut sections = Vec::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let key_end = rest.find('"')?;
-        let key = rest[..key_end].to_string();
-        if key.contains('\\') {
-            return None; // escaped keys are out of scope for bench files
-        }
-        rest = rest[key_end + 1..].trim_start().strip_prefix(':')?;
-        // Scan one balanced JSON value.
-        let mut depth = 0usize;
-        let mut in_string = false;
-        let mut escaped = false;
-        let mut end = None;
-        for (i, c) in rest.char_indices() {
-            if escaped {
-                escaped = false;
-                continue;
-            }
-            match c {
-                '\\' if in_string => escaped = true,
-                '"' => in_string = !in_string,
-                '{' | '[' if !in_string => depth += 1,
-                '}' | ']' if !in_string => depth = depth.checked_sub(1)?,
-                ',' if !in_string && depth == 0 => {
-                    end = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let (value, tail) = match end {
-            Some(i) => (&rest[..i], &rest[i + 1..]),
-            None => (rest, ""),
-        };
-        if value.trim().is_empty() {
-            return None;
-        }
-        sections.push((key, value.trim().to_string()));
-        rest = tail.trim_start();
-    }
-    Some(sections)
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    std::fs::write(
+        path,
+        rubik_json::merge_sections(&existing, &[(section, body)]),
+    )
 }
 
 /// The experiment context shared by the figure binaries.
@@ -877,13 +817,20 @@ mod tests {
     #[test]
     fn top_level_sections_roundtrip_nested_values() {
         let text = "{\n  \"a\": {\"x\": [1, 2], \"s\": \"b}r,ace\"},\n  \"b\": 3.5\n}\n";
-        let sections = parse_top_level_sections(text).unwrap();
+        let sections = rubik_json::sections(text).unwrap();
         assert_eq!(sections.len(), 2);
         assert_eq!(sections[0].0, "a");
         assert_eq!(sections[0].1, "{\"x\": [1, 2], \"s\": \"b}r,ace\"}");
-        assert_eq!(sections[1], ("b".to_string(), "3.5".to_string()));
-        assert!(parse_top_level_sections("[1, 2]").is_none());
-        assert!(parse_top_level_sections("{\"k\": }").is_none());
+        assert_eq!(sections[1], ("b".to_string(), "3.5"));
+        assert!(rubik_json::sections("[1, 2]").is_err());
+        assert!(rubik_json::sections("{\"k\": }").is_err());
+    }
+
+    #[test]
+    fn the_committed_cluster_summary_merges_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        assert_eq!(rubik_json::merge_sections(&text, &[]), text);
     }
 
     #[test]
@@ -900,15 +847,12 @@ mod tests {
         // is name-sorted regardless of write order.
         merge_bench_section(path, "fleet_cap", "{\"budget\": 500}").unwrap();
         let text = std::fs::read_to_string(path).unwrap();
-        let sections = parse_top_level_sections(&text).unwrap();
+        let sections = rubik_json::sections(&text).unwrap();
         assert_eq!(
             sections,
             vec![
-                (
-                    "cluster_throughput".to_string(),
-                    "{\"fleets\": [1, 2]}".to_string()
-                ),
-                ("fleet_cap".to_string(), "{\"budget\": 500}".to_string()),
+                ("cluster_throughput".to_string(), "{\"fleets\": [1, 2]}"),
+                ("fleet_cap".to_string(), "{\"budget\": 500}"),
             ]
         );
         let _ = std::fs::remove_file(path);
@@ -923,7 +867,7 @@ mod tests {
         std::fs::write(path, "not json at all").unwrap();
         merge_bench_section(path, "fleet_cap", "{\"budget\": 1}").unwrap();
         let text = std::fs::read_to_string(path).unwrap();
-        let sections = parse_top_level_sections(&text).unwrap();
+        let sections = rubik_json::sections(&text).unwrap();
         assert_eq!(sections.len(), 1);
         assert_eq!(sections[0].0, "fleet_cap");
         let _ = std::fs::remove_file(path);

@@ -148,6 +148,54 @@ fn trace_report_file_mode_reproduces_the_scenario_attribution() {
     let _ = std::fs::remove_file(trace_path);
 }
 
+/// 64-bit FNV-1a: pins writer output without checking the bytes in.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn trace_report_trace_files_are_byte_pinned() {
+    // The health-aware log of the golden scenario, written through both
+    // telemetry writers (`rubik-trace-v1` and Chrome `trace_event`); the
+    // lengths and hashes were taken before the JSON readers were merged.
+    let dir = std::env::temp_dir().join("rubik_trace_report_pins");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, pinned) in [
+        ("golden.json", (97_803, 16_913_560_983_295_029_916)),
+        ("golden.trace.json", (107_073, 6_943_133_629_324_192_515)),
+    ] {
+        let path = dir.join(file);
+        let path = path.to_str().unwrap();
+        let run = Command::new(env!("CARGO_BIN_EXE_trace_report"))
+            .args([
+                "--scenario",
+                "fleet_faults",
+                "--fleet",
+                "12",
+                "--crashed",
+                "3",
+                "--requests",
+                "40",
+                "--seed",
+                "2015",
+                "--trace-out",
+                path,
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let bytes = std::fs::read(path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), pinned, "{file}");
+    }
+}
+
 #[test]
 fn fig_fleet_stdout_is_byte_identical_to_golden() {
     // Pins the whole fleet-management stack end to end: budget apportioning

@@ -3,10 +3,9 @@
 use rubik_power::CorePowerModel;
 use rubik_sim::RunResult;
 use rubik_stats::percentile;
-use serde::{Deserialize, Serialize};
 
 /// Per-server summary inside a [`ClusterOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerOutcome {
     /// Core-class index of the server (see
     /// [`FleetSpec`](crate::FleetSpec); 0 for homogeneous fleets).
@@ -54,7 +53,7 @@ impl ServerOutcome {
 /// offered was served in time": `offered == completed == goodput`,
 /// everything else zero, and `tail_latency_ok` equals the plain tail (the
 /// empty-plan bit-neutrality contract).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AvailabilityStats {
     /// Requests offered to the cluster (the input trace length).
     pub offered: usize,
@@ -120,7 +119,7 @@ impl AvailabilityStats {
 
 /// Aggregated totals for one core class of a heterogeneous fleet (see
 /// [`ClusterOutcome::class_totals`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassTotals {
     /// Core-class index.
     pub class: u32,
@@ -140,7 +139,7 @@ pub struct ClassTotals {
 
 /// The aggregated result of one cluster run: global latency statistics,
 /// fleet energy/power, and the per-server residency breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
     /// Total requests completed across the fleet.
     pub requests: usize,

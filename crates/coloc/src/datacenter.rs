@@ -10,8 +10,6 @@
 //! datacenter power and server count, normalized to the segregated datacenter
 //! at 60% LC load, swept over LC loads of 10–60%.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_power::ServerPowerModel;
 use rubik_sweep::{SweepExecutor, SweepSpec};
 use rubik_workloads::{AppProfile, BatchMix};
@@ -20,7 +18,7 @@ use crate::runner::ColocatedCore;
 use crate::schemes::{batch_tpw_freq, ColocScheme};
 
 /// Configuration of the datacenter experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatacenterConfig {
     /// Number of LC (and colocated) servers.
     pub lc_servers: usize,
@@ -60,7 +58,7 @@ impl DatacenterConfig {
 }
 
 /// One point of the Fig. 16 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatacenterPoint {
     /// LC load for this point (fraction of capacity).
     pub lc_load: f64,

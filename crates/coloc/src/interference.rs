@@ -9,12 +9,10 @@
 //! each busy period a warm-up penalty whose size grows (up to a cap) with how
 //! long batch work occupied the core.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::{RequestSpec, Trace};
 
 /// Model of the warm-up penalty after batch work ran on the core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreInterferenceModel {
     /// Maximum warm-up penalty, in seconds of extra memory-bound time
     /// (refilling L1/L2 from the warm LLC partition).

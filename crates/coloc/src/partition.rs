@@ -9,12 +9,10 @@
 //! share; without partitioning, the LC application's memory-bound time is
 //! inflated in proportion to the batch mix's memory intensity.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_workloads::BatchMix;
 
 /// Configuration of the shared memory system of a colocated server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySystemConfig {
     /// Whether LLC capacity and memory bandwidth are partitioned.
     pub partitioned: bool,

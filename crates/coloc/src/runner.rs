@@ -12,14 +12,13 @@ use rubik_core::{RubikConfig, RubikController, StaticOracle};
 use rubik_power::CorePowerModel;
 use rubik_sim::{FixedFrequencyPolicy, Freq, Server, SimConfig, Trace};
 use rubik_workloads::{AppProfile, BatchMix, WorkloadGenerator};
-use serde::{Deserialize, Serialize};
 
 use crate::interference::CoreInterferenceModel;
 use crate::partition::MemorySystemConfig;
 use crate::schemes::{batch_tpw_freq, hw_t_lc_freq, hw_tpw_lc_freq, ColocScheme};
 
 /// Result of simulating one colocated core under one scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColocOutcome {
     /// Tail (95th percentile) latency of the LC application.
     pub tail_latency: f64,

@@ -16,14 +16,12 @@
 //!   throughput per watt, which lands at low frequencies regardless of
 //!   latency needs.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_power::{CorePowerModel, Tdp};
 use rubik_sim::{DvfsConfig, Freq};
 use rubik_workloads::{AppProfile, BatchApp, BatchMix};
 
 /// The colocation schemes compared in Fig. 15 / Fig. 16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColocScheme {
     /// Rubik controls the LC frequency; batch runs at optimal TPW.
     RubikColoc,

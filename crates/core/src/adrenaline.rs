@@ -12,7 +12,6 @@
 //! the base frequency otherwise.
 
 use rubik_sim::{DvfsConfig, DvfsPolicy, Freq, PolicyDecision, RequestRecord, ServerState, Trace};
-use serde::{Deserialize, Serialize};
 
 use crate::replay::{replay, replay_energy, replay_tail};
 
@@ -26,7 +25,7 @@ pub struct AdrenalineOracle {
 }
 
 /// The tuned two-frequency policy produced by [`AdrenalineOracle::train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdrenalinePolicy {
     /// Frequency for short (unboosted) requests.
     pub base_freq: Freq,

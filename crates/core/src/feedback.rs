@@ -9,10 +9,8 @@
 //! analytical model aims for. The external bound is never relaxed by more
 //! than the configured clamp.
 
-use serde::{Deserialize, Serialize};
-
 /// A proportional-integral controller on the internal latency target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackController {
     /// Proportional gain (applied to the relative error).
     kp: f64,

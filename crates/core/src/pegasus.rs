@@ -11,10 +11,9 @@
 
 use rubik_sim::{DvfsConfig, DvfsPolicy, Freq, PolicyDecision, RequestRecord, ServerState};
 use rubik_stats::RollingTailTracker;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Pegasus-style controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PegasusConfig {
     /// Tail-latency bound in seconds.
     pub latency_bound: f64,

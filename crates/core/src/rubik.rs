@@ -54,7 +54,6 @@ use std::cell::RefCell;
 
 use rubik_sim::{DvfsConfig, DvfsPolicy, Freq, PolicyDecision, RequestRecord, ServerState, Trace};
 use rubik_stats::{Histogram, RollingTailTracker};
-use serde::{Deserialize, Serialize};
 
 use crate::feedback::FeedbackController;
 use crate::profiler::OnlineProfiler;
@@ -63,7 +62,7 @@ use crate::tables::{
 };
 
 /// Configuration of the Rubik controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RubikConfig {
     /// The tail-latency bound `L`, in seconds.
     pub latency_bound: f64,
@@ -169,7 +168,7 @@ impl RubikConfig {
 
 /// Counters describing what the controller did during a run; useful for
 /// tests, ablations, and the paper's overhead discussion.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RubikStats {
     /// Number of frequency decisions evaluated (arrivals + completions).
     pub decisions: u64,

@@ -128,7 +128,6 @@
 
 use rubik_stats::fft::{Complex, FftPlan, Spectrum};
 use rubik_stats::{GaussianTail, Histogram};
-use serde::{Deserialize, Serialize};
 
 /// Queue depth at which the Gaussian approximation takes over
 /// ("We use this formulation for i ≥ 16", Sec. 4.2).
@@ -147,7 +146,7 @@ const NEGLIGIBLE_MEM_TIME: f64 = 1e-9;
 const QUANTILE_EPS: f64 = 1e-12;
 
 /// One precomputed table (compute cycles or memory time).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct TailTable {
     /// `rows[row][pos]`: tail remaining work for queue position `pos` when
     /// the in-service request's elapsed work falls in band `row`. Every row
@@ -468,7 +467,7 @@ fn quantile_of_sum(
 }
 
 /// The pair of precomputed tables Rubik consults on every decision.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct TargetTailTables {
     compute: TailTable,
     memory: TailTable,

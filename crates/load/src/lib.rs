@@ -19,9 +19,9 @@
 //!   piecewise schedules), drawn by seeded thinning.
 //! * [`MergedSource`] — several per-application streams interleaved
 //!   deterministically by `(time, stream index)` for heterogeneous fleets.
-//! * [`StreamingTraceReader`] / [`StreamingTraceWriter`] — file-backed
-//!   streaming replay and capture of the batch trace JSON schema, so huge
-//!   traces never materialize.
+//! * [`StreamingTraceReader`] / [`StreamingTraceWriter`] — streaming
+//!   replay and capture through the one trace codec
+//!   (`rubik_workloads::trace_io`), so huge traces never materialize.
 //! * [`TraceSource`] — adapts any in-memory [`rubik_sim::Trace`] into a
 //!   source (the bridge the batch `Cluster::run` path is built on).
 //!
@@ -68,4 +68,4 @@ pub use shape::{LoadShape, LoadShapeError};
 pub use source::{
     drain_to_trace, ArrivalSource, MergedSource, PoissonSource, ShapedSource, TraceSource,
 };
-pub use trace_io::{StreamError, StreamingTraceReader, StreamingTraceWriter};
+pub use trace_io::{StreamingTraceReader, StreamingTraceWriter};

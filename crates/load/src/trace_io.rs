@@ -1,198 +1,40 @@
-//! File-backed streaming trace I/O.
+//! Streaming trace replay as an [`ArrivalSource`].
 //!
-//! [`rubik_workloads::trace_io`] reads and writes whole [`Trace`]s in one
-//! shot — O(requests) resident memory on both sides. The streaming pair
-//! here speaks the *same* JSON schema byte-for-byte but one request at a
-//! time: [`StreamingTraceWriter`] appends requests as they are generated,
-//! and [`StreamingTraceReader`] is an [`ArrivalSource`] that parses one
-//! request per pull, so huge captured traces replay through
-//! `Cluster::run_streamed` without ever materializing.
-//!
-//! ```json
-//! {"requests":[{"id":0,"arrival":0.0,"compute_cycles":1.0e6,
-//!               "membound_time":1.0e-5,"class":0}, ...]}
-//! ```
-//!
-//! A file produced by the streaming writer is byte-identical to
-//! [`rubik_workloads::trace_io::to_json`] of the same requests, and the
-//! streaming reader accepts any file the batch parser accepts, with the
-//! same strict schema checks (unknown/duplicate/missing fields and
-//! non-finite numbers rejected) plus one more: arrivals must be
-//! time-ordered, because a pull-based reader cannot sort after the fact.
+//! The trace codec is [`rubik_workloads::trace_io`]: its reader pulls one
+//! request at a time through a fixed buffer, and its writer, re-exported
+//! here as [`StreamingTraceWriter`], appends requests as they are
+//! generated. [`StreamingTraceReader`] adapts the reader into an arrival
+//! stream, so huge captured traces replay through `Cluster::run_streamed`
+//! without ever materializing. It adds the one check a pull-based source
+//! needs: arrivals must be time-ordered, because nothing can sort them
+//! after the fact.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read};
 use std::path::Path;
 
 use rubik_sim::RequestSpec;
+pub use rubik_workloads::trace_io::TraceWriter as StreamingTraceWriter;
+use rubik_workloads::trace_io::{JsonError, TraceIoError, TraceReader};
 
 use crate::source::ArrivalSource;
-
-/// Why a streaming trace read or write failed.
-#[derive(Debug)]
-pub enum StreamError {
-    /// The underlying file could not be read or written.
-    Io(std::io::Error),
-    /// The stream is not a valid trace; the offset is in bytes from the
-    /// start of the file.
-    Parse {
-        /// What was wrong.
-        message: String,
-        /// Byte offset where the problem was detected.
-        offset: usize,
-    },
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::Io(e) => write!(f, "trace stream I/O failed: {e}"),
-            StreamError::Parse { message, offset } => {
-                write!(
-                    f,
-                    "trace stream is not a valid trace: {message} at byte {offset}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamError::Io(e) => Some(e),
-            StreamError::Parse { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for StreamError {
-    fn from(e: std::io::Error) -> Self {
-        StreamError::Io(e)
-    }
-}
-
-/// Writes a trace file one request at a time with O(1) resident memory.
-///
-/// Call [`StreamingTraceWriter::finish`] to close the JSON structure; a
-/// dropped-without-finish writer leaves a truncated file the readers will
-/// reject, never a silently short trace.
-#[derive(Debug)]
-pub struct StreamingTraceWriter<W: Write> {
-    out: W,
-    written: usize,
-}
-
-impl StreamingTraceWriter<BufWriter<File>> {
-    /// Creates (truncating) a trace file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::Io`] if the file cannot be created.
-    pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, StreamError> {
-        Ok(Self::new(BufWriter::new(File::create(path)?))?)
-    }
-}
-
-impl<W: Write> StreamingTraceWriter<W> {
-    /// Starts a trace stream on any writer (the JSON header is written
-    /// immediately).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the header cannot be written.
-    pub fn new(mut out: W) -> std::io::Result<Self> {
-        out.write_all(b"{\"requests\":[")?;
-        Ok(Self { out, written: 0 })
-    }
-
-    /// Appends one request.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the record cannot be written.
-    pub fn write(&mut self, r: &RequestSpec) -> std::io::Result<()> {
-        if self.written > 0 {
-            self.out.write_all(b",")?;
-        }
-        // Identical formatting to `rubik_workloads::trace_io::to_json`:
-        // `{:e}` prints the shortest-roundtrip mantissa, so values survive
-        // a write/read cycle bit-exactly and streamed files match batch
-        // files byte-for-byte.
-        write!(
-            self.out,
-            "{{\"id\":{},\"arrival\":{:e},\"compute_cycles\":{:e},\
-             \"membound_time\":{:e},\"class\":{}}}",
-            r.id, r.arrival, r.compute_cycles, r.membound_time, r.class
-        )?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Drains `source` into the file, then finishes it. Returns the number
-    /// of requests written.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if any record cannot be written.
-    pub fn write_all_from<S: ArrivalSource>(mut self, mut source: S) -> std::io::Result<usize> {
-        while let Some(r) = source.next_arrival() {
-            self.write(&r)?;
-        }
-        let n = self.written;
-        self.finish()?;
-        Ok(n)
-    }
-
-    /// Closes the JSON structure and flushes, returning the inner writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the trailer cannot be written.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        self.out.write_all(b"]}")?;
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
 
 /// Replays a trace file one request per pull with O(1) resident memory.
 ///
 /// Implements [`ArrivalSource`], so a captured multi-gigabyte trace feeds
-/// `Cluster::run_streamed` directly. Schema checks match the batch parser
-/// (unknown, duplicate, or missing fields and non-finite numbers are
-/// rejected); out-of-order arrivals are additionally rejected because the
-/// engine requires a time-ordered stream.
+/// `Cluster::run_streamed` directly.
 ///
 /// [`ArrivalSource::next_arrival`] cannot carry an error, so a parse or
-/// I/O failure ends the stream early and is held for inspection: check
+/// I/O failure, or an arrival earlier than the one before it, ends the
+/// stream early and is held for inspection: check
 /// [`StreamingTraceReader::finish`] (or [`StreamingTraceReader::error`])
 /// after the run to distinguish clean exhaustion from a truncated or
 /// malformed file.
 #[derive(Debug)]
 pub struct StreamingTraceReader<R: Read> {
-    input: R,
-    buf: Vec<u8>,
-    /// Window of unconsumed bytes in `buf`.
-    pos: usize,
-    len: usize,
-    /// Absolute byte offset of `buf[pos]` in the stream.
-    offset: usize,
-    state: ReaderState,
+    trace: TraceReader<R>,
     last_arrival: f64,
-    error: Option<StreamError>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReaderState {
-    /// Before the first element; `]` or a request may follow.
-    FirstElement,
-    /// Between elements; `,` or `]` may follow.
-    NextElement,
-    /// The closing `]}` has been consumed; the stream is exhausted.
-    Done,
-    /// A previous pull failed; the stream stays dead.
-    Failed,
+    error: Option<TraceIoError>,
 }
 
 impl StreamingTraceReader<BufReader<File>> {
@@ -200,10 +42,10 @@ impl StreamingTraceReader<BufReader<File>> {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::Io`] if the file cannot be opened and
-    /// [`StreamError::Parse`] if it does not start with the trace header.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StreamError> {
-        Self::new(BufReader::new(File::open(path)?))
+    /// Returns [`TraceIoError::Io`] if the file cannot be opened and
+    /// [`TraceIoError::Parse`] if it does not start with the trace header.
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
+        TraceReader::open(path).map(Self::replaying)
     }
 }
 
@@ -213,25 +55,22 @@ impl<R: Read> StreamingTraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::Io`] on a read failure and
-    /// [`StreamError::Parse`] if the header is malformed.
-    pub fn new(input: R) -> Result<Self, StreamError> {
-        let mut reader = Self {
-            input,
-            buf: vec![0; 8 * 1024],
-            pos: 0,
-            len: 0,
-            offset: 0,
-            state: ReaderState::FirstElement,
+    /// Returns [`TraceIoError::Io`] on a read failure and
+    /// [`TraceIoError::Parse`] if the header is malformed.
+    pub fn new(input: R) -> Result<Self, TraceIoError> {
+        TraceReader::new(input).map(Self::replaying)
+    }
+
+    fn replaying(trace: TraceReader<R>) -> Self {
+        Self {
+            trace,
             last_arrival: f64::NEG_INFINITY,
             error: None,
-        };
-        reader.parse_header()?;
-        Ok(reader)
+        }
     }
 
     /// The error that ended the stream early, if any.
-    pub fn error(&self) -> Option<&StreamError> {
+    pub fn error(&self) -> Option<&TraceIoError> {
         self.error.as_ref()
     }
 
@@ -239,257 +78,35 @@ impl<R: Read> StreamingTraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns the held [`StreamError`] if the stream ended on a parse or
-    /// I/O failure, or a truncation error if the file ended before the
-    /// closing `]}` was seen.
-    pub fn finish(mut self) -> Result<(), StreamError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
+    /// Returns the held error if the stream ended on a parse, ordering or
+    /// I/O failure, or a truncation error if it ended before the closing
+    /// `]}` was read.
+    pub fn finish(self) -> Result<(), TraceIoError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => self.trace.finish(),
         }
-        match self.state {
-            ReaderState::Done => Ok(()),
-            _ => Err(StreamError::Parse {
-                message: "trace stream ended before the closing \"]}\"".to_string(),
-                offset: self.offset,
-            }),
-        }
-    }
-
-    fn parse_error(&self, message: &str) -> StreamError {
-        StreamError::Parse {
-            message: message.to_string(),
-            offset: self.offset,
-        }
-    }
-
-    /// Refills the buffer window if empty; `Ok(false)` means end of input.
-    fn fill(&mut self) -> Result<bool, StreamError> {
-        if self.pos < self.len {
-            return Ok(true);
-        }
-        self.pos = 0;
-        self.len = self.input.read(&mut self.buf)?;
-        Ok(self.len > 0)
-    }
-
-    fn peek_byte(&mut self) -> Result<Option<u8>, StreamError> {
-        if self.fill()? {
-            Ok(Some(self.buf[self.pos]))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn next_byte(&mut self) -> Result<Option<u8>, StreamError> {
-        let b = self.peek_byte()?;
-        if b.is_some() {
-            self.pos += 1;
-            self.offset += 1;
-        }
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) -> Result<(), StreamError> {
-        while let Some(b) = self.peek_byte()? {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-                self.offset += 1;
-            } else {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), StreamError> {
-        self.skip_ws()?;
-        match self.peek_byte()? {
-            Some(b) if b == c => {
-                self.pos += 1;
-                self.offset += 1;
-                Ok(())
-            }
-            _ => Err(self.parse_error(&format!("expected '{}'", c as char))),
-        }
-    }
-
-    /// Parses a `"key"` string (trace keys never contain escapes).
-    fn parse_key(&mut self) -> Result<String, StreamError> {
-        self.expect(b'"')?;
-        let mut key = String::new();
-        loop {
-            match self.next_byte()? {
-                Some(b'"') => return Ok(key),
-                Some(b'\\') => {
-                    return Err(self.parse_error("escape sequences are not used by trace files"))
-                }
-                Some(b) => {
-                    if key.len() >= 64 {
-                        return Err(self.parse_error("request field name is too long"));
-                    }
-                    key.push(b as char);
-                }
-                None => return Err(self.parse_error("unterminated string")),
-            }
-        }
-    }
-
-    /// Scans a numeric token into `token`.
-    fn number_token(&mut self, token: &mut String) -> Result<(), StreamError> {
-        self.skip_ws()?;
-        token.clear();
-        while let Some(b) = self.peek_byte()? {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                token.push(b as char);
-                self.pos += 1;
-                self.offset += 1;
-            } else {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_f64(&mut self, token: &mut String) -> Result<f64, StreamError> {
-        self.number_token(token)?;
-        match token.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(v),
-            _ => Err(self.parse_error("expected a finite number")),
-        }
-    }
-
-    fn parse_u64(&mut self, token: &mut String) -> Result<u64, StreamError> {
-        self.number_token(token)?;
-        token
-            .parse::<u64>()
-            .map_err(|_| self.parse_error("expected a non-negative integer"))
-    }
-
-    fn parse_u32(&mut self, token: &mut String) -> Result<u32, StreamError> {
-        self.number_token(token)?;
-        token
-            .parse::<u32>()
-            .map_err(|_| self.parse_error("expected a non-negative integer"))
-    }
-
-    fn parse_header(&mut self) -> Result<(), StreamError> {
-        self.expect(b'{')?;
-        let key = self.parse_key()?;
-        if key != "requests" {
-            return Err(self.parse_error("expected a \"requests\" field"));
-        }
-        self.expect(b':')?;
-        self.expect(b'[')
-    }
-
-    /// Parses one request object (the leading `{` not yet consumed).
-    fn parse_request(&mut self) -> Result<RequestSpec, StreamError> {
-        self.expect(b'{')?;
-        let mut spec = RequestSpec::new(0, 0.0, 0.0, 0.0);
-        let mut token = String::new();
-        // Same strictness as the batch parser: every field exactly once.
-        let mut seen = [false; 5];
-        loop {
-            let key = self.parse_key()?;
-            self.expect(b':')?;
-            let slot = match key.as_str() {
-                "id" => {
-                    spec.id = self.parse_u64(&mut token)?;
-                    0
-                }
-                "arrival" => {
-                    spec.arrival = self.parse_f64(&mut token)?;
-                    1
-                }
-                "compute_cycles" => {
-                    spec.compute_cycles = self.parse_f64(&mut token)?;
-                    2
-                }
-                "membound_time" => {
-                    spec.membound_time = self.parse_f64(&mut token)?;
-                    3
-                }
-                "class" => {
-                    spec.class = self.parse_u32(&mut token)?;
-                    4
-                }
-                _ => return Err(self.parse_error(&format!("unknown request field \"{key}\""))),
-            };
-            if seen[slot] {
-                return Err(self.parse_error(&format!("duplicate request field \"{key}\"")));
-            }
-            seen[slot] = true;
-            self.skip_ws()?;
-            match self.next_byte()? {
-                Some(b',') => {}
-                Some(b'}') => {
-                    if let Some(missing) = seen.iter().position(|&s| !s) {
-                        const FIELDS: [&str; 5] =
-                            ["id", "arrival", "compute_cycles", "membound_time", "class"];
-                        return Err(self.parse_error(&format!(
-                            "missing request field \"{}\"",
-                            FIELDS[missing]
-                        )));
-                    }
-                    return Ok(spec);
-                }
-                _ => return Err(self.parse_error("expected ',' or '}' in request object")),
-            }
-        }
-    }
-
-    /// Consumes the closing `}` and any trailing whitespace after `]`.
-    fn parse_trailer(&mut self) -> Result<(), StreamError> {
-        self.expect(b'}')?;
-        self.skip_ws()?;
-        if self.peek_byte()?.is_some() {
-            return Err(self.parse_error("trailing data after trace"));
-        }
-        Ok(())
-    }
-
-    fn pull(&mut self) -> Result<Option<RequestSpec>, StreamError> {
-        match self.state {
-            ReaderState::Done | ReaderState::Failed => return Ok(None),
-            ReaderState::FirstElement => {
-                self.skip_ws()?;
-                if self.peek_byte()? == Some(b']') {
-                    self.pos += 1;
-                    self.offset += 1;
-                    self.parse_trailer()?;
-                    self.state = ReaderState::Done;
-                    return Ok(None);
-                }
-            }
-            ReaderState::NextElement => {
-                self.skip_ws()?;
-                match self.next_byte()? {
-                    Some(b',') => {}
-                    Some(b']') => {
-                        self.parse_trailer()?;
-                        self.state = ReaderState::Done;
-                        return Ok(None);
-                    }
-                    _ => return Err(self.parse_error("expected ',' or ']' in request array")),
-                }
-            }
-        }
-        let spec = self.parse_request()?;
-        if spec.arrival < self.last_arrival {
-            return Err(self.parse_error("arrivals are out of order"));
-        }
-        self.last_arrival = spec.arrival;
-        self.state = ReaderState::NextElement;
-        Ok(Some(spec))
     }
 }
 
 impl<R: Read> ArrivalSource for StreamingTraceReader<R> {
     fn next_arrival(&mut self) -> Option<RequestSpec> {
-        match self.pull() {
-            Ok(spec) => spec,
+        if self.error.is_some() {
+            return None;
+        }
+        match self.trace.next_request() {
+            Ok(Some(spec)) if spec.arrival >= self.last_arrival => {
+                self.last_arrival = spec.arrival;
+                Some(spec)
+            }
+            Ok(Some(_)) => {
+                let at = self.trace.offset();
+                let e = JsonError::new("arrivals are out of order", at);
+                self.error = Some(TraceIoError::Parse(e));
+                None
+            }
+            Ok(None) => None,
             Err(e) => {
-                self.state = ReaderState::Failed;
                 self.error = Some(e);
                 None
             }
@@ -552,11 +169,14 @@ mod tests {
     #[test]
     fn file_round_trip_streams_both_ways() {
         let path = std::env::temp_dir().join("rubik_stream_io_test.json");
-        let source = PoissonSource::new(AppProfile::xapian(), 0.5, 150, 9);
-        let written = StreamingTraceWriter::create(&path)
-            .unwrap()
-            .write_all_from(source)
-            .unwrap();
+        let mut source = PoissonSource::new(AppProfile::xapian(), 0.5, 150, 9);
+        let mut writer = StreamingTraceWriter::create(&path).unwrap();
+        let mut written = 0;
+        while let Some(r) = source.next_arrival() {
+            writer.write(&r).unwrap();
+            written += 1;
+        }
+        writer.finish().unwrap();
         assert_eq!(written, 150);
         let reader = StreamingTraceReader::open(&path).unwrap();
         let replayed = drain_to_trace(reader, None);
@@ -588,32 +208,35 @@ mod tests {
         reader.finish().unwrap();
     }
 
+    /// Malformed streams, each with a phrase its error must contain.
+    const MALFORMED: [(&str, &str); 6] = [
+        ("{\"requests\":", "expected '['"),
+        ("{\"other\":[]}", "expected a \"requests\" field"),
+        (
+            "{\"requests\":[{\"id\":0,\"arrival\":0.0,\"compute_cycles\":1.0,\
+             \"membound_time\":0.0}]}",
+            "missing request field \"class\"",
+        ),
+        (
+            "{\"requests\":[{\"id\":0,\"id\":1,\"arrival\":0.0,\"compute_cycles\":1.0,\
+             \"membound_time\":0.0,\"class\":0}]}",
+            "duplicate request field",
+        ),
+        (
+            "{\"requests\":[{\"id\":0,\"arrival\":1e999,\"compute_cycles\":1.0,\
+             \"membound_time\":0.0,\"class\":0}]}",
+            "expected a finite number",
+        ),
+        (
+            "{\"requests\":[{\"id\":0,\"wat\":1,\"arrival\":0.0,\"compute_cycles\":1.0,\
+             \"membound_time\":0.0,\"class\":0}]}",
+            "unknown request field",
+        ),
+    ];
+
     #[test]
     fn reader_rejects_malformed_streams() {
-        for (json, needle) in [
-            ("{\"requests\":", "expected '['"),
-            ("{\"other\":[]}", "expected a \"requests\" field"),
-            (
-                "{\"requests\":[{\"id\":0,\"arrival\":0.0,\"compute_cycles\":1.0,\
-                 \"membound_time\":0.0}]}",
-                "missing request field \"class\"",
-            ),
-            (
-                "{\"requests\":[{\"id\":0,\"id\":1,\"arrival\":0.0,\"compute_cycles\":1.0,\
-                 \"membound_time\":0.0,\"class\":0}]}",
-                "duplicate request field",
-            ),
-            (
-                "{\"requests\":[{\"id\":0,\"arrival\":1e999,\"compute_cycles\":1.0,\
-                 \"membound_time\":0.0,\"class\":0}]}",
-                "expected a finite number",
-            ),
-            (
-                "{\"requests\":[{\"id\":0,\"wat\":1,\"arrival\":0.0,\"compute_cycles\":1.0,\
-                 \"membound_time\":0.0,\"class\":0}]}",
-                "unknown request field",
-            ),
-        ] {
+        for (json, needle) in MALFORMED {
             match StreamingTraceReader::new(json.as_bytes()) {
                 Err(e) => assert!(e.to_string().contains(needle), "{json}: {e}"),
                 Ok(mut reader) => {
@@ -629,11 +252,11 @@ mod tests {
     fn reader_rejects_truncated_and_unordered_streams() {
         // Truncated: writer dropped before finish().
         let trace = sample_trace(3);
-        let mut writer = StreamingTraceWriter::new(Vec::new()).unwrap();
+        let mut truncated = Vec::new();
+        let mut writer = StreamingTraceWriter::new(&mut truncated).unwrap();
         for r in trace.requests() {
             writer.write(r).unwrap();
-        }
-        let truncated = writer.out; // no finish(): missing "]}"
+        } // no finish(): missing "]}"
         let mut reader = StreamingTraceReader::new(&truncated[..]).unwrap();
         while reader.next_arrival().is_some() {}
         assert!(reader.finish().is_err(), "truncated file must be rejected");
@@ -649,15 +272,56 @@ mod tests {
         assert!(err.contains("out of order"), "{err}");
     }
 
+    /// A reader that hands out one to seven bytes per call.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = (1 + self.calls % 7).min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The bits of every request a stream yields, then how it ended.
+    fn replay<R: Read>(input: R) -> (Vec<[u64; 5]>, Result<(), String>) {
+        let mut reader = match StreamingTraceReader::new(input) {
+            Ok(reader) => reader,
+            Err(e) => return (Vec::new(), Err(e.to_string())),
+        };
+        let mut requests = Vec::new();
+        while let Some(r) = reader.next_arrival() {
+            requests.push([
+                r.id,
+                r.arrival.to_bits(),
+                r.compute_cycles.to_bits(),
+                r.membound_time.to_bits(),
+                u64::from(r.class),
+            ]);
+        }
+        (requests, reader.finish().map_err(|e| e.to_string()))
+    }
+
     #[test]
-    fn reader_memory_is_bounded_by_buffer_not_trace() {
-        // The reader's buffer is fixed-size; a large trace streams through
-        // it without growing allocations proportional to the trace.
-        let trace = sample_trace(2_000);
-        let json = trace_io::to_json(&trace);
-        let reader = StreamingTraceReader::new(json.as_bytes()).unwrap();
-        assert_eq!(reader.buf.len(), 8 * 1024);
-        let replayed = drain_to_trace(reader, None);
-        assert_eq!(replayed.len(), 2_000);
+    fn reads_do_not_depend_on_chunk_boundaries() {
+        // Whatever sizes the input's reads come in, the reader yields the
+        // same requests bit for bit and fails with the same error at the
+        // same byte offset as when it reads one whole slice.
+        let trace = trace_io::to_json(&sample_trace(2_000));
+        let (requests, ending) = replay(trace.as_bytes());
+        assert_eq!((requests.len(), &ending), (2_000, &Ok(())));
+        let malformed = MALFORMED.iter().map(|(json, _)| *json);
+        for json in std::iter::once(trace.as_str()).chain(malformed) {
+            let trickled = replay(Trickle {
+                bytes: json.as_bytes(),
+                calls: 0,
+            });
+            assert_eq!(trickled, replay(json.as_bytes()), "{json:.80}");
+        }
     }
 }

@@ -7,14 +7,12 @@
 //! simulator, so every scheme is charged for exactly the time it spent at
 //! each frequency (this is what Fig. 1a, Fig. 6 and Fig. 9b report).
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::{Freq, FreqResidency};
 
 use crate::vf::VfCurve;
 
 /// Energy consumed by one core over a run, broken down by activity.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CoreEnergy {
     /// Energy (J) while executing requests.
     pub active: f64,
@@ -32,7 +30,7 @@ impl CoreEnergy {
 }
 
 /// Analytic model of a single core's power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorePowerModel {
     vf: VfCurve,
     /// Effective switched capacitance coefficient: dynamic power =

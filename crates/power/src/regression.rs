@@ -13,15 +13,13 @@
 //! [`k_fold_cross_validation`] reports the error statistics that the
 //! `table_power_model` bench binary prints.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::Freq;
 use rubik_stats::DeterministicRng;
 
 use crate::vf::VfCurve;
 
 /// One 25 ms-style measurement sample: counters plus measured power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterSample {
     /// Core frequency during the sample.
     pub freq: Freq,
@@ -47,7 +45,7 @@ impl CounterSample {
 }
 
 /// A fitted linear power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerRegression {
     /// Coefficients for `[1, V²·f·util, V, mem]`.
     coefficients: [f64; 4],
@@ -119,7 +117,7 @@ impl PowerRegression {
 }
 
 /// Error statistics of a fitted model on a validation set.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegressionReport {
     /// Mean absolute relative error.
     pub mean_abs_error: f64,

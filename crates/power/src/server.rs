@@ -7,14 +7,12 @@
 //! power through colocation (Sec. 6). [`ServerPowerModel`] layers those
 //! components on top of [`CorePowerModel`].
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::FreqResidency;
 
 use crate::core_power::{CoreEnergy, CorePowerModel};
 
 /// Energy consumed by a whole server over an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerEnergy {
     /// Sum of all per-core energies (J).
     pub cores: f64,
@@ -38,7 +36,7 @@ impl ServerEnergy {
 /// Component magnitudes follow the breakdown the paper's power model reports
 /// (cores, uncore, DRAM, other) for a single-socket Xeon E3 server, where
 /// idle power is a large fraction of peak (Sec. 6, [1, 38, 41]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerPowerModel {
     core_model: CorePowerModel,
     cores: usize,

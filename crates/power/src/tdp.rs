@@ -6,14 +6,12 @@
 //! nominal frequency "to stay within the TDP" (Sec. 7). [`Tdp`] provides
 //! those checks.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::{DvfsConfig, Freq};
 
 use crate::core_power::CorePowerModel;
 
 /// A package-level power budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tdp {
     budget_watts: f64,
     /// Package power not attributable to cores (uncore share under the lid).

@@ -1,7 +1,5 @@
 //! Voltage/frequency curve.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::Freq;
 
 /// Supply voltage as a (piecewise-linear) function of frequency.
@@ -10,7 +8,7 @@ use rubik_sim::Freq;
 /// scales as `V²·f`, which is why DVFS saves superlinear power. The default
 /// curve is Haswell-like: 0.65 V at 0.8 GHz rising linearly to 1.05 V at
 /// 3.4 GHz.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfCurve {
     min_freq: Freq,
     max_freq: Freq,

@@ -1,7 +1,5 @@
 //! Simulation configuration, mirroring the paper's Table 2 where relevant.
 
-use serde::{Deserialize, Serialize};
-
 use crate::freq::DvfsConfig;
 
 /// What the core does while it has no pending requests.
@@ -10,7 +8,7 @@ use crate::freq::DvfsConfig;
 /// (L1s and L2 flushed to the LLC). The power model in `rubik-power` charges
 /// different static power for each mode; the simulator only needs to record
 /// which mode the idle time was spent in and the wake-up penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum IdleMode {
     /// Clock-gated idle at the current frequency; wake-up is immediate.
     #[default]
@@ -24,7 +22,7 @@ pub enum IdleMode {
 }
 
 /// Configuration of a simulated server core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// DVFS domain of the core.
     pub dvfs: DvfsConfig,

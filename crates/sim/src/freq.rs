@@ -1,15 +1,11 @@
 //! Core frequency and the DVFS domain.
 
-use serde::{Deserialize, Serialize};
-
 /// A core frequency, stored in MHz.
 ///
 /// A newtype (rather than a bare `f64` in GHz) so that frequencies, times and
 /// cycle counts cannot be mixed up, and so that frequencies can be used as
 /// exact map keys for residency accounting.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Freq(u32);
 
 impl Freq {
@@ -62,7 +58,7 @@ impl std::fmt::Display for Freq {
 
 /// The DVFS domain of a core: available frequency levels, the nominal
 /// frequency, and the voltage/frequency transition latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsConfig {
     min: Freq,
     max: Freq,

@@ -1,12 +1,10 @@
 //! Requests, traces, and per-request result records.
 
-use serde::{Deserialize, Serialize};
-
 use crate::freq::Freq;
 
 /// The demand of a single request, as captured in a trace (paper Sec. 5.3:
 /// per-request arrival times, core cycles, and memory-bound times).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestSpec {
     /// Monotonically increasing request identifier.
     pub id: u64,
@@ -49,7 +47,7 @@ impl RequestSpec {
 }
 
 /// An ordered request trace: the input of a simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     requests: Vec<RequestSpec>,
 }
@@ -127,7 +125,7 @@ impl FromIterator<RequestSpec> for Trace {
 }
 
 /// The outcome of one request in a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// Request identifier (matches [`RequestSpec::id`]).
     pub id: u64,

@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use rubik_stats::percentile;
 
 use crate::freq::Freq;
 use crate::request::RequestRecord;
 
 /// What the core was doing during a timeline segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreActivity {
     /// Executing a request.
     Busy,
@@ -22,7 +20,7 @@ pub enum CoreActivity {
 
 /// A contiguous span of time during which the core's frequency and activity
 /// did not change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Segment start time (seconds).
     pub start: f64,
@@ -42,7 +40,7 @@ impl Segment {
 }
 
 /// Time spent per frequency, split by activity.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FreqResidency {
     /// Busy seconds per frequency.
     pub busy: BTreeMap<Freq, f64>,
@@ -90,7 +88,7 @@ impl FreqResidency {
 }
 
 /// The complete result of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunResult {
     records: Vec<RequestRecord>,
     segments: Vec<Segment>,

@@ -8,8 +8,6 @@
 //! * convolve it with itself repeatedly to model queued requests,
 //! * extract tail quantiles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fft;
 
 /// A discrete probability distribution over a non-negative quantity
@@ -25,7 +23,7 @@ use crate::fft;
 /// [`Histogram::cdf`] is O(1) and [`Histogram::quantile`] is O(log n)
 /// instead of re-summing the PMF — these run on Rubik's per-arrival decision
 /// path, where the controller consults quantiles on every event.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Histogram {
     bucket_width: f64,
     /// Probability mass per bucket. Always sums to 1 (within fp error) for a

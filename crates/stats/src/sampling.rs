@@ -16,8 +16,6 @@
 //!
 //! [`gaussian_quantile`]: crate::gaussian::gaussian_quantile
 
-use serde::{Deserialize, Serialize};
-
 /// A seeded pseudo-random number generator with convenience draws for the
 /// distributions used across the reproduction.
 ///
@@ -172,7 +170,7 @@ impl DeterministicRng {
 ///
 /// The unit is left to the caller (the workload models use cycles for compute
 /// demand and seconds for memory-bound time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceSampler {
     /// Every request needs exactly this much work.
     Constant(f64),

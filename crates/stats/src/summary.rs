@@ -4,10 +4,8 @@
 //! Used by the online profiler in `rubik-core` and by the metric collectors
 //! in `rubik-sim`.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable running mean/variance/min/max accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

@@ -5,13 +5,11 @@
 //! function of the run configuration: same trace, same plan, same seed ⇒
 //! byte-identical events, regardless of sweep thread count.
 
-use serde::{Deserialize, Serialize};
-
 /// One lifecycle event of one request.
 ///
 /// The owning request id is kept outside the event (see
 /// [`crate::Recorder`]) so the event itself stays a small `Copy` value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestEvent {
     /// Simulated time the event occurred.
     pub at: f64,
@@ -24,7 +22,7 @@ pub struct RequestEvent {
 /// Service start / end are *not* events: they are already captured exactly by
 /// [`rubik_sim::RequestRecord`] and merged into the trace at finalize, which
 /// keeps the simulator hot path untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RequestEventKind {
     /// Delivery attempt `attempt` (1-based) was routed to `server`.
     Routed {
@@ -95,7 +93,7 @@ pub enum RequestEventKind {
 }
 
 /// A state change of one server, as injected by the fault plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerEvent {
     /// Simulated time the event occurred.
     pub at: f64,
@@ -106,7 +104,7 @@ pub struct ServerEvent {
 }
 
 /// The kinds of server state changes the driver records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServerEventKind {
     /// The server crashed and stops serving.
     Down,

@@ -6,10 +6,8 @@
 //! depths, in-flight counts, per-server DVFS state, and cumulative
 //! retry/timeout counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Snapshot of one server at a sample boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerSample {
     /// Requests waiting in the server's queue.
     pub queued: u32,
@@ -24,7 +22,7 @@ pub struct ServerSample {
 }
 
 /// One fleet-wide sample window `[start, end)`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EpochSample {
     /// Window start time.
     pub start: f64,
@@ -54,7 +52,7 @@ impl EpochSample {
 }
 
 /// Retained per-epoch fleet time series.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetRecorder {
     epochs: Vec<EpochSample>,
 }

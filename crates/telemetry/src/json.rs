@@ -1,13 +1,13 @@
-//! Self-serialized JSON for [`TraceLog`] — writer and minimal parser.
+//! Self-serialized JSON for [`TraceLog`]: writer and reader.
 //!
-//! The build environment is offline, so (like the vendored `criterion`)
-//! serialization is hand-rolled: [`to_json`] emits a stable `rubik-trace-v1`
-//! document and [`from_json`] reads it back with a small recursive-descent
-//! parser. Floats are written with Rust's shortest-roundtrip `{:?}`
-//! formatting, so a write → read cycle is lossless.
-//!
-//! Request ids are carried as JSON numbers and parsed through `f64`, which
-//! is exact for ids below 2^53 — far beyond any trace this crate produces.
+//! [`to_json`] emits a stable `rubik-trace-v1` document, with floats in
+//! Rust's shortest-roundtrip `{:?}` form, and [`from_json`] reads it back
+//! through the workspace's one JSON tokenizer (`rubik-json`), so a write →
+//! read cycle is lossless. The reader is as strict as the trace codec's:
+//! unknown, duplicate and missing fields, non-finite numbers, inexact
+//! integers (request ids included) and trailing data are errors.
+
+use rubik_json::{Fields, JsonError, Reader};
 
 use crate::event::{RequestEvent, RequestEventKind, ServerEvent, ServerEventKind};
 use crate::fleet::{EpochSample, ServerSample};
@@ -191,383 +191,220 @@ pub fn to_json(log: &TraceLog) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Reader
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value (just enough for trace documents).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
+type Json<'a> = Reader<&'a [u8]>;
 
-impl Value {
-    fn get<'a>(&'a self, key: &str) -> Result<&'a Value, String> {
-        match self {
-            Value::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{key}`")),
-            _ => Err(format!("expected object with field `{key}`")),
+/// Each kind of request event, with the fields an event of that kind holds.
+const REQUEST_EVENT_KINDS: &[(&str, &[&str])] = &[
+    ("routed", &["at", "kind", "server", "attempt"]),
+    ("timed_out", &["at", "kind", "server", "attempt"]),
+    ("backoff", &["at", "kind", "until"]),
+    ("salvaged", &["at", "kind", "server"]),
+    ("requeued", &["at", "kind", "from", "to"]),
+    ("migrated", &["at", "kind", "from", "to"]),
+    ("dropped", &["at", "kind", "server"]),
+    ("hedged", &["at", "kind", "server", "attempt"]),
+    ("hedge_won", &["at", "kind", "server"]),
+    ("hedge_cancelled", &["at", "kind", "server"]),
+];
+
+/// Each kind of server event, with the fields an event of that kind holds.
+const SERVER_EVENT_KINDS: &[(&str, &[&str])] = &[
+    ("down", &["at", "server", "kind"]),
+    ("up", &["at", "server", "kind"]),
+    ("straggle_start", &["at", "server", "kind", "slowdown"]),
+    ("straggle_end", &["at", "server", "kind"]),
+    ("freq_stuck", &["at", "server", "kind", "mhz"]),
+];
+
+/// Reads an event's `kind`, one of `kinds`, and requires exactly the
+/// fields that kind holds.
+fn read_kind(
+    json: &mut Json,
+    fields: &mut Fields,
+    what: &str,
+    kinds: &[(&'static str, &[&str])],
+) -> Result<&'static str, JsonError> {
+    let at = json.token_offset()?;
+    let name = json.str()?;
+    match kinds.iter().find(|(kind, _)| *kind == name) {
+        Some(&(kind, holds)) => {
+            fields.require(holds);
+            Ok(kind)
         }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Value::Num(v) => Ok(*v),
-            _ => Err("expected number".into()),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        let v = self.as_f64()?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!("expected non-negative integer, got {v}"));
-        }
-        Ok(v as u64)
-    }
-
-    fn as_u32(&self) -> Result<u32, String> {
-        u32::try_from(self.as_u64()?).map_err(|_| "integer out of u32 range".into())
-    }
-
-    fn as_opt_f64(&self) -> Result<Option<f64>, String> {
-        match self {
-            Value::Null => Ok(None),
-            other => other.as_f64().map(Some),
-        }
-    }
-
-    fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            _ => Err("expected bool".into()),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err("expected string".into()),
-        }
-    }
-
-    fn as_arr(&self) -> Result<&[Value], String> {
-        match self {
-            Value::Arr(items) => Ok(items),
-            _ => Err("expected array".into()),
-        }
+        None => Err(JsonError::new(format!("unknown {what} kind `{name}`"), at)),
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
+fn read_request_event(json: &mut Json) -> Result<RequestEvent, JsonError> {
+    let (mut at, mut kind, mut until) = (0.0, "", 0.0);
+    let (mut server, mut attempt, mut from, mut to) = (0, 0, 0, 0);
+    let names = &["at", "kind", "server", "attempt", "until", "from", "to"];
+    let mut fields = json.object("request event", names)?;
+    while let Some(field) = fields.next(json)? {
+        match field {
+            "at" => at = json.f64()?,
+            "kind" => kind = read_kind(json, &mut fields, "request event", REQUEST_EVENT_KINDS)?,
+            "server" => server = json.uint()?,
+            "attempt" => attempt = json.uint()?,
+            "until" => until = json.f64()?,
+            "from" => from = json.uint()?,
+            "to" => to = json.uint()?,
+            _ => unreachable!("a request event has only its names"),
         }
     }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn expect_literal(&mut self, literal: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(Value::Str(self.parse_string()?)),
-            b't' => self.expect_literal("true", Value::Bool(true)),
-            b'f' => self.expect_literal("false", Value::Bool(false)),
-            b'n' => self.expect_literal("null", Value::Null),
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or("unterminated string")?
-            {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let escape = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => return Err(format!("unsupported escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through byte-by-byte;
-                    // re-validate at the end via from_utf8 on the slice.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-    }
-}
-
-fn parse_request_event(value: &Value) -> Result<RequestEvent, String> {
-    let at = value.get("at")?.as_f64()?;
-    let kind = match value.get("kind")?.as_str()? {
-        "routed" => RequestEventKind::Routed {
-            server: value.get("server")?.as_u32()?,
-            attempt: value.get("attempt")?.as_u32()?,
-        },
-        "timed_out" => RequestEventKind::TimedOut {
-            server: value.get("server")?.as_u32()?,
-            attempt: value.get("attempt")?.as_u32()?,
-        },
-        "backoff" => RequestEventKind::Backoff {
-            until: value.get("until")?.as_f64()?,
-        },
-        "salvaged" => RequestEventKind::Salvaged {
-            server: value.get("server")?.as_u32()?,
-        },
-        "requeued" => RequestEventKind::Requeued {
-            from: value.get("from")?.as_u32()?,
-            to: value.get("to")?.as_u32()?,
-        },
-        "migrated" => RequestEventKind::Migrated {
-            from: value.get("from")?.as_u32()?,
-            to: value.get("to")?.as_u32()?,
-        },
-        "dropped" => RequestEventKind::Dropped {
-            server: value.get("server")?.as_u32()?,
-        },
-        "hedged" => RequestEventKind::Hedged {
-            server: value.get("server")?.as_u32()?,
-            attempt: value.get("attempt")?.as_u32()?,
-        },
-        "hedge_won" => RequestEventKind::HedgeWon {
-            server: value.get("server")?.as_u32()?,
-        },
-        "hedge_cancelled" => RequestEventKind::HedgeCancelled {
-            server: value.get("server")?.as_u32()?,
-        },
-        other => return Err(format!("unknown request event kind `{other}`")),
+    let kind = match kind {
+        "routed" => RequestEventKind::Routed { server, attempt },
+        "timed_out" => RequestEventKind::TimedOut { server, attempt },
+        "backoff" => RequestEventKind::Backoff { until },
+        "salvaged" => RequestEventKind::Salvaged { server },
+        "requeued" => RequestEventKind::Requeued { from, to },
+        "migrated" => RequestEventKind::Migrated { from, to },
+        "dropped" => RequestEventKind::Dropped { server },
+        "hedged" => RequestEventKind::Hedged { server, attempt },
+        "hedge_won" => RequestEventKind::HedgeWon { server },
+        "hedge_cancelled" => RequestEventKind::HedgeCancelled { server },
+        _ => unreachable!("`kind` is required and checked"),
     };
     Ok(RequestEvent { at, kind })
 }
 
-fn parse_server_event(value: &Value) -> Result<ServerEvent, String> {
-    let at = value.get("at")?.as_f64()?;
-    let server = value.get("server")?.as_u32()?;
-    let kind = match value.get("kind")?.as_str()? {
+fn read_server_event(json: &mut Json) -> Result<ServerEvent, JsonError> {
+    let (mut at, mut server, mut kind, mut slowdown, mut mhz) = (0.0, 0, "", 0.0, None);
+    let mut fields = json.object("server event", &["at", "server", "kind", "slowdown", "mhz"])?;
+    while let Some(field) = fields.next(json)? {
+        match field {
+            "at" => at = json.f64()?,
+            "server" => server = json.uint()?,
+            "kind" => kind = read_kind(json, &mut fields, "server event", SERVER_EVENT_KINDS)?,
+            "slowdown" => slowdown = json.f64()?,
+            "mhz" => mhz = json.optional(Reader::uint)?,
+            _ => unreachable!("a server event has only its names"),
+        }
+    }
+    let kind = match kind {
         "down" => ServerEventKind::Down,
         "up" => ServerEventKind::Up,
-        "straggle_start" => ServerEventKind::StraggleStart {
-            slowdown: value.get("slowdown")?.as_f64()?,
-        },
+        "straggle_start" => ServerEventKind::StraggleStart { slowdown },
         "straggle_end" => ServerEventKind::StraggleEnd,
-        "freq_stuck" => ServerEventKind::FreqStuck {
-            mhz: match value.get("mhz")? {
-                Value::Null => None,
-                other => Some(other.as_u32()?),
-            },
-        },
-        other => return Err(format!("unknown server event kind `{other}`")),
+        "freq_stuck" => ServerEventKind::FreqStuck { mhz },
+        _ => unreachable!("`kind` is required and checked"),
     };
     Ok(ServerEvent { at, server, kind })
 }
 
-fn parse_epoch(value: &Value) -> Result<EpochSample, String> {
-    let mut per_server = Vec::new();
-    for server in value.get("per_server")?.as_arr()? {
-        per_server.push(ServerSample {
-            queued: server.get("queued")?.as_u32()?,
-            in_flight: server.get("in_flight")?.as_u32()?,
-            freq_mhz: server.get("freq_mhz")?.as_u32()?,
-            power: server.get("power")?.as_f64()?,
-            down: server.get("down")?.as_bool()?,
-        });
+fn read_request(json: &mut Json) -> Result<RequestTrace, JsonError> {
+    let mut request = RequestTrace {
+        id: 0,
+        arrival: 0.0,
+        start: None,
+        completion: None,
+        server: None,
+        events: Vec::new(),
+    };
+    let names = &["id", "arrival", "start", "completion", "server", "events"];
+    let mut fields = json.object("request", names)?;
+    while let Some(field) = fields.next(json)? {
+        match field {
+            "id" => request.id = json.uint()?,
+            "arrival" => request.arrival = json.f64()?,
+            "start" => request.start = json.optional(Reader::f64)?,
+            "completion" => request.completion = json.optional(Reader::f64)?,
+            "server" => request.server = json.optional(Reader::uint)?,
+            "events" => request.events = json.list(read_request_event)?,
+            _ => unreachable!("a request has only its names"),
+        }
     }
-    Ok(EpochSample {
-        start: value.get("start")?.as_f64()?,
-        end: value.get("end")?.as_f64()?,
-        power: value.get("power")?.as_f64()?,
-        queued: value.get("queued")?.as_u32()?,
-        in_flight: value.get("in_flight")?.as_u32()?,
-        completions: value.get("completions")?.as_u32()?,
-        retries: value.get("retries")?.as_u64()?,
-        timeouts: value.get("timeouts")?.as_u64()?,
-        per_server,
-    })
+    Ok(request)
+}
+
+fn read_server_sample(json: &mut Json) -> Result<ServerSample, JsonError> {
+    let mut sample = ServerSample::default();
+    let names = &["queued", "in_flight", "freq_mhz", "power", "down"];
+    let mut fields = json.object("server sample", names)?;
+    while let Some(field) = fields.next(json)? {
+        match field {
+            "queued" => sample.queued = json.uint()?,
+            "in_flight" => sample.in_flight = json.uint()?,
+            "freq_mhz" => sample.freq_mhz = json.uint()?,
+            "power" => sample.power = json.f64()?,
+            "down" => sample.down = json.bool()?,
+            _ => unreachable!("a server sample has only its names"),
+        }
+    }
+    Ok(sample)
+}
+
+fn read_epoch(json: &mut Json) -> Result<EpochSample, JsonError> {
+    let mut epoch = EpochSample::default();
+    let names = &[
+        "start",
+        "end",
+        "power",
+        "queued",
+        "in_flight",
+        "completions",
+        "retries",
+        "timeouts",
+        "per_server",
+    ];
+    let mut fields = json.object("epoch", names)?;
+    while let Some(field) = fields.next(json)? {
+        match field {
+            "start" => epoch.start = json.f64()?,
+            "end" => epoch.end = json.f64()?,
+            "power" => epoch.power = json.f64()?,
+            "queued" => epoch.queued = json.uint()?,
+            "in_flight" => epoch.in_flight = json.uint()?,
+            "completions" => epoch.completions = json.uint()?,
+            "retries" => epoch.retries = json.uint()?,
+            "timeouts" => epoch.timeouts = json.uint()?,
+            "per_server" => epoch.per_server = json.list(read_server_sample)?,
+            _ => unreachable!("an epoch has only its names"),
+        }
+    }
+    Ok(epoch)
 }
 
 /// Parse a `rubik-trace-v1` JSON document back into a [`TraceLog`].
-pub fn from_json(text: &str) -> Result<TraceLog, String> {
-    let mut parser = Parser::new(text);
-    let root = parser.parse_value()?;
-    let format = root.get("format")?.as_str()?;
-    if format != FORMAT {
-        return Err(format!("unsupported trace format `{format}`"));
-    }
-    let mut requests = Vec::new();
-    for request in root.get("requests")?.as_arr()? {
-        let mut events = Vec::new();
-        for event in request.get("events")?.as_arr()? {
-            events.push(parse_request_event(event)?);
+///
+/// # Errors
+///
+/// Returns the first syntax or schema error, with its byte offset.
+pub fn from_json(text: &str) -> Result<TraceLog, JsonError> {
+    let mut json = Reader::new(text.as_bytes());
+    let mut log = TraceLog::default();
+    let names = &[
+        "format",
+        "servers",
+        "end",
+        "requests",
+        "server_events",
+        "epochs",
+    ];
+    let mut fields = json.object("trace", names)?;
+    while let Some(field) = fields.next(&mut json)? {
+        match field {
+            "format" => {
+                let at = json.token_offset()?;
+                let format = json.str()?;
+                if format != FORMAT {
+                    let message = format!("unsupported trace format `{format}`");
+                    return Err(JsonError::new(message, at));
+                }
+            }
+            "servers" => log.servers = json.uint()?,
+            "end" => log.end = json.f64()?,
+            "requests" => log.requests = json.list(read_request)?,
+            "server_events" => log.server_events = json.list(read_server_event)?,
+            "epochs" => log.epochs = json.list(read_epoch)?,
+            _ => unreachable!("a trace has only its names"),
         }
-        requests.push(RequestTrace {
-            id: request.get("id")?.as_u64()?,
-            arrival: request.get("arrival")?.as_f64()?,
-            start: request.get("start")?.as_opt_f64()?,
-            completion: request.get("completion")?.as_opt_f64()?,
-            server: match request.get("server")? {
-                Value::Null => None,
-                other => Some(other.as_u32()?),
-            },
-            events,
-        });
     }
-    let mut server_events = Vec::new();
-    for event in root.get("server_events")?.as_arr()? {
-        server_events.push(parse_server_event(event)?);
-    }
-    let mut epochs = Vec::new();
-    for epoch in root.get("epochs")?.as_arr()? {
-        epochs.push(parse_epoch(epoch)?);
-    }
-    Ok(TraceLog {
-        servers: root.get("servers")?.as_u64()? as usize,
-        end: root.get("end")?.as_f64()?,
-        requests,
-        server_events,
-        epochs,
-    })
+    json.end()?;
+    Ok(log)
 }
 
 #[cfg(test)]
@@ -734,7 +571,7 @@ mod tests {
     #[test]
     fn rejects_foreign_formats() {
         let err = from_json("{\"format\":\"other\"}").unwrap_err();
-        assert!(err.contains("unsupported trace format"));
+        assert!(err.to_string().contains("unsupported trace format"));
     }
 
     #[test]
@@ -747,9 +584,52 @@ mod tests {
 
     #[test]
     fn parser_handles_escapes_and_exponents() {
-        let mut parser = Parser::new(r#"{"s":"a\"b\\c","n":-1.5e-3}"#);
-        let value = parser.parse_value().unwrap();
-        assert_eq!(value.get("s").unwrap().as_str().unwrap(), "a\"b\\c");
-        assert_eq!(value.get("n").unwrap().as_f64().unwrap(), -1.5e-3);
+        let text = r#"{"s":"a\"b\\c","n":-1.5e-3}"#;
+        let mut json = Reader::new(text.as_bytes());
+        let mut fields = json.object("test", &["s", "n"]).unwrap();
+        while let Some(field) = fields.next(&mut json).unwrap() {
+            match field {
+                "s" => assert_eq!(json.str().unwrap(), "a\"b\\c"),
+                _ => assert_eq!(json.f64().unwrap(), -1.5e-3),
+            }
+        }
+    }
+
+    #[test]
+    fn reader_is_as_strict_as_the_trace_codec() {
+        // Each case was accepted, or read back wrong, before telemetry
+        // read through the shared tokenizer.
+        let valid = to_json(&sample_log());
+        let big_id = (1u64 << 53) + 1;
+        let cases = [
+            (
+                "trailing data",
+                format!("{valid}this is not json"),
+                Some("trailing data"),
+            ),
+            (
+                "a repeated key",
+                valid.replacen("\"servers\":2", "\"servers\":2,\"servers\":3", 1),
+                Some("duplicate trace field \"servers\""),
+            ),
+            (
+                "an overflowing float",
+                valid.replacen("\"end\":1.5", "\"end\":1e999", 1),
+                Some("expected a finite number"),
+            ),
+            (
+                "an id above 2^53",
+                valid.replacen("{\"id\":3,", &format!("{{\"id\":{big_id},"), 1),
+                None,
+            ),
+        ];
+        for (what, text, error) in cases {
+            assert_ne!(text, valid, "{what}: the case must change the document");
+            match (from_json(&text), error) {
+                (Err(e), Some(needle)) => assert!(e.to_string().contains(needle), "{what}: {e}"),
+                (Ok(log), None) => assert_eq!(log.requests[1].id, big_id, "{what}"),
+                (got, _) => panic!("{what}: {got:?}"),
+            }
+        }
     }
 }

@@ -23,8 +23,9 @@
 //!
 //! Logs serialize to a self-describing JSON document ([`to_json`] /
 //! [`from_json`]) and to Chrome `trace_event` format ([`to_chrome_json`])
-//! viewable in `chrome://tracing` or Perfetto — both hand-rolled because the
-//! build environment is offline.
+//! viewable in `chrome://tracing` or Perfetto. [`from_json`] reads through
+//! the workspace's one JSON tokenizer (`rubik-json`), with the same strict
+//! rules as trace replay.
 //!
 //! # Zero cost when disabled
 //!

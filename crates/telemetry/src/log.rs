@@ -3,15 +3,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{RequestEvent, RequestEventKind, ServerEvent};
 use crate::fleet::EpochSample;
 use crate::sink::Recorder;
 use rubik_sim::RunResult;
 
 /// The full lifecycle of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
     /// Request identifier.
     pub id: u64,
@@ -57,7 +55,7 @@ impl RequestTrace {
 ///
 /// Serializes to JSON via [`crate::json::to_json`] and to Chrome
 /// `trace_event` format via [`crate::chrome::to_chrome_json`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceLog {
     /// Number of servers in the fleet.
     pub servers: usize,

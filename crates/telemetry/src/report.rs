@@ -15,14 +15,12 @@
 //! `queueing + service + backoff + downtime == total` (up to float
 //! rounding, which the queueing residual absorbs).
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::RequestEventKind;
 use crate::log::{RequestTrace, TraceLog};
 use rubik_stats::percentile;
 
 /// One request's latency split into attribution buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyBreakdown {
     /// Time waiting in a healthy server's queue.
     pub queueing: f64,
@@ -61,7 +59,7 @@ impl LatencyBreakdown {
 }
 
 /// Attribution of a tail cohort, produced by [`TraceLog::attribute`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributionReport {
     /// The tail quantile the cohort was selected at (e.g. `0.95`).
     pub quantile: f64,

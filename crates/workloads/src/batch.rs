@@ -14,13 +14,11 @@
 //! with a fair LLC share) consists of a compute part that scales with `1/f`
 //! and a memory part that does not.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::Freq;
 use rubik_stats::DeterministicRng;
 
 /// Model of one batch application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchApp {
     name: String,
     /// Fraction of nominal-frequency execution time that is memory-bound
@@ -126,7 +124,7 @@ impl BatchApp {
 
 /// A mix of batch applications co-scheduled on one server (the paper uses 20
 /// mixes of six randomly chosen SPEC CPU2006 apps, Sec. 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchMix {
     /// Mix identifier (0-based).
     pub id: usize,

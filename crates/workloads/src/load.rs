@@ -6,11 +6,9 @@
 //! describes load as a fraction of the application's capacity at nominal
 //! frequency, as a function of time.
 
-use serde::{Deserialize, Serialize};
-
 /// Offered load (fraction of nominal-frequency capacity) as a function of
 /// time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadProfile {
     /// Constant load for the given duration (seconds).
     Constant {

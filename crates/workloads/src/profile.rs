@@ -11,13 +11,11 @@
 //!   DVFS),
 //! * the number of requests the paper simulates.
 
-use serde::{Deserialize, Serialize};
-
 use rubik_sim::Freq;
 use rubik_stats::ServiceSampler;
 
 /// Shape of the per-request work distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceShape {
     /// Tightly clustered around the mean (log-normal with small CoV).
     Clustered,
@@ -31,7 +29,7 @@ pub enum ServiceShape {
 }
 
 /// Model of one latency-critical application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     name: String,
     description: String,

@@ -3,44 +3,37 @@
 //! The paper's trace-driven characterization (Sec. 5.3) captures per-request
 //! arrival times, core cycles, and memory-bound times, and replays the same
 //! trace under different schemes so that every scheme sees an identical
-//! request stream. These helpers persist [`Trace`]s as JSON so experiments
-//! can be captured once and replayed by multiple harness binaries.
-//!
-//! The JSON codec is hand-rolled (the offline build has no serde_json) but
-//! uses serde_json's layout for the same types, so files remain compatible
-//! if the real dependency is restored:
+//! request stream. This module is the one codec for such traces:
+//! [`TraceWriter`] appends requests to any [`Write`] as they are generated,
+//! and [`TraceReader`] pulls them back one at a time from any [`Read`]
+//! through `rubik-json`'s tokenizer, so neither side holds more than one
+//! request and a fixed buffer, however long the trace. [`to_json`],
+//! [`from_json`], [`save`] and [`load`] are whole-trace wrappers over the
+//! two.
 //!
 //! ```json
-//! {"requests":[{"id":0,"arrival":0.0,"compute_cycles":1.0e6,
-//!               "membound_time":1.0e-5,"class":0}, ...]}
+//! {"requests":[{"id":0,"arrival":0e0,"compute_cycles":1e6,
+//!               "membound_time":1e-5,"class":0}, ...]}
 //! ```
+//!
+//! Floats are written with `{:e}`, the shortest form that reads back to the
+//! same bits. The reader rejects unknown, duplicate and missing fields,
+//! non-finite numbers, ids that are not exact integers, and anything after
+//! the closing `]}`.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+pub use rubik_json::JsonError;
+use rubik_json::{Elements, Reader};
 use rubik_sim::{RequestSpec, Trace};
-
-/// A JSON syntax or schema error, with the byte offset where it occurred.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    message: String,
-    offset: usize,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
 
 /// Errors returned by trace I/O.
 #[derive(Debug)]
 pub enum TraceIoError {
     /// The underlying file could not be read or written.
-    Io(std::io::Error),
+    Io(io::Error),
     /// The file contents could not be parsed as a trace.
     Parse(JsonError),
 }
@@ -63,8 +56,8 @@ impl std::error::Error for TraceIoError {
     }
 }
 
-impl From<std::io::Error> for TraceIoError {
-    fn from(e: std::io::Error) -> Self {
+impl From<io::Error> for TraceIoError {
+    fn from(e: io::Error) -> Self {
         TraceIoError::Io(e)
     }
 }
@@ -77,22 +70,9 @@ impl From<JsonError> for TraceIoError {
 
 /// Serializes a trace to a JSON string.
 pub fn to_json(trace: &Trace) -> String {
-    let mut out = String::with_capacity(64 * trace.len() + 16);
-    out.push_str("{\"requests\":[");
-    for (i, r) in trace.requests().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // `{:e}` prints the shortest-roundtrip mantissa, so values survive a
-        // write/read cycle bit-exactly.
-        out.push_str(&format!(
-            "{{\"id\":{},\"arrival\":{:e},\"compute_cycles\":{:e},\
-             \"membound_time\":{:e},\"class\":{}}}",
-            r.id, r.arrival, r.compute_cycles, r.membound_time, r.class
-        ));
-    }
-    out.push_str("]}");
-    out
+    let mut out = Vec::with_capacity(64 * trace.len() + 16);
+    write_trace(trace, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the writer emits ASCII")
 }
 
 /// Parses a trace from a JSON string.
@@ -101,16 +81,7 @@ pub fn to_json(trace: &Trace) -> String {
 ///
 /// Returns [`TraceIoError::Parse`] if the string is not a valid trace.
 pub fn from_json(json: &str) -> Result<Trace, TraceIoError> {
-    let mut p = Parser {
-        bytes: json.as_bytes(),
-        pos: 0,
-    };
-    let trace = p.parse_trace()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing data after trace").into());
-    }
-    Ok(trace)
+    read_trace(TraceReader::new(json.as_bytes())?)
 }
 
 /// Writes a trace to a JSON file.
@@ -119,9 +90,7 @@ pub fn from_json(json: &str) -> Result<Trace, TraceIoError> {
 ///
 /// Returns [`TraceIoError::Io`] if the file cannot be written.
 pub fn save<P: AsRef<Path>>(trace: &Trace, path: P) -> Result<(), TraceIoError> {
-    let file = File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    writer.write_all(to_json(trace).as_bytes())?;
+    write_trace(trace, BufWriter::new(File::create(path)?))?;
     Ok(())
 }
 
@@ -132,190 +101,215 @@ pub fn save<P: AsRef<Path>>(trace: &Trace, path: P) -> Result<(), TraceIoError> 
 /// Returns [`TraceIoError::Io`] if the file cannot be read and
 /// [`TraceIoError::Parse`] if it is not a valid trace.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<Trace, TraceIoError> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut contents = String::new();
-    reader.read_to_string(&mut contents)?;
-    from_json(&contents)
+    read_trace(TraceReader::open(path)?)
 }
 
-/// A minimal recursive-descent parser for the trace schema. Field order
-/// within a request object is arbitrary; unknown fields are rejected (they
-/// would indicate a schema mismatch, not a newer writer).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn write_trace<W: Write>(trace: &Trace, out: W) -> io::Result<W> {
+    let mut writer = TraceWriter::new(out)?;
+    for r in trace.requests() {
+        writer.write(r)?;
+    }
+    writer.finish()
 }
 
-impl Parser<'_> {
-    fn error(&self, message: &str) -> JsonError {
-        JsonError {
-            message: message.to_string(),
-            offset: self.pos,
+fn read_trace<R: Read>(mut reader: TraceReader<R>) -> Result<Trace, TraceIoError> {
+    let mut requests = Vec::new();
+    while let Some(r) = reader.next_request()? {
+        requests.push(r);
+    }
+    Ok(Trace::new(requests))
+}
+
+/// Writes a trace one request at a time.
+///
+/// Call [`TraceWriter::finish`] to close the JSON structure; a writer
+/// dropped without it leaves a truncated trace that readers reject, never
+/// a silently short one.
+#[derive(Debug)]
+pub struct TraceWriter<W: Write> {
+    out: W,
+    written: usize,
+}
+
+impl TraceWriter<BufWriter<File>> {
+    /// Creates (truncating) a trace file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the file cannot be created.
+    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+        Self::new(BufWriter::new(File::create(path)?))
+    }
+}
+
+impl<W: Write> TraceWriter<W> {
+    /// Starts a trace on any writer (the JSON header is written
+    /// immediately).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the header cannot be written.
+    pub fn new(mut out: W) -> io::Result<Self> {
+        out.write_all(b"{\"requests\":[")?;
+        Ok(Self { out, written: 0 })
+    }
+
+    /// Appends one request.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the record cannot be written.
+    pub fn write(&mut self, r: &RequestSpec) -> io::Result<()> {
+        if self.written > 0 {
+            self.out.write_all(b",")?;
+        }
+        // `{:e}` prints the shortest-roundtrip mantissa, so values survive a
+        // write/read cycle bit-exactly.
+        write!(
+            self.out,
+            "{{\"id\":{},\"arrival\":{:e},\"compute_cycles\":{:e},\
+             \"membound_time\":{:e},\"class\":{}}}",
+            r.id, r.arrival, r.compute_cycles, r.membound_time, r.class
+        )?;
+        self.written += 1;
+        Ok(())
+    }
+
+    /// Closes the JSON structure and flushes, returning the inner writer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the trailer cannot be written.
+    pub fn finish(mut self) -> io::Result<W> {
+        self.out.write_all(b"]}")?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+}
+
+/// The request fields, in the order the writer puts them.
+const FIELDS: &[&str] = &["id", "arrival", "compute_cycles", "membound_time", "class"];
+
+/// Reads a trace one request per call, holding one request and a fixed
+/// buffer however long the trace is.
+#[derive(Debug)]
+pub struct TraceReader<R: Read> {
+    json: Reader<R>,
+    requests: Elements,
+    /// The closing `]}` and the end of the input have been read.
+    done: bool,
+}
+
+impl TraceReader<BufReader<File>> {
+    /// Opens a trace file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::Io`] if the file cannot be opened and
+    /// [`TraceIoError::Parse`] if it does not start with the trace header.
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
+        Self::new(BufReader::new(File::open(path)?))
+    }
+}
+
+impl<R: Read> TraceReader<R> {
+    /// Starts reading a trace from any reader; the `{"requests":[` header
+    /// is read immediately.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::Io`] on a read failure and
+    /// [`TraceIoError::Parse`] if the header is malformed.
+    pub fn new(input: R) -> Result<Self, TraceIoError> {
+        let mut json = Reader::new(input);
+        match Self::header(&mut json) {
+            Ok(requests) => Ok(Self {
+                json,
+                requests,
+                done: false,
+            }),
+            Err(e) => Err(trace_error(&mut json, e)),
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
+    fn header(json: &mut Reader<R>) -> Result<Elements, JsonError> {
+        json.expect(b'{')?;
+        let at = json.token_offset()?;
+        if json.str()? != "requests" {
+            return Err(JsonError::new("expected a \"requests\" field", at));
+        }
+        json.expect(b':')?;
+        json.array()
+    }
+
+    /// The next request, or `None` once the closing `]}` and the end of
+    /// the input have been read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::Io`] on a read failure and
+    /// [`TraceIoError::Parse`] if the next request or the end of the trace
+    /// is malformed. The reader is then left inside the document; stop
+    /// reading.
+    pub fn next_request(&mut self) -> Result<Option<RequestSpec>, TraceIoError> {
+        if self.done {
+            return Ok(None);
+        }
+        self.read_request()
+            .map_err(|e| trace_error(&mut self.json, e))
+    }
+
+    fn read_request(&mut self) -> Result<Option<RequestSpec>, JsonError> {
+        let json = &mut self.json;
+        if !self.requests.next(json)? {
+            json.expect(b'}')?;
+            json.end()?;
+            self.done = true;
+            return Ok(None);
+        }
+        let mut spec = RequestSpec::new(0, 0.0, 0.0, 0.0);
+        let mut fields = json.object("request", FIELDS)?;
+        while let Some(field) = fields.next(json)? {
+            match field {
+                "id" => spec.id = json.uint()?,
+                "arrival" => spec.arrival = json.f64()?,
+                "compute_cycles" => spec.compute_cycles = json.f64()?,
+                "membound_time" => spec.membound_time = json.f64()?,
+                "class" => spec.class = json.uint()?,
+                _ => unreachable!("a request has only FIELDS"),
             }
         }
+        Ok(Some(spec))
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
+    /// Bytes of the trace read so far.
+    pub fn offset(&self) -> usize {
+        self.json.offset()
+    }
+
+    /// Checks that the whole trace has been read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::Parse`] if the closing `]}` has not been
+    /// read.
+    pub fn finish(self) -> Result<(), TraceIoError> {
+        if self.done {
             Ok(())
         } else {
-            Err(self.error(&format!("expected '{}'", c as char)))
+            Err(TraceIoError::Parse(JsonError::new(
+                "trace stream ended before the closing \"]}\"",
+                self.offset(),
+            )))
         }
     }
+}
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err(self.error("escape sequences are not used by trace files"));
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8 in string"))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.error("unterminated string"))
-    }
-
-    /// Scans a numeric token and returns it as a string slice; field-typed
-    /// parsing happens at the call site.
-    fn number_token(&mut self) -> Result<&str, JsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("expected a number"))
-    }
-
-    fn parse_f64(&mut self) -> Result<f64, JsonError> {
-        // Rust's parser maps out-of-range literals to ±inf; a trace with
-        // infinite work or arrival times would silently poison every
-        // downstream latency computation, so reject non-finite here.
-        let parsed = self.number_token()?.parse::<f64>().ok();
-        match parsed {
-            Some(v) if v.is_finite() => Ok(v),
-            _ => Err(self.error("expected a finite number")),
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, JsonError> {
-        let parsed = self.number_token()?.parse::<u64>().ok();
-        parsed.ok_or_else(|| self.error("expected a non-negative integer"))
-    }
-
-    fn parse_u32(&mut self) -> Result<u32, JsonError> {
-        let parsed = self.number_token()?.parse::<u32>().ok();
-        parsed.ok_or_else(|| self.error("expected a non-negative integer"))
-    }
-
-    fn parse_request(&mut self) -> Result<RequestSpec, JsonError> {
-        self.expect(b'{')?;
-        let mut spec = RequestSpec::new(0, 0.0, 0.0, 0.0);
-        // Like serde, every field must be present exactly once: a request
-        // with silently-defaulted zero work would corrupt replays.
-        let mut seen = [false; 5];
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let slot = match key.as_str() {
-                "id" => {
-                    spec.id = self.parse_u64()?;
-                    0
-                }
-                "arrival" => {
-                    spec.arrival = self.parse_f64()?;
-                    1
-                }
-                "compute_cycles" => {
-                    spec.compute_cycles = self.parse_f64()?;
-                    2
-                }
-                "membound_time" => {
-                    spec.membound_time = self.parse_f64()?;
-                    3
-                }
-                "class" => {
-                    spec.class = self.parse_u32()?;
-                    4
-                }
-                _ => return Err(self.error(&format!("unknown request field \"{key}\""))),
-            };
-            if seen[slot] {
-                return Err(self.error(&format!("duplicate request field \"{key}\"")));
-            }
-            seen[slot] = true;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    if let Some(missing) = seen.iter().position(|&s| !s) {
-                        const FIELDS: [&str; 5] =
-                            ["id", "arrival", "compute_cycles", "membound_time", "class"];
-                        return Err(
-                            self.error(&format!("missing request field \"{}\"", FIELDS[missing]))
-                        );
-                    }
-                    return Ok(spec);
-                }
-                _ => return Err(self.error("expected ',' or '}' in request object")),
-            }
-        }
-    }
-
-    fn parse_trace(&mut self) -> Result<Trace, JsonError> {
-        self.expect(b'{')?;
-        let key = self.parse_string()?;
-        if key != "requests" {
-            return Err(self.error("expected a \"requests\" field"));
-        }
-        self.expect(b':')?;
-        self.expect(b'[')?;
-        let mut requests = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-        } else {
-            loop {
-                requests.push(self.parse_request()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.error("expected ',' or ']' in request array")),
-                }
-            }
-        }
-        self.expect(b'}')?;
-        Ok(Trace::new(requests))
+/// A tokenizer error as a trace error: the I/O error behind it, if any.
+fn trace_error<R>(json: &mut Reader<R>, e: JsonError) -> TraceIoError {
+    match json.take_io_error() {
+        Some(io) => TraceIoError::Io(io),
+        None => TraceIoError::Parse(e),
     }
 }
 
@@ -454,6 +448,63 @@ mod tests {
     fn trailing_garbage_is_rejected() {
         let err = from_json("{\"requests\":[]} extra").unwrap_err();
         assert!(matches!(err, TraceIoError::Parse(_)));
+    }
+
+    /// 64-bit FNV-1a: pins writer output without checking the bytes in.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        // Length and hash of the writer's output, taken before the batch
+        // and streaming codecs were merged into one.
+        let trace = WorkloadGenerator::new(AppProfile::masstree(), 1).steady_trace(0.4, 200);
+        let json = to_json(&trace);
+        assert_eq!(
+            (json.len(), fnv1a(json.as_bytes())),
+            (25_225, 12_958_152_575_550_001_346)
+        );
+    }
+
+    #[test]
+    fn reader_memory_is_bounded_by_buffer_not_trace() {
+        // The reader's buffer is fixed-size; a large trace streams through
+        // it without growing allocations proportional to the trace.
+        let trace = WorkloadGenerator::new(AppProfile::masstree(), 5).steady_trace(0.4, 2_000);
+        let json = to_json(&trace);
+        let mut reader = TraceReader::new(json.as_bytes()).unwrap();
+        assert_eq!(reader.json.window(), 8 * 1024);
+        let mut replayed = 0;
+        while reader.next_request().unwrap().is_some() {
+            replayed += 1;
+        }
+        assert_eq!(reader.json.window(), 8 * 1024);
+        assert_eq!(replayed, 2_000);
+    }
+
+    #[test]
+    fn read_failures_are_reported_as_io_errors() {
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk gone"))
+            }
+        }
+        let trace = WorkloadGenerator::new(AppProfile::masstree(), 3).steady_trace(0.4, 10);
+        let json = to_json(&trace);
+        let half = &json.as_bytes()[..json.len() / 2];
+        let mut reader = TraceReader::new(half.chain(Broken)).unwrap();
+        let err = loop {
+            match reader.next_request() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("a failing input cannot end cleanly"),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, TraceIoError::Io(_)), "{err}");
     }
 
     #[test]
