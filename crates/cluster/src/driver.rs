@@ -1,8 +1,8 @@
 //! The cluster driver: N `ServerSim`s multiplexed through one event loop.
 //!
 //! Every server is an independent open-loop simulation
-//! ([`rubik_sim::ServerSim`]); the driver owns a binary heap of
-//! `(next event time, server)` entries and always advances the globally
+//! ([`rubik_sim::ServerSim`]); the driver keeps one event slot per server,
+//! holding that server's next event time, and always advances the globally
 //! earliest event, so thousands of servers run in one process with no
 //! threads and no per-server clocks to reconcile. Arrivals from the global
 //! request stream are routed by a [`Router`] and offered to the chosen
@@ -11,20 +11,20 @@
 //!
 //! # Event ordering and determinism
 //!
-//! The heap orders events by `(time, server index)`, and every routing
-//! decision observes the fleet *after* all server events strictly before
-//! the arrival instant have been processed (events at exactly the arrival
-//! instant are sequenced by the destination server's own round order, which
-//! is what makes a 1-server cluster bitwise-identical to
-//! [`rubik_sim::Server::run`]). Entries are stamped and lazily invalidated:
-//! whenever a server is stepped or offered work, its stamp advances and a
-//! fresh entry is pushed, so stale heap entries are skipped on pop. The
-//! whole loop is sequential and deterministic — fleet-scale parallelism
-//! comes from sweeping many cluster cells on `rubik-sweep`, not from
-//! threading inside one cluster.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The slots form a tournament tree ordered by `(time, server index)`, so
+//! the root is the fleet's next event and servers whose events tie — every
+//! server's periodic tick falls on the same instants — step in index order.
+//! Every routing decision observes the fleet *after* all server events
+//! strictly before the arrival instant have been processed (events at
+//! exactly the arrival instant are sequenced by the destination server's
+//! own round order, which is what makes a 1-server cluster
+//! bitwise-identical to [`rubik_sim::Server::run`]). Whenever a server is
+//! stepped, offered work, or changed by a boundary hook, its slot is
+//! rewritten in place with its new next event time (+∞ when it has none),
+//! so the tree never holds an out-of-date entry and the root alone says
+//! whether the fleet has work left. The whole loop is sequential and
+//! deterministic — fleet-scale parallelism comes from sweeping many cluster
+//! cells on `rubik-sweep`, not from threading inside one cluster.
 
 use rubik_load::{ArrivalSource, TraceSource};
 use rubik_power::CorePowerModel;
@@ -33,6 +33,7 @@ use rubik_sim::{DvfsPolicy, RequestSpec, RunResult, ServerSim, SimConfig, SimEve
 use crate::fault::{FaultLayer, FaultPlan, HedgeResolution, OpKind, RequestPolicy};
 use crate::fleet::{EpochMeter, FleetCommand, FleetController, FleetSpec, ServerPowerView};
 use crate::migrate::{Migration, Migrator};
+use crate::min_tree::{from_total_order_bits, total_order_bits, MinTree};
 use crate::outcome::ClusterOutcome;
 use crate::router::{RouteTree, Router, ServerHealth, ServerView};
 use rubik_telemetry::{
@@ -135,43 +136,6 @@ impl std::fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
-
-/// A heap entry: the next event of one server, stamped for lazy
-/// invalidation.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    time: f64,
-    server: usize,
-    stamp: u64,
-}
-
-impl HeapEntry {
-    fn key(&self) -> (f64, usize, u64) {
-        (self.time, self.server, self.stamp)
-    }
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let (t0, s0, v0) = self.key();
-        let (t1, s1, v1) = other.key();
-        t0.total_cmp(&t1).then(s0.cmp(&s1)).then(v0.cmp(&v1))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// A fleet of simulated servers behind a load balancer.
 ///
@@ -702,27 +666,26 @@ impl<P: DvfsPolicy> Cluster<P> {
     }
 }
 
-/// The driver's event-loop state: the fleet, one stamped heap of server
-/// events, the incrementally maintained router views, and the static
-/// per-server labels the views carry.
+/// The driver's event-loop state: the fleet, one event slot per server, the
+/// incrementally maintained router views, and the static per-server labels
+/// the views carry.
 struct EventLoop<P: DvfsPolicy> {
     servers: Vec<ServerSim<P>>,
-    /// Per-server stamps: a heap entry whose stamp trails its server's is
-    /// stale and skipped on pop.
-    stamps: Vec<u64>,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Each server's next event time as [`total_order_bits`] (+∞ when it
+    /// has none), as of its last [`schedule`](Self::schedule).
+    events: MinTree<u64>,
     views: Vec<ServerView>,
     /// The keys of a keyed router over `views` (`None` for every other
     /// router, decided once per run). Every view write marks the server.
-    tree: Option<RouteTree>,
+    routes: Option<RouteTree>,
     capacities: Vec<f64>,
     classes: Vec<u32>,
     healths: Vec<ServerHealth>,
 }
 
 impl<P: DvfsPolicy> EventLoop<P> {
-    /// Seeds the heap with every server's first event, every router view,
-    /// and — when `router` is keyed — the route tree.
+    /// Seeds every server's event slot with its first event, every router
+    /// view, and — when `router` is keyed — the route tree.
     fn new(
         servers: Vec<ServerSim<P>>,
         capacities: Vec<f64>,
@@ -730,22 +693,11 @@ impl<P: DvfsPolicy> EventLoop<P> {
         router: &dyn Router,
     ) -> Self {
         let n = servers.len();
-        let mut heap = BinaryHeap::with_capacity(2 * n);
-        for (server, sim) in servers.iter().enumerate() {
-            if let Some(time) = sim.next_event_time() {
-                heap.push(Reverse(HeapEntry {
-                    time,
-                    server,
-                    stamp: 0,
-                }));
-            }
-        }
         let mut state = Self {
+            events: MinTree::from_fn(n, |i| event_key(&servers[i])),
             servers,
-            stamps: vec![0; n],
-            heap,
             views: Vec::with_capacity(n),
-            tree: None,
+            routes: None,
             capacities,
             classes,
             healths: vec![ServerHealth::Up; n],
@@ -754,13 +706,20 @@ impl<P: DvfsPolicy> EventLoop<P> {
             let view = state.view_of(i);
             state.views.push(view);
         }
-        state.tree = RouteTree::build(router, &state.views);
+        state.routes = RouteTree::build(router, &state.views);
         state
+    }
+
+    /// The fleet's earliest event as `(time, server)`, the lowest index
+    /// first among equal times; the time is +∞ when no server has one.
+    fn next_event(&self) -> (f64, usize) {
+        let (key, server) = self.events.min();
+        (from_total_order_bits(key), server)
     }
 
     /// Whether any server still has a pending event.
     fn has_events(&self) -> bool {
-        self.servers.iter().any(|s| s.next_event_time().is_some())
+        self.next_event().0 < f64::INFINITY
     }
 
     fn view_of(&self, i: usize) -> ServerView {
@@ -782,8 +741,8 @@ impl<P: DvfsPolicy> EventLoop<P> {
     /// Rewrites server `i`'s router view from its current state.
     fn refresh_view(&mut self, i: usize) {
         self.views[i] = self.view_of(i);
-        if let Some(tree) = &mut self.tree {
-            tree.mark(i);
+        if let Some(routes) = &mut self.routes {
+            routes.mark(i);
         }
     }
 
@@ -795,8 +754,8 @@ impl<P: DvfsPolicy> EventLoop<P> {
         router: &mut dyn Router,
         request: &RequestSpec,
     ) -> Result<usize, ClusterError> {
-        let target = match &mut self.tree {
-            Some(tree) => tree.route(router, &self.views),
+        let target = match &mut self.routes {
+            Some(routes) => routes.route(router, &self.views),
             None => router.route(request, &self.views),
         };
         if target < self.servers.len() {
@@ -811,18 +770,10 @@ impl<P: DvfsPolicy> EventLoop<P> {
     }
 
     /// Re-registers server `i` after its state changed: refreshes its router
-    /// view, advances its stamp (invalidating any entry already in the
-    /// heap), and pushes its current next-event time, if any.
+    /// view and rewrites its event slot with its current next event time.
     fn schedule(&mut self, i: usize) {
         self.refresh_view(i);
-        self.stamps[i] += 1;
-        if let Some(time) = self.servers[i].next_event_time() {
-            self.heap.push(Reverse(HeapEntry {
-                time,
-                server: i,
-                stamp: self.stamps[i],
-            }));
-        }
+        self.events.set(i, event_key(&self.servers[i]));
     }
 
     /// Steps fleet events in `(time, server)` order while they lie strictly
@@ -831,14 +782,10 @@ impl<P: DvfsPolicy> EventLoop<P> {
     /// that resolves a hedged pair cancels the losing copy on the spot
     /// (first-completion-wins).
     fn drain(&mut self, limit: f64, mut layer: Option<&mut FaultLayer>, tele: &mut Telemetry) {
-        while let Some(&Reverse(entry)) = self.heap.peek() {
-            if entry.time >= limit {
+        loop {
+            let (time, server) = self.next_event();
+            if time >= limit {
                 break;
-            }
-            self.heap.pop();
-            let server = entry.server;
-            if entry.stamp != self.stamps[server] {
-                continue; // stale: the server was stepped or offered work since
             }
             let stepped = self.servers[server].step();
             debug_assert!(stepped.is_some(), "a scheduled event must fire");
@@ -850,6 +797,13 @@ impl<P: DvfsPolicy> EventLoop<P> {
             self.schedule(server);
         }
     }
+}
+
+/// The key of a server's event slot: its next event time in total order,
+/// +∞ when it has none. An event at +∞ never lies before a drain limit, so
+/// it never fires, with or without a slot.
+fn event_key<P: DvfsPolicy>(server: &ServerSim<P>) -> u64 {
+    total_order_bits(server.next_event_time().unwrap_or(f64::INFINITY))
 }
 
 /// Cancels the losing copy of a resolved hedged pair after the other copy
@@ -1527,6 +1481,38 @@ mod tests {
         // The slow server burns less power but is slower per request.
         assert!(outcome.per_server[0].tail_latency > outcome.per_server[1].tail_latency);
         assert!(outcome.per_server[0].busy_time > outcome.per_server[1].busy_time);
+    }
+
+    #[test]
+    fn the_event_root_reports_ticks_until_the_fleet_is_closed_and_drained() {
+        let cfg = config();
+        let servers = (0..3)
+            .map(|_| ServerSim::new(cfg.clone(), FixedFrequencyPolicy::new(cfg.dvfs.nominal())))
+            .collect();
+        let mut state = EventLoop::new(servers, vec![1.0; 3], vec![0; 3], &RoundRobin::new());
+        let mut tele = Telemetry::disabled();
+        // Open and idle, every server waits for the same first tick: the
+        // lowest index comes first.
+        assert_eq!(state.next_event(), (cfg.tick_interval, 0));
+        state.servers[2].offer(RequestSpec::new(0, 1e-3, 1.2e6, 0.0));
+        state.schedule(2);
+        assert_eq!(state.next_event(), (1e-3, 2));
+        for i in [0, 2] {
+            state.servers[i].close();
+            state.schedule(i);
+        }
+        // Servers 0 and 2 are closed; 2 still holds its request.
+        assert_eq!(state.next_event(), (1e-3, 2));
+        state.drain(0.5 * cfg.tick_interval, None, &mut tele);
+        assert!(state.servers[2].is_idle());
+        // Both closed servers are drained, so only the open, idle server 1
+        // has an event left: its pending tick.
+        assert!(state.has_events());
+        assert_eq!(state.next_event(), (cfg.tick_interval, 1));
+        state.servers[1].close();
+        state.schedule(1);
+        assert!(!state.has_events());
+        assert_eq!(state.next_event().0, f64::INFINITY);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! This crate models a cluster of N simulated servers — each an independent
 //! open-loop [`rubik_sim::ServerSim`] with its **own** DVFS controller
 //! (Rubik per server) — behind a pluggable [`Router`]. A single
-//! deterministic binary-heap event loop multiplexes every server, so
-//! thousands of servers fit in one process with no threads per server.
+//! deterministic event loop multiplexes every server, keeping one event
+//! slot per server in a tournament tree whose root is the fleet's next
+//! event, so thousands of servers fit in one process with no threads per
+//! server.
 //! The loop is sequential because its lookahead is zero — the router reads
 //! live server views, so every arrival synchronizes the whole fleet — and a
 //! loop partitioned across worker threads measured slower than this one at
@@ -367,6 +369,7 @@ mod driver;
 mod fault;
 mod fleet;
 mod migrate;
+mod min_tree;
 mod outcome;
 mod router;
 mod topology;

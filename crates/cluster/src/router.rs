@@ -6,35 +6,14 @@
 //! [`Cluster`](crate::Cluster) driver immediately before each routing
 //! decision. Routers may keep internal state (e.g. the round-robin cursor)
 //! but must be deterministic: the same request/view sequence must produce
-//! the same choices, or cluster runs stop being reproducible.
-//!
-//! # Keyed routers
-//!
-//! A scored policy can also declare a [`RouteKey`] per view through
-//! [`Router::key`]. Its choice is then the server with the smallest
-//! `(key, index)`, and the driver finds that server without handing the
-//! router the whole fleet: it keeps a tournament tree over the keys,
-//! re-keys only the servers whose views changed since the last route
-//! (O(log n) each), and reads the root. [`JoinShortestQueue`],
-//! [`PowerAware`], and [`HealthAware`] over either are keyed; their
-//! `route` is the same key argmin over a slice, so both paths make the
-//! same choice by construction.
-//!
-//! The contract of a keyed router:
-//!
-//! * `route` returns the key argmin, lowest index first among equal keys;
-//! * the key reads only the view's state, never its `index`, so a keyed
-//!   router ignores the request and keeps no routing state;
-//! * `key` returns `Some` for every view or for none (the driver asks
-//!   once per run, on server 0's view).
-//!
-//! Stateful routers ([`RoundRobin`], [`Passthrough`]) return `None` and are
-//! called with the full view slice on every decision. So is any wrapper
-//! that does not forward `key` — with exactly the same choices, only
-//! O(fleet) per route.
+//! the same choices, or cluster runs stop being reproducible. Scored
+//! policies are [keyed](Router#keyed-routers): the driver routes them from
+//! a tournament tree of their per-server keys.
 
 use rubik_power::CorePowerModel;
 use rubik_sim::{Freq, RequestSpec};
+
+use crate::min_tree::{total_order_bits, MinTree};
 
 /// Health of a server as tracked by the fault layer (see
 /// [`crate::FaultPlan`]). Without a fault plan every server is
@@ -149,17 +128,32 @@ impl RouteKey {
     }
 }
 
-/// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s order.
-fn total_order_bits(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
 /// A load-balancing policy for a [`Cluster`](crate::Cluster).
+///
+/// # Keyed routers
+///
+/// A scored policy can also declare a [`RouteKey`] per view through
+/// [`Router::key`]. Its choice is then the server with the smallest
+/// `(key, index)`, and the driver finds that server without handing the
+/// router the whole fleet: it keeps a tournament tree over the keys,
+/// re-keys only the servers whose views changed since the last route
+/// (O(log n) each), and reads the root. [`JoinShortestQueue`],
+/// [`PowerAware`], and [`HealthAware`] over either are keyed; their
+/// `route` is the same key argmin over a slice, so both paths make the
+/// same choice by construction.
+///
+/// The contract of a keyed router:
+///
+/// * `route` returns the key argmin, lowest index first among equal keys;
+/// * the key reads only the view's state, never its `index`, so a keyed
+///   router ignores the request and keeps no routing state;
+/// * `key` returns `Some` for every view or for none (the driver asks
+///   once per run, on server 0's view).
+///
+/// Stateful routers ([`RoundRobin`], [`Passthrough`]) return `None` and are
+/// called with the full view slice on every decision. So is any wrapper
+/// that does not forward `key` — with exactly the same choices, only
+/// O(fleet) per route.
 pub trait Router {
     /// Human-readable name used in experiment output.
     fn name(&self) -> &str;
@@ -170,7 +164,7 @@ pub trait Router {
     fn route(&mut self, request: &RequestSpec, servers: &[ServerView]) -> usize;
 
     /// This router's score for one server, if it routes by score (see
-    /// [keyed routers](self#keyed-routers)). The default, `None`, keeps
+    /// [keyed routers](Router#keyed-routers)). The default, `None`, keeps
     /// the router on the full-slice [`route`](Router::route) path.
     ///
     /// A router that returns `Some` promises that `route` picks the
@@ -417,16 +411,12 @@ impl<R: Router> Router for HealthAware<R> {
     }
 }
 
-/// A tournament tree over a keyed router's per-server keys: the root holds
-/// the fleet's smallest `(key, index)`, so a keyed route costs O(log n) per
+/// A keyed router's per-server keys in a [`MinTree`]: the root holds the
+/// fleet's smallest `(key, index)`, so a keyed route costs O(log n) per
 /// server whose view changed since the previous route instead of O(n).
 #[derive(Debug)]
 pub(crate) struct RouteTree {
-    /// `nodes[n + i]` is server `i`'s leaf; every node `j` in `1..n` holds
-    /// the smaller of nodes `2j` and `2j + 1`, so node 1 is the minimum
-    /// over all leaves (for any `n`, since the minimum of a total order
-    /// does not care about the tree's shape). `nodes[0]` is unused.
-    nodes: Vec<(RouteKey, u32)>,
+    tree: MinTree<RouteKey>,
     /// Servers whose views changed since the last route, each once.
     dirty: Vec<u32>,
     is_dirty: Vec<bool>,
@@ -437,15 +427,8 @@ impl RouteTree {
     pub(crate) fn build(router: &dyn Router, views: &[ServerView]) -> Option<Self> {
         router.key(views.first()?)?;
         let n = views.len();
-        let mut nodes = vec![(RouteKey::default(), 0); 2 * n];
-        for (i, view) in views.iter().enumerate() {
-            nodes[n + i] = (keyed(router, view), i as u32);
-        }
-        for j in (1..n).rev() {
-            nodes[j] = nodes[2 * j].min(nodes[2 * j + 1]);
-        }
         Some(Self {
-            nodes,
+            tree: MinTree::from_fn(n, |i| keyed(router, &views[i])),
             dirty: Vec::with_capacity(n),
             is_dirty: vec![false; n],
         })
@@ -462,22 +445,12 @@ impl RouteTree {
     /// Re-keys every marked server, then returns the server with the
     /// smallest `(key, index)`.
     pub(crate) fn route(&mut self, router: &dyn Router, views: &[ServerView]) -> usize {
-        let n = self.is_dirty.len();
         for i in self.dirty.drain(..) {
             let i = i as usize;
             self.is_dirty[i] = false;
-            let mut j = n + i;
-            self.nodes[j] = (keyed(router, &views[i]), i as u32);
-            while j > 1 {
-                j /= 2;
-                let best = self.nodes[2 * j].min(self.nodes[2 * j + 1]);
-                if self.nodes[j] == best {
-                    break; // nothing above this node changes either
-                }
-                self.nodes[j] = best;
-            }
+            self.tree.set(i, keyed(router, &views[i]));
         }
-        self.nodes[1].1 as usize
+        self.tree.min().1
     }
 }
 

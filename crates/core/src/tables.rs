@@ -31,8 +31,8 @@
 //! bisecting that shared CDF (evaluating
 //! `P[X_row + Y_i ≤ t] = Σ_a pmf_row[a]·CDF_i[t−a]` directly) without ever
 //! materializing the per-row convolution. The reference per-row builder is
-//! kept as [`TailTable::build_direct`] and the two are checked against each
-//! other by the equivalence tests in
+//! kept as [`TargetTailTables::build_direct`] and the two are checked
+//! against each other by the equivalence tests in
 //! `crates/core/tests/spectral_equivalence.rs` and benchmarked by
 //! `crates/bench/benches/table_rebuild.rs`.
 //!

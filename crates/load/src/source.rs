@@ -269,7 +269,7 @@ impl ArrivalSource for ShapedSource {
 /// conservation accounting). With [`MergedSource::with_class_tags`], each
 /// request's `class` is overwritten with its stream index so routers and
 /// outcome accounting can tell the applications apart — note stream 1 then
-/// shares the label [`rubik_workloads::LONG_REQUEST_CLASS`].
+/// shares the label [`rubik_workloads::generator::LONG_REQUEST_CLASS`].
 pub struct MergedSource {
     streams: Vec<Box<dyn ArrivalSource>>,
     /// Head-of-stream buffer, one pending arrival per inner source.

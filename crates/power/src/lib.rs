@@ -13,7 +13,7 @@
 //!
 //! * [`VfCurve`] — voltage as a function of frequency,
 //! * [`CorePowerModel`] — active/idle/sleep core power and energy from a
-//!   simulation's [`FreqResidency`],
+//!   simulation's [`FreqResidency`](rubik_sim::FreqResidency),
 //! * [`ServerPowerModel`] — uncore, DRAM, and "other" components on top of
 //!   the cores (Fig. 12, Fig. 16),
 //! * [`regression::PowerRegression`] — the RAPL-style model fit,

@@ -7,19 +7,26 @@
 
 /// Returns the `q`-quantile (`0 <= q <= 1`) of `samples`.
 ///
-/// The input does not need to be sorted; a copy is sorted internally. Returns
-/// `None` for an empty slice.
+/// The input does not need to be sorted: the nearest-rank order statistic
+/// is selected in a copy, in expected linear time. Returns `None` for an
+/// empty slice. Values that compare equal under [`f64::partial_cmp`] (only
+/// `-0.0` and `0.0`) are interchangeable, so when both are present the
+/// result may carry either sign.
 ///
 /// # Panics
 ///
-/// Panics if `q` is outside `[0, 1]` or any sample is NaN.
+/// Panics if `q` is outside `[0, 1]`, or if there are two or more samples
+/// and any of them is NaN.
 pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not contain NaN"));
-    Some(percentile_of_sorted(&sorted, q))
+    let rank = nearest_rank(samples.len(), q);
+    let mut values = samples.to_vec();
+    let (_, value, _) = values.select_nth_unstable_by(rank, |a, b| {
+        a.partial_cmp(b).expect("samples must not contain NaN")
+    });
+    Some(*value)
 }
 
 /// Returns the `q`-quantile of an already-sorted, non-empty slice.
@@ -32,15 +39,19 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
         !sorted.is_empty(),
         "cannot take the percentile of no samples"
     );
+    sorted[nearest_rank(sorted.len(), q)]
+}
+
+/// The 0-based position of the `q`-quantile among `n >= 1` sorted samples:
+/// nearest rank with ceiling, the smallest value v such that at least q·n
+/// samples are <= v.
+fn nearest_rank(n: usize, q: f64) -> usize {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
     if q <= 0.0 {
-        return sorted[0];
+        return 0;
     }
-    // Nearest-rank with ceiling: the smallest value v such that at least
-    // q·n samples are <= v.
-    let n = sorted.len();
     let rank = (q * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
+    rank.clamp(1, n) - 1
 }
 
 /// Fraction of samples strictly greater than `bound`.
@@ -104,5 +115,43 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn sorted_percentile_rejects_empty() {
         let _ = percentile_of_sorted(&[], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile must be in [0, 1]")]
+    fn rejects_a_quantile_above_one() {
+        let _ = percentile(&[1.0, 2.0], 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "samples must not contain NaN")]
+    fn rejects_nan_samples() {
+        let mut v: Vec<f64> = (0..50).map(|i| (i % 7) as f64).collect();
+        v[23] = f64::NAN;
+        let _ = percentile(&v, 0.95);
+    }
+
+    #[test]
+    fn selection_matches_a_full_sort_bit_for_bit() {
+        let mut rng = crate::DeterministicRng::new(95);
+        let mut lengths = vec![1, 2, 3, 2000];
+        lengths.extend((0..300).map(|_| 1 + rng.index(2000)));
+        for n in lengths {
+            // Few distinct values, so most ranks fall inside a run of
+            // duplicates; no -0.0, whose sign a selection may not keep.
+            let distinct = 1 + rng.index(12);
+            let v: Vec<f64> = (0..n)
+                .map(|_| (rng.index(distinct) as f64 - 3.0) * 0.75)
+                .collect();
+            let mut sorted = v.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+                assert_eq!(
+                    percentile(&v, q).map(f64::to_bits),
+                    Some(percentile_of_sorted(&sorted, q).to_bits()),
+                    "n = {n}, q = {q}"
+                );
+            }
+        }
     }
 }
