@@ -30,7 +30,7 @@ use rubik_load::{ArrivalSource, TraceSource};
 use rubik_power::CorePowerModel;
 use rubik_sim::{DvfsPolicy, RequestSpec, RunResult, ServerSim, SimConfig, SimEvent, Trace};
 
-use crate::fault::{FaultLayer, FaultPlan, HedgeResolution, OpKind, RequestPolicy};
+use crate::fault::{FaultLayer, FaultPlan, FaultWork, HedgeResolution, OpKind, RequestPolicy};
 use crate::fleet::{EpochMeter, FleetCommand, FleetController, FleetSpec, ServerPowerView};
 use crate::migrate::{Migration, Migrator};
 use crate::min_tree::{from_total_order_bits, total_order_bits, MinTree};
@@ -56,9 +56,8 @@ pub enum ClusterError {
     InvalidLoad,
     /// A streamed [`ArrivalSource`] violated its contract: arrival number
     /// `index` (0-based, in pull order) was yielded at time `at` after an
-    /// arrival at the later (or non-finite) time `prev`. Requests already
-    /// routed before the violation are abandoned — the run produces no
-    /// outcome.
+    /// arrival at the later time `prev`. Requests already routed before the
+    /// violation are abandoned — the run produces no outcome.
     OutOfOrderArrival {
         /// 0-based position of the offending arrival in pull order.
         index: usize,
@@ -66,6 +65,15 @@ pub enum ClusterError {
         at: f64,
         /// The previous arrival's time.
         prev: f64,
+    },
+    /// Arrival number `index` (0-based, in pull order) was yielded at a
+    /// time `at` that is infinite or NaN. The run is abandoned like an
+    /// out-of-order arrival: it produces no outcome.
+    NonFiniteArrival {
+        /// 0-based position of the offending arrival in pull order.
+        index: usize,
+        /// The offending arrival's time.
+        at: f64,
     },
     /// A router chose a server index outside the fleet — for an arrival,
     /// a retry, or a crash-drain requeue. The run is abandoned like an
@@ -109,6 +117,9 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "arrival source must be time-ordered: arrival #{index} at {at} after {prev}"
             ),
+            ClusterError::NonFiniteArrival { index, at } => {
+                write!(f, "arrival #{index} at {at} is not a finite time")
+            }
             ClusterError::RouteOutOfRange {
                 router,
                 server,
@@ -137,17 +148,19 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// The quantile of every tail latency a run reports.
+const TAIL_QUANTILE: f64 = 0.95;
+
 /// A fleet of simulated servers behind a load balancer.
 ///
 /// Built with one [`DvfsPolicy`] instance per server (Rubik per server, in
 /// the paper's setting) and a [`Router`]; consumed by [`Cluster::run`],
 /// which drives the global arrival stream through the fleet and aggregates
-/// a [`ClusterOutcome`].
+/// a [`ClusterOutcome`], whose tail latencies are 95th percentiles.
 pub struct Cluster<P: DvfsPolicy = Box<dyn DvfsPolicy>> {
     servers: Vec<ServerSim<P>>,
     router: Box<dyn Router>,
     power: CorePowerModel,
-    quantile: f64,
     /// Per-server capacity weight (1.0 everywhere for homogeneous fleets).
     capacities: Vec<f64>,
     /// Per-server core-class index (0 everywhere for homogeneous fleets).
@@ -169,7 +182,6 @@ impl<P: DvfsPolicy> std::fmt::Debug for Cluster<P> {
         f.debug_struct("Cluster")
             .field("servers", &self.servers.len())
             .field("router", &self.router.name())
-            .field("quantile", &self.quantile)
             .field("fleet", &self.fleet.as_ref().map(|f| f.name()))
             .field("migrator", &self.migrator.as_ref().map(|m| m.name()))
             .field("telemetry", &self.telemetry.is_enabled())
@@ -225,7 +237,6 @@ impl<P: DvfsPolicy> Cluster<P> {
             servers,
             router,
             power: CorePowerModel::haswell_like(),
-            quantile: 0.95,
             capacities: (0..n).map(|i| spec.capacity_of(i)).collect(),
             classes: (0..n).map(|i| spec.class_index_of(i)).collect(),
             fleet: None,
@@ -346,16 +357,6 @@ impl<P: DvfsPolicy> Cluster<P> {
         self
     }
 
-    /// Overrides the tail quantile (default 0.95).
-    pub fn with_quantile(mut self, quantile: f64) -> Self {
-        assert!(
-            quantile > 0.0 && quantile < 1.0,
-            "quantile must be in (0, 1)"
-        );
-        self.quantile = quantile;
-        self
-    }
-
     /// Number of servers in the fleet.
     pub fn len(&self) -> usize {
         self.servers.len()
@@ -381,10 +382,11 @@ impl<P: DvfsPolicy> Cluster<P> {
     ///
     /// # Panics
     ///
-    /// Panics with the error's message if the router picks a server outside
-    /// the fleet ([`ClusterError::RouteOutOfRange`]), the migrator plans an
-    /// invalid move ([`ClusterError::InvalidMigration`]), or the fleet
-    /// controller issues an invalid command
+    /// Panics with the error's message if a request arrives at an infinite
+    /// or NaN time ([`ClusterError::NonFiniteArrival`]), the router picks a
+    /// server outside the fleet ([`ClusterError::RouteOutOfRange`]), the
+    /// migrator plans an invalid move ([`ClusterError::InvalidMigration`]),
+    /// or the fleet controller issues an invalid command
     /// ([`ClusterError::InvalidFleetCommand`]). The batch `run*` methods all
     /// do; [`Cluster::run_streamed`] returns the error instead.
     pub fn run(self, trace: &Trace) -> ClusterOutcome {
@@ -406,13 +408,14 @@ impl<P: DvfsPolicy> Cluster<P> {
     ///
     /// Returns [`ClusterError::OutOfOrderArrival`] if the source yields
     /// arrivals out of time order (a violation of the [`ArrivalSource`]
-    /// contract), [`ClusterError::RouteOutOfRange`] if the router sends an
-    /// arrival, a retry, or a requeued request outside the fleet,
-    /// [`ClusterError::InvalidMigration`] if the migrator plans a move that
-    /// names a server outside the fleet or moves a server's queue onto
-    /// itself, and [`ClusterError::InvalidFleetCommand`] if the fleet
-    /// controller commands an unknown server or scales a bound by a
-    /// non-positive or non-finite factor.
+    /// contract), [`ClusterError::NonFiniteArrival`] if it yields an
+    /// arrival at an infinite or NaN time, [`ClusterError::RouteOutOfRange`]
+    /// if the router sends an arrival, a retry, or a requeued request
+    /// outside the fleet, [`ClusterError::InvalidMigration`] if the migrator
+    /// plans a move that names a server outside the fleet or moves a
+    /// server's queue onto itself, and [`ClusterError::InvalidFleetCommand`]
+    /// if the fleet controller commands an unknown server or scales a bound
+    /// by a non-positive or non-finite factor.
     pub fn run_streamed<S: ArrivalSource>(self, source: S) -> Result<ClusterOutcome, ClusterError> {
         Ok(self.run_streamed_with_results(source)?.0)
     }
@@ -567,15 +570,18 @@ impl<P: DvfsPolicy> Cluster<P> {
         let mut offered = 0usize;
         let mut last_arrival = f64::NEG_INFINITY;
         while let Some(request) = source.next_arrival() {
-            if !matches!(
-                request.arrival.partial_cmp(&last_arrival),
-                Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-            ) {
-                // A misbehaving user source is an input error, not a driver
-                // bug: surface it through the result path (this also traps
-                // NaN arrivals, which compare as incomparable). Typed here
-                // instead of an assert so `run_streamed` callers can
-                // handle it.
+            // A misbehaving user source is an input error, not a driver bug:
+            // surface it through the result path, typed so `run_streamed`
+            // callers can handle it. An arrival at +∞ would otherwise drain
+            // open servers whose ticks never end, and one at −∞ would be
+            // offered before a server's clock starts.
+            if !request.arrival.is_finite() {
+                return Err(ClusterError::NonFiniteArrival {
+                    index: offered,
+                    at: request.arrival,
+                });
+            }
+            if request.arrival < last_arrival {
                 return Err(ClusterError::OutOfOrderArrival {
                     index: offered,
                     at: request.arrival,
@@ -653,13 +659,13 @@ impl<P: DvfsPolicy> Cluster<P> {
         let mut results: Vec<RunResult> = Vec::with_capacity(n);
         results.extend(servers.into_iter().map(ServerSim::finish));
         let mut outcome =
-            ClusterOutcome::aggregate_classed(&results, Some(&classes), &self.power, self.quantile);
+            ClusterOutcome::aggregate_classed(&results, Some(&classes), &self.power, TAIL_QUANTILE);
         outcome.migrated_requests = hooks.migrated;
         for (server, downtime) in outcome.per_server.iter_mut().zip(&downtimes) {
             server.downtime = *downtime;
         }
         if let Some(mut l) = layer {
-            outcome.availability = l.finalize(offered, self.quantile, &results);
+            outcome.availability = l.finalize(offered, TAIL_QUANTILE, &results);
         }
         let log = tele.finalize(&results, end);
         Ok((outcome, results, log))
@@ -727,11 +733,8 @@ impl<P: DvfsPolicy> EventLoop<P> {
         ServerView {
             index: i,
             in_flight: s.in_flight(),
-            admitted: s.pending_requests(),
             queued: s.queued_len(),
             current_freq: s.current_freq(),
-            target_freq: s.target_freq(),
-            busy: !s.is_idle(),
             capacity: self.capacities[i],
             class: self.classes[i],
             health: self.healths[i],
@@ -876,13 +879,12 @@ fn align_server_to<P: DvfsPolicy>(
     state.servers[i].coast_to(t);
 }
 
-/// Applies every scripted op, retry delivery, hedge launch, and attempt
-/// timeout due at `now`, in that order (ops change health, which retry and
-/// hedge routing observe; hedges precede timeouts so a launch due at `now`
-/// supersedes a timeout due at the same instant; timeouts run last so a
-/// retry delivered at `now` cannot time out at `now`). All server mutation
-/// happens here, against the same views and scheduling discipline as
-/// routing — one deterministic sequence regardless of sweep threading.
+/// Applies every piece of fault work due at `now` as the fault layer's
+/// queue hands it out: all scripted ops, then all retry deliveries, then
+/// all hedge launches, then all attempt timeouts (see [`FaultLayer`] for
+/// why one queue keeps that order). All server mutation happens here,
+/// against the same views and scheduling discipline as routing — one
+/// deterministic sequence regardless of sweep threading.
 ///
 /// # Errors
 ///
@@ -895,205 +897,235 @@ fn run_faults<P: DvfsPolicy>(
     router: &mut dyn Router,
     state: &mut EventLoop<P>,
 ) -> Result<(), ClusterError> {
-    while let Some(op) = layer.pop_due_op(now) {
-        align_server_to(state, op.server, now, layer, tele);
-        let effective = layer.track_op(&op);
-        match op.kind {
-            OpKind::Crash => {
-                tele.server_event(ServerEvent {
-                    at: now,
-                    server: op.server as u32,
-                    kind: ServerEventKind::Down,
-                });
-                let in_flight = state.servers[op.server].fail(now);
-                state.healths[op.server] = layer.health_of(op.server);
-                if let Some(spec) = in_flight {
-                    if layer.copy_lost(spec.id, op.server) {
-                        // One copy of a hedged pair died with the server;
-                        // the twin is still live, so there is nothing to
-                        // salvage or drop.
-                    } else if layer.policy().salvage_in_flight {
-                        layer.salvage(spec, now);
-                        tele.request_event(
-                            spec.id,
-                            RequestEvent {
-                                at: now,
-                                kind: RequestEventKind::Salvaged {
-                                    server: op.server as u32,
-                                },
-                            },
-                        );
-                    } else {
-                        layer.drop_in_flight(spec.id);
-                        tele.request_event(
-                            spec.id,
-                            RequestEvent {
-                                at: now,
-                                kind: RequestEventKind::Dropped {
-                                    server: op.server as u32,
-                                },
-                            },
-                        );
-                    }
-                }
-                state.schedule(op.server);
-                if layer.policy().drain_on_crash {
-                    let mut stranded = Vec::new();
-                    while let Some(spec) = state.servers[op.server].steal_queued() {
-                        stranded.push(spec);
-                    }
-                    state.schedule(op.server);
-                    // Stealing pops the FIFO back-to-front; re-routing in
-                    // reverse preserves arrival order across the receivers.
-                    for spec in stranded.into_iter().rev() {
-                        let target = state.route(router, &spec)?;
-                        state.servers[target].inject(now, spec);
-                        layer.requeued(spec.id, op.server, target);
-                        tele.request_event(
-                            spec.id,
-                            RequestEvent {
-                                at: now,
-                                kind: RequestEventKind::Requeued {
-                                    from: op.server as u32,
-                                    to: target as u32,
-                                },
-                            },
-                        );
-                        state.schedule(target);
-                    }
-                }
-            }
-            OpKind::Recover => {
-                tele.server_event(ServerEvent {
-                    at: now,
-                    server: op.server as u32,
-                    kind: ServerEventKind::Up,
-                });
-                if state.servers[op.server].is_down() {
-                    state.servers[op.server].recover(now);
-                }
-                if state.servers[op.server].stuck_freq().is_some() {
-                    state.servers[op.server].stick_freq(None);
-                }
-                state.healths[op.server] = layer.health_of(op.server);
-                state.schedule(op.server);
-            }
-            OpKind::StraggleStart { slowdown, .. } => {
-                tele.server_event(ServerEvent {
-                    at: now,
-                    server: op.server as u32,
-                    kind: ServerEventKind::StraggleStart { slowdown },
-                });
-                state.servers[op.server].set_slowdown(slowdown);
-                state.healths[op.server] = layer.health_of(op.server);
-                state.schedule(op.server);
-            }
-            OpKind::StraggleEnd => {
-                if effective {
-                    state.servers[op.server].set_slowdown(1.0);
-                    tele.server_event(ServerEvent {
+    while let Some(work) = layer.pop_due(now) {
+        match work {
+            FaultWork::Op { server, op } => apply_op(layer, tele, now, router, state, server, op)?,
+            // A retry delivery, including work salvaged from a crash at
+            // this very instant. The router sees live (post-fault) views;
+            // wrap it in `HealthAware` to keep retries off down or
+            // straggling servers.
+            FaultWork::Retry { spec, attempt } => {
+                let target = state.route(router, &spec)?;
+                state.servers[target].inject(now, spec);
+                layer.on_routed(spec, target, attempt, now);
+                tele.request_event(
+                    spec.id,
+                    RequestEvent {
                         at: now,
-                        server: op.server as u32,
-                        kind: ServerEventKind::StraggleEnd,
-                    });
-                }
-                state.healths[op.server] = layer.health_of(op.server);
-                state.schedule(op.server);
-            }
-            OpKind::Stick { level } => {
-                tele.server_event(ServerEvent {
-                    at: now,
-                    server: op.server as u32,
-                    kind: ServerEventKind::FreqStuck {
-                        mhz: level.map(|f| f.mhz()),
+                        kind: RequestEventKind::Routed {
+                            server: target as u32,
+                            attempt,
+                        },
                     },
-                });
-                state.servers[op.server].stick_freq(level);
-                state.schedule(op.server);
+                );
+                state.schedule(target);
+            }
+            // A hedge launch: inject a duplicate of the still-pending
+            // attempt on the shortest-queue routable server other than the
+            // one already holding it (the same `(in_flight, index)` key JSQ
+            // uses). With no second routable candidate the launch is
+            // skipped — hedging never stacks both copies on one server or
+            // feeds a down one.
+            FaultWork::Hedge {
+                spec,
+                attempt,
+                primary,
+            } => {
+                let target = state
+                    .views
+                    .iter()
+                    .filter(|v| v.index != primary && v.health.routable())
+                    .min_by_key(|v| (v.in_flight, v.index))
+                    .map(|v| v.index);
+                let Some(target) = target else {
+                    continue;
+                };
+                state.servers[target].inject(now, spec);
+                layer.hedge_launched(spec.id, target);
+                tele.request_event(
+                    spec.id,
+                    RequestEvent {
+                        at: now,
+                        kind: RequestEventKind::Hedged {
+                            server: target as u32,
+                            attempt,
+                        },
+                    },
+                );
+                state.schedule(target);
+            }
+            // An attempt timeout: pull the timed-out request off its queue
+            // and hand it to the retry schedule. Work already in service is
+            // never interrupted — the timeout is recorded and the attempt
+            // runs out.
+            FaultWork::Timeout {
+                id,
+                attempt,
+                server,
+            } => {
+                let Some(spec) = state.servers[server].remove_queued(id) else {
+                    continue;
+                };
+                tele.request_event(
+                    id,
+                    RequestEvent {
+                        at: now,
+                        kind: RequestEventKind::TimedOut {
+                            server: server as u32,
+                            attempt,
+                        },
+                    },
+                );
+                match layer.retry_or_drop(spec, attempt, now) {
+                    Some(due) => tele.request_event(
+                        id,
+                        RequestEvent {
+                            at: now,
+                            kind: RequestEventKind::Backoff { until: due },
+                        },
+                    ),
+                    None => tele.request_event(
+                        id,
+                        RequestEvent {
+                            at: now,
+                            kind: RequestEventKind::Dropped {
+                                server: server as u32,
+                            },
+                        },
+                    ),
+                }
+                state.schedule(server);
             }
         }
     }
-    // Retry deliveries due now, including work salvaged from a crash at
-    // this very instant. The router sees live (post-fault) views; wrap it
-    // in `HealthAware` to keep retries off down or straggling servers.
-    while let Some((spec, attempt)) = layer.pop_due_retry(now) {
-        let target = state.route(router, &spec)?;
-        state.servers[target].inject(now, spec);
-        layer.on_routed(spec, target, attempt, now);
-        tele.request_event(
-            spec.id,
-            RequestEvent {
+    Ok(())
+}
+
+/// Applies scripted op `op` to `server` at `now`: aligns the server to
+/// `now`, updates its straggle window and its entry in the health table,
+/// and then crashes, recovers, slows, or pins it.
+///
+/// # Errors
+///
+/// Returns [`ClusterError::RouteOutOfRange`] if a crash drain's router
+/// sends a requeued request outside the fleet.
+fn apply_op<P: DvfsPolicy>(
+    layer: &mut FaultLayer,
+    tele: &mut Telemetry,
+    now: f64,
+    router: &mut dyn Router,
+    state: &mut EventLoop<P>,
+    server: usize,
+    op: OpKind,
+) -> Result<(), ClusterError> {
+    align_server_to(state, server, now, layer, tele);
+    let effective = layer.track_op(server, op, now, &mut state.healths[server]);
+    match op {
+        OpKind::Crash => {
+            tele.server_event(ServerEvent {
                 at: now,
-                kind: RequestEventKind::Routed {
-                    server: target as u32,
-                    attempt,
-                },
-            },
-        );
-        state.schedule(target);
-    }
-    // Hedge launches due now: inject a duplicate of the still-pending
-    // attempt on the shortest-queue routable server other than the one
-    // already holding it (the same `(in_flight, index)` key JSQ uses).
-    // With no second routable candidate the launch is skipped — hedging
-    // never stacks both copies on one server or feeds a down one.
-    while let Some((spec, attempt, primary)) = layer.pop_due_hedge(now) {
-        let target = state
-            .views
-            .iter()
-            .filter(|v| v.index != primary && v.health.routable())
-            .min_by_key(|v| (v.in_flight, v.index))
-            .map(|v| v.index);
-        let Some(target) = target else {
-            continue;
-        };
-        state.servers[target].inject(now, spec);
-        layer.hedge_launched(spec.id, target);
-        tele.request_event(
-            spec.id,
-            RequestEvent {
-                at: now,
-                kind: RequestEventKind::Hedged {
-                    server: target as u32,
-                    attempt,
-                },
-            },
-        );
-        state.schedule(target);
-    }
-    // Attempt timeouts: pull timed-out requests off their queues and hand
-    // them to the retry schedule. Work already in service is never
-    // interrupted — the timeout is recorded and the attempt runs out.
-    while let Some((id, attempt, server)) = layer.pop_due_timeout(now) {
-        if let Some(spec) = state.servers[server].remove_queued(id) {
-            tele.request_event(
-                id,
-                RequestEvent {
-                    at: now,
-                    kind: RequestEventKind::TimedOut {
-                        server: server as u32,
-                        attempt,
-                    },
-                },
-            );
-            match layer.retry_or_drop(spec, attempt, now) {
-                Some(due) => tele.request_event(
-                    id,
-                    RequestEvent {
-                        at: now,
-                        kind: RequestEventKind::Backoff { until: due },
-                    },
-                ),
-                None => tele.request_event(
-                    id,
-                    RequestEvent {
-                        at: now,
-                        kind: RequestEventKind::Dropped {
-                            server: server as u32,
+                server: server as u32,
+                kind: ServerEventKind::Down,
+            });
+            if let Some(spec) = state.servers[server].fail(now) {
+                if layer.copy_lost(spec.id, server) {
+                    // One copy of a hedged pair died with the server; the
+                    // twin is still live, so there is nothing to salvage
+                    // or drop.
+                } else if layer.policy().salvage_in_flight {
+                    layer.salvage(spec, now);
+                    tele.request_event(
+                        spec.id,
+                        RequestEvent {
+                            at: now,
+                            kind: RequestEventKind::Salvaged {
+                                server: server as u32,
+                            },
                         },
-                    },
-                ),
+                    );
+                } else {
+                    layer.drop_in_flight(spec.id);
+                    tele.request_event(
+                        spec.id,
+                        RequestEvent {
+                            at: now,
+                            kind: RequestEventKind::Dropped {
+                                server: server as u32,
+                            },
+                        },
+                    );
+                }
             }
+            state.schedule(server);
+            if layer.policy().drain_on_crash {
+                let mut stranded = Vec::new();
+                while let Some(spec) = state.servers[server].steal_queued() {
+                    stranded.push(spec);
+                }
+                state.schedule(server);
+                // Stealing pops the FIFO back-to-front; re-routing in
+                // reverse preserves arrival order across the receivers.
+                for spec in stranded.into_iter().rev() {
+                    let target = state.route(router, &spec)?;
+                    state.servers[target].inject(now, spec);
+                    layer.requeued(spec.id, server, target);
+                    tele.request_event(
+                        spec.id,
+                        RequestEvent {
+                            at: now,
+                            kind: RequestEventKind::Requeued {
+                                from: server as u32,
+                                to: target as u32,
+                            },
+                        },
+                    );
+                    state.schedule(target);
+                }
+            }
+        }
+        OpKind::Recover => {
+            tele.server_event(ServerEvent {
+                at: now,
+                server: server as u32,
+                kind: ServerEventKind::Up,
+            });
+            if state.servers[server].is_down() {
+                state.servers[server].recover(now);
+            }
+            if state.servers[server].stuck_freq().is_some() {
+                state.servers[server].stick_freq(None);
+            }
+            state.schedule(server);
+        }
+        OpKind::StraggleStart { slowdown, .. } => {
+            tele.server_event(ServerEvent {
+                at: now,
+                server: server as u32,
+                kind: ServerEventKind::StraggleStart { slowdown },
+            });
+            state.servers[server].set_slowdown(slowdown);
+            state.schedule(server);
+        }
+        OpKind::StraggleEnd => {
+            if effective {
+                state.servers[server].set_slowdown(1.0);
+                tele.server_event(ServerEvent {
+                    at: now,
+                    server: server as u32,
+                    kind: ServerEventKind::StraggleEnd,
+                });
+            }
+            state.schedule(server);
+        }
+        OpKind::Stick { level } => {
+            tele.server_event(ServerEvent {
+                at: now,
+                server: server as u32,
+                kind: ServerEventKind::FreqStuck {
+                    mhz: level.map(|f| f.mhz()),
+                },
+            });
+            state.servers[server].stick_freq(level);
             state.schedule(server);
         }
     }
@@ -1103,7 +1135,8 @@ fn run_faults<P: DvfsPolicy>(
 /// The boundary hooks and their clocks: the attached migrator and fleet
 /// controller, telemetry sampling, and the buffers they reuse. Fault
 /// work — scripted ops, retry deliveries, hedge launches, attempt timeouts —
-/// has its clock in the fault layer and shares the same boundary sequence.
+/// waits on the fault layer's one queue, whose earliest entry is the next
+/// fault boundary, and shares the same boundary sequence.
 struct Hooks {
     fleet: Option<Box<dyn FleetController>>,
     migrator: Option<Box<dyn Migrator>>,
@@ -1136,10 +1169,11 @@ impl Hooks {
     /// Runs every boundary at or before `until`, then drains every fleet
     /// event strictly before `until`.
     ///
-    /// Each boundary first drains the events strictly before it. Then fault
-    /// work runs, so migration and capping observe the post-fault fleet;
-    /// then the migrator, the fleet controller, and the telemetry sample,
-    /// in that order at equal instants. Boundary actions happen *between*
+    /// Each boundary first drains the events strictly before it. Then the
+    /// fault work due at it runs ([`run_faults`]), so migration and capping
+    /// observe the post-fault fleet; then the migrator, the fleet
+    /// controller, and the telemetry sample, in that order at equal
+    /// instants. Boundary actions happen *between*
     /// events: an arrival at exactly a boundary is routed after the hooks
     /// ran, and events at exactly `until` are left for the destination
     /// server's engine to order against the arrival itself.
@@ -1605,6 +1639,41 @@ mod tests {
             err.to_string(),
             "router rogue chose server 2 of a 2-server fleet"
         );
+    }
+
+    /// Requests at `arrivals`, in order.
+    fn arriving_at(arrivals: &[f64]) -> Trace {
+        arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| RequestSpec::new(i as u64, at, 1.2e6, 0.0))
+            .collect()
+    }
+
+    #[test]
+    fn a_non_finite_arrival_is_a_typed_error() {
+        // Without the check, an arrival at +∞ drains open servers whose
+        // ticks never end, and one at −∞ is offered before a server's
+        // clock starts.
+        let cfg = config();
+        for (arrivals, index, at) in [
+            (vec![1e-3, f64::INFINITY], 1, f64::INFINITY),
+            (vec![f64::NEG_INFINITY, 1e-3], 0, f64::NEG_INFINITY),
+        ] {
+            let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg));
+            let err = cluster
+                .run_streamed(TraceSource::new(&arriving_at(&arrivals)))
+                .unwrap_err();
+            assert_eq!(err, ClusterError::NonFiniteArrival { index, at });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival #1 at inf is not a finite time")]
+    fn a_batch_run_panics_with_the_non_finite_arrival_error() {
+        let cfg = config();
+        let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg));
+        let _ = cluster.run(&arriving_at(&[1e-3, f64::INFINITY]));
     }
 
     #[test]

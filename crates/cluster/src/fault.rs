@@ -3,8 +3,10 @@
 //! A [`FaultPlan`] scripts failures against a fleet: crashes, recoveries,
 //! straggler windows (all service stretched by a factor), and stuck
 //! frequencies. The plan is a plain list of [`FaultEvent`]s with absolute
-//! times; the cluster driver expands it into a time-ordered op stream and
-//! applies each op *between* simulation events, so an identical plan
+//! times; the cluster driver schedules each event as an op (a straggle
+//! window as a start and an end) on one queue that also holds the retry
+//! deliveries, hedge launches and attempt timeouts described below, and
+//! applies the work *between* simulation events, so an identical plan
 //! produces bit-identical results regardless of how many sweep threads run
 //! around the cluster. An **empty plan is bit-neutral**: it introduces no
 //! boundaries, so every byte of the simulation is unchanged (pinned in
@@ -32,6 +34,7 @@ use rubik_sim::{Freq, RequestSpec, RunResult};
 use rubik_stats::{percentile, DeterministicRng, RollingQuantileWindow};
 
 use crate::driver::ClusterError;
+use crate::min_tree::{from_total_order_bits, total_order_bits};
 use crate::outcome::AvailabilityStats;
 use crate::router::ServerHealth;
 
@@ -430,68 +433,8 @@ impl RequestPolicy {
     }
 }
 
-/// Live fleet health, maintained from the applied fault ops.
-#[derive(Debug, Clone)]
-pub(crate) struct HealthTracker {
-    healths: Vec<ServerHealth>,
-    straggle_until: Vec<f64>,
-}
-
-impl HealthTracker {
-    fn new(servers: usize) -> Self {
-        Self {
-            healths: vec![ServerHealth::Up; servers],
-            straggle_until: vec![f64::NEG_INFINITY; servers],
-        }
-    }
-
-    fn mark_crashed(&mut self, server: usize) {
-        self.healths[server] = ServerHealth::Down;
-    }
-
-    fn mark_straggling(&mut self, server: usize, until: f64) {
-        self.straggle_until[server] = until;
-        if self.healths[server] != ServerHealth::Down {
-            self.healths[server] = ServerHealth::Straggling;
-        }
-    }
-
-    /// Returns whether the straggle window really is over (a later window
-    /// may have superseded the one whose end fired).
-    fn straggle_ended(&mut self, server: usize, now: f64) -> bool {
-        if self.straggle_until[server] > now {
-            return false;
-        }
-        if self.healths[server] == ServerHealth::Straggling {
-            self.healths[server] = ServerHealth::Up;
-        }
-        true
-    }
-
-    fn mark_recovered(&mut self, server: usize, now: f64) {
-        self.healths[server] = if now < self.straggle_until[server] {
-            ServerHealth::Straggling
-        } else {
-            ServerHealth::Up
-        };
-    }
-
-    fn health_of(&self, server: usize) -> ServerHealth {
-        self.healths[server]
-    }
-}
-
-/// One expanded, time-ordered fault op (straggle windows split into a start
-/// and an end).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TimedOp {
-    pub(crate) at: f64,
-    seq: u64,
-    pub(crate) server: usize,
-    pub(crate) kind: OpKind,
-}
-
-/// What a [`TimedOp`] does to its server.
+/// What a scripted op does to its server (a straggle window is split into
+/// a start and an end).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OpKind {
     Crash,
@@ -501,52 +444,70 @@ pub(crate) enum OpKind {
     Stick { level: Option<Freq> },
 }
 
-fn expand(plan: &FaultPlan) -> Vec<TimedOp> {
-    let mut ops = Vec::with_capacity(plan.events().len() * 2);
-    for (i, ev) in plan.events().iter().enumerate() {
-        let seq = 2 * i as u64;
-        match *ev {
-            FaultEvent::Crash { server, at } => ops.push(TimedOp {
-                at,
-                seq,
-                server,
-                kind: OpKind::Crash,
-            }),
-            FaultEvent::Recover { server, at } => ops.push(TimedOp {
-                at,
-                seq,
-                server,
-                kind: OpKind::Recover,
-            }),
-            FaultEvent::StickFreq { server, at, level } => ops.push(TimedOp {
-                at,
-                seq,
-                server,
-                kind: OpKind::Stick { level },
-            }),
-            FaultEvent::Straggle {
-                server,
-                at,
-                until,
-                slowdown,
-            } => {
-                ops.push(TimedOp {
-                    at,
-                    seq,
-                    server,
-                    kind: OpKind::StraggleStart { until, slowdown },
-                });
-                ops.push(TimedOp {
-                    at: until,
-                    seq: seq + 1,
-                    server,
-                    kind: OpKind::StraggleEnd,
-                });
-            }
+/// One piece of fault work, as [`FaultLayer::pop_due`] hands it to the
+/// driver.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FaultWork {
+    /// A scripted op against `server`.
+    Op { server: usize, op: OpKind },
+    /// Delivery of attempt `attempt` of `spec`: a retry after a timeout's
+    /// backoff, or a request salvaged from a crash.
+    Retry { spec: RequestSpec, attempt: u32 },
+    /// A hedge launch: a duplicate of attempt `attempt` of `spec` goes to
+    /// a server other than `primary`, the one holding the attempt.
+    Hedge {
+        spec: RequestSpec,
+        attempt: u32,
+        primary: usize,
+    },
+    /// A timeout of attempt `attempt` of request `id`, queued or in service
+    /// on `server`.
+    Timeout {
+        id: u64,
+        attempt: u32,
+        server: usize,
+    },
+}
+
+impl FaultWork {
+    /// Where this kind of work runs among work due at the same instant:
+    /// ops change health, which retry and hedge routing observe; retries
+    /// route before hedge launches pick their targets; a launch due with
+    /// its attempt's timeout supersedes it; and timeouts run last, so a
+    /// retry delivered at an instant cannot time out at that instant.
+    fn rank(&self) -> u8 {
+        match self {
+            FaultWork::Op { .. } => 0,
+            FaultWork::Retry { .. } => 1,
+            FaultWork::Hedge { .. } => 2,
+            FaultWork::Timeout { .. } => 3,
         }
     }
-    ops.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.seq.cmp(&b.seq)));
-    ops
+}
+
+/// An entry of the fault layer's schedule. Entries order by `key` alone:
+/// `(total_order_bits(due), work.rank(), seq)`, with `seq` unique.
+#[derive(Debug, Clone, Copy)]
+struct Scheduled {
+    key: (u64, u8, u64),
+    work: FaultWork,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Scheduled {}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// A pending (routed, not yet completed) request attempt. While `hedge`
@@ -560,93 +521,6 @@ struct Pending {
     hedge: Option<usize>,
 }
 
-/// A scheduled per-attempt timeout. Ordered by `(due, seq)`.
-#[derive(Debug, Clone, Copy)]
-struct TimeoutEntry {
-    due: f64,
-    seq: u64,
-    id: u64,
-    attempt: u32,
-}
-
-impl PartialEq for TimeoutEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for TimeoutEntry {}
-impl Ord for TimeoutEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.due
-            .total_cmp(&other.due)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-impl PartialOrd for TimeoutEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A scheduled retry delivery. Ordered by `(due, seq)`; the payload is
-/// ignored by the ordering.
-#[derive(Debug, Clone, Copy)]
-struct RetryEntry {
-    due: f64,
-    seq: u64,
-    attempt: u32,
-    spec: RequestSpec,
-}
-
-impl PartialEq for RetryEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for RetryEntry {}
-impl Ord for RetryEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.due
-            .total_cmp(&other.due)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-impl PartialOrd for RetryEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A scheduled hedge launch: if the attempt is still pending when `due`
-/// arrives, a duplicate of `spec` is injected on a second server. Ordered
-/// by `(due, seq)`; the payload is ignored by the ordering.
-#[derive(Debug, Clone, Copy)]
-struct HedgeEntry {
-    due: f64,
-    seq: u64,
-    attempt: u32,
-    spec: RequestSpec,
-}
-
-impl PartialEq for HedgeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HedgeEntry {}
-impl Ord for HedgeEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.due
-            .total_cmp(&other.due)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-impl PartialOrd for HedgeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// How a hedged pair resolved when one copy completed: the driver must
 /// cancel the other copy (`loser` is the server the layer last saw it on —
 /// a hint, since a migrator may have moved it) and record whether the
@@ -657,17 +531,26 @@ pub(crate) struct HedgeResolution {
     pub(crate) hedge_won: bool,
 }
 
-/// The driver-side fault and request-lifecycle state: the expanded op
-/// stream, the timeout and retry schedules, per-request pending bookkeeping,
-/// and the availability counters. Pure bookkeeping — the driver owns every
-/// touch of the actual [`rubik_sim::ServerSim`]s.
+/// The driver-side fault and request-lifecycle state: one schedule of fault
+/// work, per-request pending bookkeeping, each server's straggle-window
+/// end, and the availability counters. Pure bookkeeping — the driver owns
+/// every touch of the actual [`rubik_sim::ServerSim`]s and the health
+/// table its router views read.
 #[derive(Debug)]
 pub(crate) struct FaultLayer {
-    ops: Vec<TimedOp>,
-    cursor: usize,
-    timeouts: BinaryHeap<Reverse<TimeoutEntry>>,
-    retries: BinaryHeap<Reverse<RetryEntry>>,
-    hedges: BinaryHeap<Reverse<HedgeEntry>>,
+    /// Every scripted op, retry delivery, hedge launch and attempt
+    /// timeout, earliest first and, at one instant, in [`FaultWork::rank`]
+    /// order, so a boundary runs all ops due then, then all retries, then
+    /// all hedge launches, then all timeouts. One queue keeps that order
+    /// because every entry popped at a boundary is due exactly then: the
+    /// boundary is the earliest entry, and work scheduled while a boundary
+    /// runs is either due later (a timeout, a backed-off retry) or of a
+    /// later kind than the work that scheduled it (an op's salvaged
+    /// request is a retry; a retry's route schedules a hedge launch, which
+    /// a zero delay makes due at once). Ops are pushed first, in plan
+    /// order, so among ops `seq` is plan order; every later entry takes
+    /// the next `seq`.
+    queue: BinaryHeap<Reverse<Scheduled>>,
     pending: HashMap<u64, Pending>,
     /// The most recent completion latencies (bounded, oldest-out); feeds
     /// the hedge trigger quantile. Only populated when hedging is enabled,
@@ -675,34 +558,51 @@ pub(crate) struct FaultLayer {
     /// run's memory stays O(in-flight + window), not O(completed).
     latencies: RollingQuantileWindow,
     policy: RequestPolicy,
-    tracker: HealthTracker,
+    /// The end of each server's latest straggle window (−∞ before its
+    /// first), so a superseded window's end leaves the server straggling.
+    straggle_until: Vec<f64>,
     stats: AvailabilityStats,
     seq: u64,
 }
 
 impl FaultLayer {
     pub(crate) fn new(plan: Option<&FaultPlan>, policy: RequestPolicy, servers: usize) -> Self {
-        Self {
-            ops: plan.map(expand).unwrap_or_default(),
-            cursor: 0,
-            timeouts: BinaryHeap::new(),
-            retries: BinaryHeap::new(),
-            hedges: BinaryHeap::new(),
+        let mut layer = Self {
+            queue: BinaryHeap::new(),
             pending: HashMap::new(),
             latencies: RollingQuantileWindow::new(policy.hedge_window.max(1)),
             policy,
-            tracker: HealthTracker::new(servers),
+            straggle_until: vec![f64::NEG_INFINITY; servers],
             stats: AvailabilityStats::default(),
             seq: 0,
+        };
+        for event in plan.map_or(&[][..], FaultPlan::events) {
+            let server = event.server();
+            let op = match *event {
+                FaultEvent::Crash { .. } => OpKind::Crash,
+                FaultEvent::Recover { .. } => OpKind::Recover,
+                FaultEvent::StickFreq { level, .. } => OpKind::Stick { level },
+                FaultEvent::Straggle {
+                    until, slowdown, ..
+                } => OpKind::StraggleStart { until, slowdown },
+            };
+            layer.schedule(event.at(), FaultWork::Op { server, op });
+            if let OpKind::StraggleStart { until, .. } = op {
+                let op = OpKind::StraggleEnd;
+                layer.schedule(until, FaultWork::Op { server, op });
+            }
         }
+        layer
     }
 
     pub(crate) fn policy(&self) -> &RequestPolicy {
         &self.policy
     }
 
-    pub(crate) fn health_of(&self, server: usize) -> ServerHealth {
-        self.tracker.health_of(server)
+    fn schedule(&mut self, due: f64, work: FaultWork) {
+        self.seq += 1;
+        let key = (total_order_bits(due), work.rank(), self.seq);
+        self.queue.push(Reverse(Scheduled { key, work }));
     }
 
     /// Earliest instant at which the layer has work: the next scripted op,
@@ -710,81 +610,46 @@ impl FaultLayer {
     /// there is none — an empty plan with an inert policy never produces a
     /// boundary.
     pub(crate) fn next_boundary(&self) -> f64 {
-        let mut t = f64::INFINITY;
-        if let Some(op) = self.ops.get(self.cursor) {
-            t = t.min(op.at);
-        }
-        if let Some(Reverse(e)) = self.timeouts.peek() {
-            t = t.min(e.due);
-        }
-        if let Some(Reverse(e)) = self.retries.peek() {
-            t = t.min(e.due);
-        }
-        if let Some(Reverse(e)) = self.hedges.peek() {
-            t = t.min(e.due);
-        }
-        t
+        self.queue
+            .peek()
+            .map_or(f64::INFINITY, |Reverse(e)| from_total_order_bits(e.key.0))
     }
 
-    /// Pops the next scripted op due at or before `now`.
-    pub(crate) fn pop_due_op(&mut self, now: f64) -> Option<TimedOp> {
-        let op = *self.ops.get(self.cursor)?;
-        if op.at > now {
-            return None;
-        }
-        self.cursor += 1;
-        Some(op)
-    }
-
-    /// Pops the next retry delivery due at or before `now`.
-    pub(crate) fn pop_due_retry(&mut self, now: f64) -> Option<(RequestSpec, u32)> {
-        let &Reverse(e) = self.retries.peek()?;
-        if e.due > now {
-            return None;
-        }
-        self.retries.pop();
-        Some((e.spec, e.attempt))
-    }
-
-    /// Pops the next *valid* timeout due at or before `now`, discarding
-    /// entries whose request already completed or was re-attempted — or
-    /// whose attempt has an active hedge (the duplicate supersedes the
-    /// timeout: two copies are racing, pulling one back would defeat the
-    /// point). Returns `(id, attempt, server)` — the driver pulls the
-    /// request off that server's queue (or leaves it alone if it is in
-    /// service).
-    pub(crate) fn pop_due_timeout(&mut self, now: f64) -> Option<(u64, u32, usize)> {
-        while let Some(&Reverse(e)) = self.timeouts.peek() {
-            if e.due > now {
-                return None;
-            }
-            self.timeouts.pop();
-            match self.pending.get(&e.id) {
-                Some(p) if p.attempt == e.attempt && p.hedge.is_none() => {
-                    self.stats.timeouts += 1;
-                    return Some((e.id, e.attempt, p.server));
+    /// Pops the next work due at or before `now`, discarding *stale*
+    /// timeouts and hedge launches: those whose request already completed
+    /// or was re-attempted, or whose attempt already has an active hedge
+    /// (the duplicate supersedes the timeout: two copies are racing, and
+    /// pulling one back would defeat the point). A live timeout or launch
+    /// carries the attempt's current server, read from its pending record
+    /// here; a timeout is counted. The driver pulls a timed-out request
+    /// off that server's queue (or leaves it alone if it is in service) and
+    /// injects a hedge's duplicate on a server other than that one.
+    pub(crate) fn pop_due(&mut self, now: f64) -> Option<FaultWork> {
+        let now = total_order_bits(now);
+        while self.queue.peek().is_some_and(|Reverse(e)| e.key.0 <= now) {
+            let Reverse(Scheduled { mut work, .. }) = self.queue.pop().expect("peeked");
+            let (id, attempt, server) = match &mut work {
+                FaultWork::Op { .. } | FaultWork::Retry { .. } => return Some(work),
+                FaultWork::Hedge {
+                    spec,
+                    attempt,
+                    primary,
+                } => (spec.id, *attempt, primary),
+                FaultWork::Timeout {
+                    id,
+                    attempt,
+                    server,
+                } => (*id, *attempt, server),
+            };
+            match self.pending.get(&id) {
+                Some(p) if p.attempt == attempt && p.hedge.is_none() => {
+                    *server = p.server;
+                    if let FaultWork::Timeout { .. } = work {
+                        self.stats.timeouts += 1;
+                    }
+                    return Some(work);
                 }
-                _ => continue, // stale: completed, superseded, or hedged
-            }
-        }
-        None
-    }
-
-    /// Pops the next *valid* hedge launch due at or before `now`,
-    /// discarding entries whose attempt already completed, retried, or
-    /// hedged. Returns `(spec, attempt, primary)` — the driver injects a
-    /// duplicate of `spec` on a server other than `primary`.
-    pub(crate) fn pop_due_hedge(&mut self, now: f64) -> Option<(RequestSpec, u32, usize)> {
-        while let Some(&Reverse(e)) = self.hedges.peek() {
-            if e.due > now {
-                return None;
-            }
-            self.hedges.pop();
-            match self.pending.get(&e.spec.id) {
-                Some(p) if p.attempt == e.attempt && p.hedge.is_none() => {
-                    return Some((e.spec, e.attempt, p.server));
-                }
-                _ => continue, // stale: completed, retried, or already hedged
+                _ => continue, // stale: completed, re-attempted, or hedged
             }
         }
         None
@@ -807,23 +672,21 @@ impl FaultLayer {
             },
         );
         if let Some(timeout) = self.policy.timeout {
-            self.seq += 1;
-            self.timeouts.push(Reverse(TimeoutEntry {
-                due: now + timeout,
-                seq: self.seq,
+            let work = FaultWork::Timeout {
                 id,
                 attempt,
-            }));
+                server,
+            };
+            self.schedule(now + timeout, work);
         }
         if let Some(q) = self.policy.hedge_quantile {
             let tracked = self.latencies.quantile(q).unwrap_or(0.0);
-            self.seq += 1;
-            self.hedges.push(Reverse(HedgeEntry {
-                due: now + tracked.max(self.policy.hedge_min_delay),
-                seq: self.seq,
-                attempt,
+            let work = FaultWork::Hedge {
                 spec,
-            }));
+                attempt,
+                primary: server,
+            };
+            self.schedule(now + tracked.max(self.policy.hedge_min_delay), work);
         }
     }
 
@@ -899,29 +762,18 @@ impl FaultLayer {
             return None; // out of budget: lost, surfaces in `finalize`
         }
         self.stats.retries += 1;
-        self.seq += 1;
         let due = now + self.policy.backoff_delay(spec.id, attempt);
-        self.retries.push(Reverse(RetryEntry {
-            due,
-            seq: self.seq,
-            attempt: attempt + 1,
-            spec,
-        }));
+        let attempt = attempt + 1;
+        self.schedule(due, FaultWork::Retry { spec, attempt });
         Some(due)
     }
 
     /// Salvages the request that was in service on a crashing server:
     /// re-delivered at the crash instant, counting one attempt.
     pub(crate) fn salvage(&mut self, spec: RequestSpec, now: f64) {
-        let attempt = self.pending.remove(&spec.id).map_or(1, |p| p.attempt);
+        let attempt = self.pending.remove(&spec.id).map_or(1, |p| p.attempt) + 1;
         self.stats.salvaged_in_flight += 1;
-        self.seq += 1;
-        self.retries.push(Reverse(RetryEntry {
-            due: now,
-            seq: self.seq,
-            attempt: attempt + 1,
-            spec,
-        }));
+        self.schedule(now, FaultWork::Retry { spec, attempt });
     }
 
     /// Drops the in-service request of a crashing server (salvage
@@ -945,26 +797,37 @@ impl FaultLayer {
         }
     }
 
-    /// Applies a scripted op's bookkeeping (health + straggle windows) and
-    /// reports what the driver must do to the server. Returns `true` for a
-    /// `StraggleEnd` whose window really is over (reset the slowdown).
-    pub(crate) fn track_op(&mut self, op: &TimedOp) -> bool {
-        match op.kind {
-            OpKind::Crash => {
-                self.tracker.mark_crashed(op.server);
-                true
-            }
-            OpKind::Recover => {
-                self.tracker.mark_recovered(op.server, op.at);
-                true
-            }
+    /// Applies op `op` on `server` at `now` to the server's straggle window
+    /// and to `health`, its entry in the driver's health table. Returns
+    /// whether the op takes effect: `false` only for a `StraggleEnd` whose
+    /// window a later one superseded (the slowdown stays).
+    pub(crate) fn track_op(
+        &mut self,
+        server: usize,
+        op: OpKind,
+        now: f64,
+        health: &mut ServerHealth,
+    ) -> bool {
+        let straggle_until = &mut self.straggle_until[server];
+        match op {
+            OpKind::Crash => *health = ServerHealth::Down,
+            OpKind::Recover if now < *straggle_until => *health = ServerHealth::Straggling,
+            OpKind::Recover => *health = ServerHealth::Up,
             OpKind::StraggleStart { until, .. } => {
-                self.tracker.mark_straggling(op.server, until);
-                true
+                *straggle_until = until;
+                if *health != ServerHealth::Down {
+                    *health = ServerHealth::Straggling;
+                }
             }
-            OpKind::StraggleEnd => self.tracker.straggle_ended(op.server, op.at),
-            OpKind::Stick { .. } => true,
+            OpKind::StraggleEnd if *straggle_until > now => return false,
+            OpKind::StraggleEnd => {
+                if *health == ServerHealth::Straggling {
+                    *health = ServerHealth::Up;
+                }
+            }
+            OpKind::Stick { .. } => {}
         }
+        true
     }
 
     /// The availability counters accumulated so far (completion-derived
@@ -978,10 +841,7 @@ impl FaultLayer {
     /// schedulable.
     #[cfg(test)]
     pub(crate) fn exhausted(&self) -> bool {
-        self.cursor >= self.ops.len()
-            && self.retries.is_empty()
-            && self.timeouts.is_empty()
-            && self.hedges.is_empty()
+        self.queue.is_empty()
     }
 
     /// Closes the books: folds the per-server completion records into the
@@ -1020,6 +880,50 @@ impl FaultLayer {
 mod tests {
     use super::*;
 
+    /// Pops the work due at `now`, which must be a timeout, as `(id,
+    /// attempt, server)`.
+    fn pop_timeout(layer: &mut FaultLayer, now: f64) -> Option<(u64, u32, usize)> {
+        layer.pop_due(now).map(|work| match work {
+            FaultWork::Timeout {
+                id,
+                attempt,
+                server,
+            } => (id, attempt, server),
+            other => panic!("expected a timeout, popped {other:?}"),
+        })
+    }
+
+    /// Pops the work due at `now`, which must be a retry, as `(spec,
+    /// attempt)`.
+    fn pop_retry(layer: &mut FaultLayer, now: f64) -> Option<(RequestSpec, u32)> {
+        layer.pop_due(now).map(|work| match work {
+            FaultWork::Retry { spec, attempt } => (spec, attempt),
+            other => panic!("expected a retry, popped {other:?}"),
+        })
+    }
+
+    /// Pops the work due at `now`, which must be a hedge launch, as
+    /// `(spec, attempt, primary)`.
+    fn pop_hedge(layer: &mut FaultLayer, now: f64) -> Option<(RequestSpec, u32, usize)> {
+        layer.pop_due(now).map(|work| match work {
+            FaultWork::Hedge {
+                spec,
+                attempt,
+                primary,
+            } => (spec, attempt, primary),
+            other => panic!("expected a hedge launch, popped {other:?}"),
+        })
+    }
+
+    /// Pops the op due at `now` and applies its bookkeeping to `healths`,
+    /// returning whether it takes effect.
+    fn apply_op(layer: &mut FaultLayer, healths: &mut [ServerHealth], now: f64) -> bool {
+        let Some(FaultWork::Op { server, op }) = layer.pop_due(now) else {
+            panic!("expected an op due at {now}");
+        };
+        layer.track_op(server, op, now, &mut healths[server])
+    }
+
     #[test]
     fn an_empty_plan_has_no_boundaries() {
         let layer = FaultLayer::new(Some(&FaultPlan::new()), RequestPolicy::default(), 4);
@@ -1043,13 +947,13 @@ mod tests {
         let mut history: Vec<f64> = Vec::new();
         for id in 0..500u64 {
             layer.on_routed(RequestSpec::new(id, 0.0, 1e6, 0.0), 0, 1, 0.0);
-            let trigger = layer
-                .hedges
+            let (due, _, _) = layer
+                .queue
                 .iter()
-                .map(|&Reverse(e)| e)
-                .max_by_key(|e| e.seq)
-                .expect("on_routed schedules a hedge")
-                .due;
+                .map(|Reverse(e)| e.key)
+                .max_by_key(|&(_, _, seq)| seq)
+                .expect("on_routed schedules a hedge");
+            let trigger = from_total_order_bits(due);
             let tail = &history[history.len().saturating_sub(window)..];
             let mut sorted = tail.to_vec();
             sorted.sort_unstable_by(f64::total_cmp);
@@ -1078,12 +982,21 @@ mod tests {
             .straggle(1, 0.010, 0.030, 2.0)
             .crash(0, 0.030)
             .recover(0, 0.050);
-        let ops = expand(&plan);
-        let times: Vec<f64> = ops.iter().map(|o| o.at).collect();
+        let mut layer = FaultLayer::new(Some(&plan), RequestPolicy::default(), 2);
+        let mut times = Vec::new();
+        let mut ops = Vec::new();
+        while !layer.exhausted() {
+            let at = layer.next_boundary();
+            let Some(FaultWork::Op { op, .. }) = layer.pop_due(at) else {
+                panic!("a plan schedules only ops");
+            };
+            times.push(at);
+            ops.push(op);
+        }
         assert_eq!(times, vec![0.010, 0.030, 0.030, 0.050]);
         // At t = 0.030 the straggle end (written first) precedes the crash.
-        assert!(matches!(ops[1].kind, OpKind::StraggleEnd));
-        assert!(matches!(ops[2].kind, OpKind::Crash));
+        assert!(matches!(ops[1], OpKind::StraggleEnd));
+        assert!(matches!(ops[2], OpKind::Crash));
     }
 
     #[test]
@@ -1152,16 +1065,16 @@ mod tests {
         let mut layer = FaultLayer::new(None, policy, 2);
         layer.on_routed(RequestSpec::new(7, 0.0, 1e6, 0.0), 0, 1, 0.0);
         layer.on_completion(7, 0, 1e-3);
-        assert!(layer.pop_due_timeout(1.0).is_none(), "completed: stale");
+        assert!(pop_timeout(&mut layer, 1.0).is_none(), "completed: stale");
         assert_eq!(layer.stats.timeouts, 0);
 
         layer.on_routed(RequestSpec::new(8, 0.0, 1e6, 0.0), 1, 1, 0.0);
-        let (id, attempt, server) = layer.pop_due_timeout(1.0).expect("due");
+        let (id, attempt, server) = pop_timeout(&mut layer, 1.0).expect("due");
         assert_eq!((id, attempt, server), (8, 1, 1));
         let spec = RequestSpec::new(8, 0.0, 1e6, 0.0);
         layer.retry_or_drop(spec, attempt, 1e-3);
         assert_eq!(layer.stats.retries, 1);
-        let (respec, next_attempt) = layer.pop_due_retry(1.0).expect("scheduled");
+        let (respec, next_attempt) = pop_retry(&mut layer, 1.0).expect("scheduled");
         assert_eq!(respec.id, 8);
         assert_eq!(next_attempt, 2);
     }
@@ -1173,11 +1086,11 @@ mod tests {
         // No latency history yet: the launch lands at now + min_delay.
         layer.on_routed(RequestSpec::new(0, 0.0, 1e6, 0.0), 0, 1, 0.0);
         assert!((layer.next_boundary() - 4e-3).abs() < 1e-15);
-        let (spec, attempt, primary) = layer.pop_due_hedge(4e-3).expect("due");
+        let (spec, attempt, primary) = pop_hedge(&mut layer, 4e-3).expect("due");
         assert_eq!((spec.id, attempt, primary), (0, 1, 0));
         layer.hedge_launched(0, 1);
         assert!(
-            layer.pop_due_hedge(1.0).is_none(),
+            pop_hedge(&mut layer, 1.0).is_none(),
             "an attempt hedges at most once"
         );
         // Completions teach the tracker; the median of {10ms, 20ms} at the
@@ -1186,7 +1099,7 @@ mod tests {
         layer.on_routed(RequestSpec::new(1, 0.0, 1e6, 0.0), 1, 1, 0.0);
         layer.on_completion(1, 1, 20e-3);
         layer.on_routed(RequestSpec::new(2, 1.0, 1e6, 0.0), 2, 1, 1.0);
-        let (spec, _, _) = layer.pop_due_hedge(1.0 + 10e-3).expect("due");
+        let (spec, _, _) = pop_hedge(&mut layer, 1.0 + 10e-3).expect("due");
         assert_eq!(spec.id, 2);
     }
 
@@ -1198,12 +1111,10 @@ mod tests {
             .with_hedging(0.9, 0.0);
         let mut layer = FaultLayer::new(None, policy, 4);
         layer.on_routed(RequestSpec::new(5, 0.0, 1e6, 0.0), 0, 1, 0.0);
-        layer
-            .pop_due_hedge(0.0)
-            .expect("floor of zero fires at once");
+        pop_hedge(&mut layer, 0.0).expect("floor of zero fires at once");
         layer.hedge_launched(5, 2);
         assert!(
-            layer.pop_due_timeout(1.0).is_none(),
+            pop_timeout(&mut layer, 1.0).is_none(),
             "the duplicate supersedes the attempt timeout"
         );
         assert_eq!(layer.stats.timeouts, 0);
@@ -1219,7 +1130,7 @@ mod tests {
         // first completion taught the tracker, so the trigger now sits at
         // the tracked 0.9-quantile, 5e-4.)
         layer.on_routed(RequestSpec::new(6, 0.0, 1e6, 0.0), 1, 1, 0.0);
-        layer.pop_due_hedge(5e-4).expect("due");
+        pop_hedge(&mut layer, 5e-4).expect("due");
         layer.hedge_launched(6, 3);
         let res = layer.on_completion(6, 1, 5e-4).expect("pair resolves");
         assert_eq!(res.loser, 3);
@@ -1232,7 +1143,7 @@ mod tests {
         let policy = RequestPolicy::new().with_hedging(0.9, 0.0);
         let mut layer = FaultLayer::new(None, policy, 4);
         layer.on_routed(RequestSpec::new(9, 0.0, 1e6, 0.0), 0, 1, 0.0);
-        layer.pop_due_hedge(0.0).expect("due");
+        pop_hedge(&mut layer, 0.0).expect("due");
         layer.hedge_launched(9, 2);
         // The duplicate's server crashes: the primary carries on alone and
         // a later completion resolves nothing (no copy left to cancel).
@@ -1252,10 +1163,10 @@ mod tests {
         let spec = RequestSpec::new(3, 0.0, 1e6, 0.0);
         layer.retry_or_drop(spec, 1, 0.0);
         assert_eq!(layer.stats.retries, 1);
-        let (_, attempt) = layer.pop_due_retry(1.0).expect("first retry runs");
+        let (_, attempt) = pop_retry(&mut layer, 1.0).expect("first retry runs");
         layer.retry_or_drop(spec, attempt, 0.01);
         assert_eq!(layer.stats.retries, 1, "budget spent: no second retry");
-        assert!(layer.pop_due_retry(10.0).is_none());
+        assert!(pop_retry(&mut layer, 10.0).is_none());
         assert!(layer.exhausted());
     }
 
@@ -1266,19 +1177,19 @@ mod tests {
             .crash(1, 0.1)
             .recover(1, 0.2);
         let mut layer = FaultLayer::new(Some(&plan), RequestPolicy::default(), 2);
-        let op = layer.pop_due_op(0.0).expect("straggle start");
-        layer.track_op(&op);
-        assert_eq!(layer.health_of(0), ServerHealth::Straggling);
-        let op = layer.pop_due_op(0.1).expect("crash");
-        layer.track_op(&op);
-        assert_eq!(layer.health_of(1), ServerHealth::Down);
-        let op = layer.pop_due_op(0.2).expect("recover");
-        layer.track_op(&op);
-        assert_eq!(layer.health_of(1), ServerHealth::Up);
+        let mut healths = vec![ServerHealth::Up; 2];
+        apply_op(&mut layer, &mut healths, 0.0); // straggle start
+        assert_eq!(healths[0], ServerHealth::Straggling);
+        apply_op(&mut layer, &mut healths, 0.1); // crash
+        assert_eq!(healths[1], ServerHealth::Down);
+        apply_op(&mut layer, &mut healths, 0.2); // recover
+        assert_eq!(healths[1], ServerHealth::Up);
         // The straggle end at t = 1.0 restores server 0.
-        let op = layer.pop_due_op(1.0).expect("straggle end");
-        assert!(layer.track_op(&op), "window over: reset the slowdown");
-        assert_eq!(layer.health_of(0), ServerHealth::Up);
+        assert!(
+            apply_op(&mut layer, &mut healths, 1.0),
+            "window over: reset the slowdown"
+        );
+        assert_eq!(healths[0], ServerHealth::Up);
         assert!(layer.exhausted());
     }
 
@@ -1288,16 +1199,17 @@ mod tests {
             .straggle(0, 0.0, 0.5, 2.0)
             .straggle(0, 0.2, 1.0, 4.0);
         let mut layer = FaultLayer::new(Some(&plan), RequestPolicy::default(), 1);
+        let mut healths = vec![ServerHealth::Up];
         for t in [0.0, 0.2] {
-            let op = layer.pop_due_op(t).expect("start");
-            layer.track_op(&op);
+            apply_op(&mut layer, &mut healths, t); // a window's start
         }
-        let op = layer.pop_due_op(0.5).expect("first window's end");
-        assert!(!layer.track_op(&op), "superseded by the longer window");
-        assert_eq!(layer.health_of(0), ServerHealth::Straggling);
-        let op = layer.pop_due_op(1.0).expect("second window's end");
-        assert!(layer.track_op(&op));
-        assert_eq!(layer.health_of(0), ServerHealth::Up);
+        assert!(
+            !apply_op(&mut layer, &mut healths, 0.5), // the first window's end
+            "superseded by the longer window"
+        );
+        assert_eq!(healths[0], ServerHealth::Straggling);
+        assert!(apply_op(&mut layer, &mut healths, 1.0)); // the second's end
+        assert_eq!(healths[0], ServerHealth::Up);
     }
 
     #[test]

@@ -585,11 +585,8 @@ mod tests {
         ServerView {
             index,
             in_flight,
-            admitted: in_flight,
             queued: in_flight.saturating_sub(1),
             current_freq: Freq::from_mhz(mhz),
-            target_freq: Freq::from_mhz(mhz),
-            busy: in_flight > 0,
             capacity,
             class: 0,
             health: crate::router::ServerHealth::Up,

@@ -209,11 +209,8 @@ mod tests {
             .map(|(index, &queued)| ServerView {
                 index,
                 in_flight: queued + 1,
-                admitted: queued + 1,
                 queued,
                 current_freq: Freq::from_mhz(2400),
-                target_freq: Freq::from_mhz(2400),
-                busy: true,
                 capacity: 1.0,
                 class: 0,
                 health: ServerHealth::Up,

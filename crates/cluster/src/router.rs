@@ -51,17 +51,11 @@ pub struct ServerView {
     pub index: usize,
     /// Requests committed to the server (offered + queued + in service).
     pub in_flight: usize,
-    /// Requests admitted into the server (queued + in service).
-    pub admitted: usize,
-    /// Requests waiting in the FIFO queue (admitted minus in service) — the
-    /// depth a [`Migrator`](crate::Migrator) can steal from.
+    /// Requests waiting in the FIFO queue (admitted but not in service) —
+    /// the depth a [`Migrator`](crate::Migrator) can steal from.
     pub queued: usize,
     /// Frequency currently in effect on the server's core.
     pub current_freq: Freq,
-    /// Frequency the server's policy most recently requested.
-    pub target_freq: Freq,
-    /// Whether the core is serving or has queued work.
-    pub busy: bool,
     /// Capacity weight of the server's core class (1.0 for every server of a
     /// homogeneous fleet; see [`FleetSpec`](crate::FleetSpec)). Zero means
     /// "route nothing here".
@@ -69,8 +63,8 @@ pub struct ServerView {
     /// Core-class index of the server within its
     /// [`FleetSpec`](crate::FleetSpec) (0 for homogeneous fleets).
     pub class: u32,
-    /// Health as tracked by the fault layer ([`ServerHealth::Up`] when no
-    /// fault plan is attached). Plain routers ignore it; wrap them in
+    /// Health as the applied fault ops left it ([`ServerHealth::Up`] when
+    /// no fault plan is attached). Plain routers ignore it; wrap them in
     /// [`HealthAware`] to eject unhealthy servers from the candidate set.
     pub health: ServerHealth,
 }
@@ -467,11 +461,8 @@ mod tests {
         ServerView {
             index,
             in_flight,
-            admitted: in_flight,
             queued: in_flight.saturating_sub(1),
             current_freq: Freq::from_mhz(mhz),
-            target_freq: Freq::from_mhz(mhz),
-            busy: in_flight > 0,
             capacity,
             class: 0,
             health: ServerHealth::Up,

@@ -587,11 +587,8 @@ fn keyed_routing_matches_slice_routing_bit_for_bit() {
     let idle = ServerView {
         index: 0,
         in_flight: 0,
-        admitted: 0,
         queued: 0,
         current_freq: config.dvfs.min(),
-        target_freq: config.dvfs.min(),
-        busy: false,
         capacity: 1.0,
         class: 0,
         health: Default::default(),

@@ -263,33 +263,21 @@ impl<T> SweepRun<T> {
 
 /// A worker-pool executor for sweep grids.
 ///
-/// Cheap to build per sweep; holds only the requested thread count and the
-/// optional progress label.
+/// Cheap to build per sweep; holds only the requested thread count.
 #[derive(Debug, Clone, Default)]
 pub struct SweepExecutor {
     threads: usize,
-    progress: Option<String>,
 }
 
 impl SweepExecutor {
     /// An executor with the requested thread count (`0` = auto).
     pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            progress: None,
-        }
+        Self { threads }
     }
 
     /// A single-threaded executor (the serial reference path).
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// Enables progress reporting to stderr under the given label
-    /// (roughly every 10% of the grid).
-    pub fn with_progress(mut self, label: &str) -> Self {
-        self.progress = Some(label.to_string());
-        self
     }
 
     /// The resolved number of worker threads this executor will use.
@@ -310,7 +298,6 @@ impl SweepExecutor {
         let n = spec.len();
         let threads = self.threads().min(n.max(1));
         let start = Instant::now();
-        let progress = Progress::new(self.progress.as_deref(), n);
 
         let mut slots: Vec<(usize, T, Duration)> = Vec::with_capacity(n);
         if threads <= 1 {
@@ -318,7 +305,6 @@ impl SweepExecutor {
                 let t0 = Instant::now();
                 let result = f(&cell);
                 slots.push((cell.index(), result, t0.elapsed()));
-                progress.tick();
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -336,7 +322,6 @@ impl SweepExecutor {
                             let t0 = Instant::now();
                             let result = f(&cell);
                             local.push((i, result, t0.elapsed()));
-                            progress.tick();
                         }
                         collected
                             .lock()
@@ -403,38 +388,6 @@ where
     F: Fn(&I) -> T + Send + Sync,
 {
     SweepExecutor::new(threads).map(items, f)
-}
-
-/// Stderr progress reporting, shared by the serial and parallel paths.
-#[derive(Debug)]
-struct Progress<'a> {
-    label: Option<&'a str>,
-    total: usize,
-    every: usize,
-    done: AtomicUsize,
-}
-
-impl<'a> Progress<'a> {
-    fn new(label: Option<&'a str>, total: usize) -> Self {
-        Self {
-            label,
-            total,
-            every: (total / 10).max(1),
-            done: AtomicUsize::new(0),
-        }
-    }
-
-    fn tick(&self) {
-        let Some(label) = self.label else { return };
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        if done.is_multiple_of(self.every) || done == self.total {
-            eprintln!(
-                "{label}: {done}/{} cells ({:.0}%)",
-                self.total,
-                done as f64 * 100.0 / self.total as f64
-            );
-        }
-    }
 }
 
 #[cfg(test)]

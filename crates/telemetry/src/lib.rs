@@ -8,8 +8,8 @@
 //!
 //! 1. **Per-request lifecycle traces.** The cluster driver records
 //!    timestamped [`RequestEvent`]s (routed, timeout, backoff, migration
-//!    hop, crash requeue, salvage, drop) and [`ServerEvent`]s through the
-//!    [`TraceSink`] trait at the same fault-boundary instants it already
+//!    hop, crash requeue, salvage, drop) and [`ServerEvent`]s into a
+//!    [`Recorder`] at the same fault-boundary instants it already
 //!    sequences, so the stream is deterministic and invariant under
 //!    `rubik-sweep` thread count. Service start/end come for free from
 //!    [`rubik_sim::RequestRecord`] and are merged at finalize.
@@ -76,4 +76,4 @@ pub use fleet::{EpochSample, FleetRecorder, ServerSample};
 pub use json::{from_json, to_json, FORMAT};
 pub use log::{RequestTrace, TraceLog};
 pub use report::{breakdown, AttributionReport, LatencyBreakdown};
-pub use sink::{Recorder, Telemetry, TraceSink, DEFAULT_SAMPLE_EPOCH};
+pub use sink::{Recorder, Telemetry, DEFAULT_SAMPLE_EPOCH};

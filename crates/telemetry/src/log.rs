@@ -173,7 +173,6 @@ impl TraceLog {
 mod tests {
     use super::*;
     use crate::event::{RequestEventKind, ServerEventKind};
-    use crate::sink::TraceSink;
     use rubik_sim::RequestRecord;
 
     fn record(id: u64, arrival: f64, start: f64, completion: f64) -> RequestRecord {

@@ -1,5 +1,5 @@
-//! The [`TraceSink`] trait, the in-memory [`Recorder`], and the
-//! [`Telemetry`] handle the cluster driver is threaded with.
+//! The in-memory [`Recorder`] and the [`Telemetry`] handle the cluster
+//! driver is threaded with.
 //!
 //! # Zero cost when disabled
 //!
@@ -18,22 +18,12 @@ use rubik_sim::RunResult;
 /// Default fleet sampling epoch (10 ms of simulated time).
 pub const DEFAULT_SAMPLE_EPOCH: f64 = 0.01;
 
-/// Receiver for the event stream emitted by the cluster driver.
+/// In-memory receiver for the event stream emitted by the cluster driver,
+/// retaining everything for later assembly into a [`TraceLog`].
 ///
-/// The driver calls these hooks at the fault-boundary instants it already
-/// sequences, in deterministic order, so any sink observes a stream that is
-/// a pure function of the run configuration.
-pub trait TraceSink {
-    /// A lifecycle event of request `id`.
-    fn request_event(&mut self, id: u64, event: RequestEvent);
-    /// A server state change.
-    fn server_event(&mut self, event: ServerEvent);
-    /// A completed fleet sample window.
-    fn epoch_sample(&mut self, sample: EpochSample);
-}
-
-/// In-memory [`TraceSink`] that retains everything for later assembly into
-/// a [`TraceLog`].
+/// The driver records at the fault-boundary instants it already sequences,
+/// in deterministic order, so the stream is a pure function of the run
+/// configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Recorder {
     request_events: Vec<(u64, RequestEvent)>,
@@ -56,18 +46,19 @@ impl Recorder {
     pub fn fleet(&self) -> &FleetRecorder {
         &self.fleet
     }
-}
 
-impl TraceSink for Recorder {
-    fn request_event(&mut self, id: u64, event: RequestEvent) {
+    /// Records a lifecycle event of request `id`.
+    pub fn request_event(&mut self, id: u64, event: RequestEvent) {
         self.request_events.push((id, event));
     }
 
-    fn server_event(&mut self, event: ServerEvent) {
+    /// Records a server state change.
+    pub fn server_event(&mut self, event: ServerEvent) {
         self.server_events.push(event);
     }
 
-    fn epoch_sample(&mut self, sample: EpochSample) {
+    /// Records a completed fleet sample window.
+    pub fn epoch_sample(&mut self, sample: EpochSample) {
         self.fleet.record(sample);
     }
 }
@@ -130,8 +121,7 @@ impl Telemetry {
     #[inline]
     pub fn request_event(&mut self, id: u64, event: RequestEvent) {
         if let Some(recorder) = self.recorder.as_deref_mut() {
-            let sink: &mut dyn TraceSink = recorder;
-            sink.request_event(id, event);
+            recorder.request_event(id, event);
         }
     }
 
@@ -139,8 +129,7 @@ impl Telemetry {
     #[inline]
     pub fn server_event(&mut self, event: ServerEvent) {
         if let Some(recorder) = self.recorder.as_deref_mut() {
-            let sink: &mut dyn TraceSink = recorder;
-            sink.server_event(event);
+            recorder.server_event(event);
         }
     }
 
@@ -153,8 +142,7 @@ impl Telemetry {
     #[inline]
     pub fn epoch_sample(&mut self, sample: EpochSample) {
         if let Some(recorder) = self.recorder.as_deref_mut() {
-            let sink: &mut dyn TraceSink = recorder;
-            sink.epoch_sample(sample);
+            recorder.epoch_sample(sample);
         }
     }
 
