@@ -2,7 +2,7 @@
 //! are refreshed every 100 ms tick), and of setting up a fleet's
 //! controllers.
 //!
-//! Six tiers, from the common case to the worst case:
+//! Seven tiers, from the common case to the worst case:
 //!
 //! * `on_tick_unchanged_profile` — no request completed since the last
 //!   build: the version gate short-circuits the whole rebuild, so a tick is
@@ -25,6 +25,12 @@
 //!   recorded when that build also constructed its FFT plans).
 //!   `table_rebuild` still times full builds, with fresh buffers over the
 //!   shared plans.
+//! * `tick_then_arrivals_to_depth_6` — one completion recorded, then a
+//!   tick with an empty queue (the tables set up at depth 1), then five
+//!   arrivals that leave 1 to 5 requests queued: each decision reads one
+//!   position more than the last and extends the tables by one rung
+//!   (depths 2 to 6), continuing the ladder the thread's builder keeps for
+//!   the table it last set up or extended.
 //! * `cold_build_8x16_128` — a throwaway builder with fresh buffers and an
 //!   empty memo (the FFT plans are process-wide, so they already exist):
 //!   what a thread's first build pays.
@@ -38,7 +44,9 @@
 //! Results merge into `BENCH_controller.json` so the trajectory records the
 //! gating/builder win; its `per_controller_build_engine` section holds this
 //! bench and `table_rebuild` run on the engine before the build engine left
-//! the controller.
+//! the controller, and its `extend_replays_ladder` section holds the tiers
+//! that extend tables run on the builder before it kept a ladder per table
+//! kind.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -124,7 +132,36 @@ fn bench_rebuild_amortized(c: &mut Criterion) {
         assert_eq!(rubik.tables().map(|t| t.depth()), Some(queued as usize + 1));
     }
 
-    // Tier 4: cold build through the public wrapper (throwaway builder).
+    // Tier 4: a tick with an empty queue, then arrivals that extend the
+    // tables one rung each, to depth 6.
+    {
+        let (mut rubik, dvfs) = warm_controller();
+        let states: Vec<ServerState> = (0..=5).map(|q| busy_state(0.5, &dvfs, q)).collect();
+        let mut rng = DeterministicRng::new(5);
+        group.bench_function("tick_then_arrivals_to_depth_6", |b| {
+            b.iter(|| {
+                let record = RequestRecord {
+                    id: 1,
+                    arrival: 0.4999,
+                    start: 0.49995,
+                    completion: 0.5,
+                    compute_cycles: rng.lognormal(6e5, 0.3),
+                    membound_time: rng.lognormal(80e-6, 0.3),
+                    queue_len_at_arrival: 1,
+                    class: 0,
+                };
+                rubik.on_completion(&states[0], &record);
+                rubik.on_tick(&states[0]);
+                for state in &states[1..] {
+                    rubik.on_arrival(state);
+                }
+            })
+        });
+        assert!(rubik.stats().table_rebuilds_performed > 1);
+        assert_eq!(rubik.tables().map(|t| t.depth()), Some(6));
+    }
+
+    // Tier 5: cold build through the public wrapper (throwaway builder).
     {
         let mut profiler = OnlineProfiler::new(4096);
         let mut rng = DeterministicRng::new(1);
@@ -138,7 +175,7 @@ fn bench_rebuild_amortized(c: &mut Criterion) {
         });
     }
 
-    // Tiers 5 and 6: a fleet's controllers, seeded from one trace prefix.
+    // Tiers 6 and 7: a fleet's controllers, seeded from one trace prefix.
     {
         let dvfs = DvfsConfig::haswell_like();
         let config = RubikConfig::new(1e-3).with_profiling_window(1024);

@@ -35,9 +35,11 @@
 //! it reads — queue positions 0 to the queue length, up to the Gaussian
 //! cutoff — through the same workspace ([`TableBuilder::extend`]). Between
 //! two ticks the queue is usually short, so most rebuilds never pay for
-//! the deep, large-transform rungs. Extended positions are bit-identical
-//! to a full build's, so no decision changes. Seeds, and a controller's
-//! first build, are full.
+//! the deep, large-transform rungs, and it grows one request at a time, so
+//! most extensions add one rung to the table the workspace's builder last
+//! touched and continue the ladder it keeps for it. Extended positions are
+//! bit-identical to a full build's, so no decision changes. Seeds, and a
+//! controller's first build, are full.
 //!
 //! The controller **version-gates** the whole rebuild:
 //! [`OnlineProfiler::version`] is bumped on every recorded sample, so a tick

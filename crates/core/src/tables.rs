@@ -28,7 +28,7 @@
 //! *all* progress rows — `O(rows + cutoff)` transforms total. Per rung, a
 //! single running-CDF pass accumulates the rung's prefix sums; each table
 //! entry is then the `q`-quantile of `cond_row ⊛ base^⊛i`, found by
-//! bisecting that shared CDF (evaluating
+//! searching that shared CDF (evaluating
 //! `P[X_row + Y_i ≤ t] = Σ_a pmf_row[a]·CDF_i[t−a]` directly) without ever
 //! materializing the per-row convolution. The reference per-row builder is
 //! kept as [`TargetTailTables::build_direct`] and the two are checked
@@ -69,17 +69,27 @@
 //!   ([`TableBuilder::set_up_into`]) stops after row setup — the trim, the
 //!   band boundaries, the per-row conditionals and moments, and position 0
 //!   — and each table records its built depth and, while it is short of
-//!   the cutoff, the last rung's quantile index per row and its trimmed
-//!   base PMF (at most the histogram's bucket count). Before each decision
-//!   the controller calls [`TableBuilder::extend`] to build the positions
-//!   that decision reads. An extension replays the full build's ladder
-//!   from the stored base, so an extended table is bit-identical to a full
-//!   one however the extensions are split, and decisions do not change by
-//!   a bit. Every `build*` entry point ([`TargetTailTables::build`],
-//!   [`TableBuilder::build_with_into`], …) and every controller seed still
-//!   builds full tables: a fleet seeds many controllers from one prefix and
-//!   would otherwise extend each copy on its own. A full table keeps no
-//!   base.
+//!   the cutoff, its trimmed base PMF (at most the histogram's bucket
+//!   count). Before each decision the controller calls
+//!   [`TableBuilder::extend`] to build the positions that decision reads.
+//!   Queues grow one request at a time, so an extension usually adds one
+//!   rung to the table its builder last set up or extended. The builder
+//!   therefore keeps one *ladder* per table kind (compute, memory): the
+//!   trimmed base, the band boundaries, the conditionals with their
+//!   non-zero supports, and the base spectrum and running product at the
+//!   last rung's transform size. An extension reuses a ladder only when the
+//!   table's stored base PMF, bucket width and boundaries match it bit for
+//!   bit (that table or a clone of it); any other table rebuilds the ladder
+//!   from what it stores. It continues the running product only when the
+//!   rung's transform size matches and the product is not past the rung's
+//!   power, and otherwise starts over from a fresh forward transform:
+//!   either way each rung is the product a full build computes, so an
+//!   extended table is bit-identical to a full one however the extensions
+//!   are split, and decisions do not change by a bit. Every `build*` entry
+//!   point ([`TargetTailTables::build`], [`TableBuilder::build_with_into`],
+//!   …) and every controller seed still builds full tables: a fleet seeds
+//!   many controllers from one prefix and would otherwise extend each copy
+//!   on its own. A full table keeps no base.
 //! * **Last-build memo.** A builder remembers the inputs and output of its
 //!   last build, at the depth it was built to (extensions do not update
 //!   it). When a request matches the inputs bit for bit (`to_bits`) — the
@@ -92,13 +102,18 @@
 //!   fleet seeding every server from one trace prefix builds once and
 //!   copies N−1 times. Periodic rebuilds of servers with diverging profiles
 //!   miss and pay a row setup plus an O(table) copy into the memo.
-//! * **Warm-start quantile bisection.** Within one build, the quantile index
-//!   for a row is nondecreasing in queue depth and moves by at most the base
-//!   support per rung, so each bisection brackets from the previous rung's
-//!   answer instead of the full support (falling back to the full bracket if
-//!   the windowed one does not straddle the target, so results are exactly
-//!   the ones the full-range bisection returns). The inner dot product is
-//!   also trimmed to the conditional's non-zero support.
+//! * **Predicted-step quantile search.** Each rung adds one independent
+//!   draw, so a row's quantile index moves by about the same step from rung
+//!   to rung. Each search starts at a predicted index — the row's index at
+//!   the previous position plus its last step (at rung 1, the step the
+//!   previous row just took; for row 0, the base mean in buckets) — gallops
+//!   outward until it brackets the answer, and bisects. The computed CDF is
+//!   monotone in the index (a sum of nondecreasing non-negative terms), so
+//!   every guess leads to the minimal index the full-range bisection
+//!   returns: the prediction changes the probe count, never a bit. An entry
+//!   with quantile index `t` is `(t + 1)·width`, so the indices come back
+//!   from the built entries and a table stores no search state. The inner
+//!   dot product is trimmed to the conditional's non-zero support.
 //!
 //! [`TargetTailTables::build`]/[`TargetTailTables::build_with`] remain as
 //! thin wrappers over a throwaway builder (fresh buffers, empty memo), and
@@ -167,9 +182,6 @@ struct TailTable {
     /// Bucket width of the trimmed base: an entry with quantile index `t`
     /// is `(t + 1)·width`.
     width: f64,
-    /// Quantile index of the last built position, per row: the next rung's
-    /// warm start. Empty once the table is full.
-    last_t: Vec<usize>,
     /// The trimmed base PMF the unbuilt rungs derive from. Empty once the
     /// table is full.
     base: Vec<f64>,
@@ -190,7 +202,6 @@ impl Clone for TailTable {
             var: self.var,
             depth: self.depth,
             width: self.width,
-            last_t: self.last_t.clone(),
             base: self.base.clone(),
         }
     }
@@ -205,13 +216,11 @@ impl Clone for TailTable {
         self.var = source.var;
         self.depth = source.depth;
         self.width = source.width;
-        self.last_t.clone_from(&source.last_t);
         self.base.clone_from(&source.base);
     }
 }
 
-/// What a decision can read (see the module docs, "Equality"). The
-/// warm-start indices follow from the built entries and are not compared.
+/// What a decision can read (see the module docs, "Equality").
 impl PartialEq for TailTable {
     fn eq(&self, other: &Self) -> bool {
         let depth = self.depth.min(other.depth);
@@ -287,7 +296,6 @@ impl TailTable {
             var: base.variance(),
             depth: cutoff,
             width: base.bucket_width(),
-            last_t: Vec::new(),
             base: Vec::new(),
         }
     }
@@ -304,7 +312,6 @@ impl TailTable {
             var: 0.0,
             depth: cutoff,
             width: 0.0,
-            last_t: Vec::new(),
             base: Vec::new(),
         }
     }
@@ -331,7 +338,6 @@ impl TailTable {
         self.var = 0.0;
         self.depth = cutoff;
         self.width = 0.0;
-        self.last_t.clear();
         self.base.clear();
     }
 
@@ -370,94 +376,110 @@ impl TailTable {
     }
 }
 
-/// The `q`-quantile of `X + Y_i` where `X` has `cond_pmf` (bucket index `a` ↦
-/// value `(a+1)·w`) and `Y_i` is the ladder rung with running CDF `rung_cdf`
-/// (index `b` ↦ value `(b+i)·w`, the `i` accounting for the upper-edge
-/// representative of each of the `i` summands). Returns the combined bucket
-/// index `t` (value `(t+1)·w`): the smallest `t` with
-/// `P[a + b + i ≤ t] ≥ q − ε`, found by bisection; each CDF evaluation is a
-/// dot product of the conditioned PMF — trimmed to its non-zero support
-/// `[first, last]` — with a shifted window of the shared rung CDF.
-///
-/// `warm` carries the previous rung's answer for this row. The quantile is
-/// nondecreasing across rungs (each rung adds an independent non-negative
-/// draw) and advances by at most `base_len` indices (the added draw is
-/// bounded by the base support), so `(warm, warm + base_len]` brackets the
-/// answer; the bracket is verified before use and the bisection falls back
-/// to the full range whenever it does not straddle the target. The CDF is
-/// monotone in `t` (a sum of nondecreasing non-negative terms), so every
-/// valid bracket converges to the same minimal `t` — warm starts change the
-/// probe count, never the result.
-fn quantile_of_sum(
+/// `P[a + b + i ≤ t]` for `X` with `cond_pmf` (bucket index `a` ↦ value
+/// `(a+1)·w`, non-zero on `[first, last]`) and the ladder rung `Y_i` with
+/// running CDF `rung_cdf` (index `b` ↦ value `(b+i)·w`, the `i` accounting
+/// for the upper-edge representative of each of the `i` summands): a dot
+/// product of the conditioned PMF with a shifted window of the rung CDF.
+/// Nondecreasing in `t`: every term is, and terms that join as `t` grows
+/// are non-negative and join at the end of the sum.
+#[inline]
+fn cdf_of_sum(
     cond_pmf: &[f64],
     (first, last): (usize, usize),
     rung_cdf: &[f64],
     i: usize,
-    q: f64,
-    warm: Option<(usize, usize)>,
-) -> usize {
+    t: usize,
+) -> f64 {
+    // P[a + b + i <= t] = Σ_a cond[a] · P[b <= t - i - a], accumulated over
+    // ascending a exactly like the naive branchy loop (adding a zero-mass
+    // term is a floating-point no-op, so the zero-skip branch is dropped),
+    // but split into the two structural segments — shift beyond the rung
+    // support (CDF saturates at `total`) and shift inside it — so both run
+    // as zipped slices with no per-element branches or bounds checks.
     let support = rung_cdf.len();
     let total = rung_cdf[support - 1];
-    let cdf_at = |t: usize| -> f64 {
-        // P[a + b + i <= t] = Σ_a cond[a] · P[b <= t - i - a], accumulated
-        // over ascending a exactly like the naive branchy loop (adding a
-        // zero-mass term is a floating-point no-op, so the zero-skip branch
-        // is dropped), but split into the two structural segments — shift
-        // beyond the rung support (CDF saturates at `total`) and shift
-        // inside it — so both run as zipped slices with no per-element
-        // branches or bounds checks.
-        let Some(ti) = t.checked_sub(i) else {
-            return 0.0;
-        };
-        // Terms with a > t - i have empty windows (P[b < 0] = 0).
-        let a_hi = last.min(ti);
-        if a_hi < first {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        // Segment 1: a <= ti - support ⟹ shift >= support ⟹ CDF = total.
-        let mut a = first;
-        if let Some(saturated_end) = ti.checked_sub(support) {
-            let end = saturated_end.min(a_hi);
-            if end >= a {
-                for &p in &cond_pmf[a..=end] {
-                    acc += p * total;
-                }
-                a = end + 1;
-            }
-        }
-        // Segment 2: the in-support window, rung CDF read back-to-front as
-        // a ascends (shift = ti - a descends).
-        if a <= a_hi {
-            let window = &rung_cdf[ti - a_hi..=ti - a];
-            for (&p, &cdf) in cond_pmf[a..=a_hi].iter().zip(window.iter().rev()) {
-                acc += p * cdf;
-            }
-        }
-        acc
+    let Some(ti) = t.checked_sub(i) else {
+        return 0.0;
     };
+    // Terms with a > t - i have empty windows (P[b < 0] = 0).
+    let a_hi = last.min(ti);
+    if a_hi < first {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    // Segment 1: a <= ti - support ⟹ shift >= support ⟹ CDF = total.
+    let mut a = first;
+    if let Some(saturated_end) = ti.checked_sub(support) {
+        let end = saturated_end.min(a_hi);
+        if end >= a {
+            for &p in &cond_pmf[a..=end] {
+                acc += p * total;
+            }
+            a = end + 1;
+        }
+    }
+    // Segment 2: the in-support window, rung CDF read back-to-front as a
+    // ascends (shift = ti - a descends).
+    if a <= a_hi {
+        let window = &rung_cdf[ti - a_hi..=ti - a];
+        for (&p, &cdf) in cond_pmf[a..=a_hi].iter().zip(window.iter().rev()) {
+            acc += p * cdf;
+        }
+    }
+    acc
+}
 
-    let full_hi = cond_pmf.len() - 1 + (support - 1) + i;
-    let (mut lo, mut hi) = match warm {
-        Some((prev, base_len))
-            if prev < full_hi
-                && cdf_at(prev) < q - QUANTILE_EPS
-                && cdf_at((prev + base_len).min(full_hi)) >= q - QUANTILE_EPS =>
-        {
-            (prev, (prev + base_len).min(full_hi))
-        }
-        _ => {
-            let lo = i; // a = 0, b = 0
-            if cdf_at(lo) >= q - QUANTILE_EPS {
-                return lo;
+/// The `q`-quantile of `X + Y_i` (see [`cdf_of_sum`]) as a combined bucket
+/// index `t` (value `(t+1)·w`): the smallest `t` in `[i, full_hi]` with
+/// `P[a + b + i ≤ t] ≥ q − ε`, where `full_hi` is the sum's largest index
+/// and counts as reached without a probe, as in a full-range bisection.
+///
+/// The search starts at `guess` (clamped into that range) and gallops away
+/// from it — 1, 2, 4, … indices down while the probes reach the quantile,
+/// up while they do not — until it brackets the answer, then bisects the
+/// bracket. The CDF is monotone in `t`, so every guess converges to the
+/// same minimal `t`: the guess changes the probe count, never the result.
+fn quantile_of_sum(
+    cond_pmf: &[f64],
+    nnz: (usize, usize),
+    rung_cdf: &[f64],
+    i: usize,
+    q: f64,
+    guess: usize,
+) -> usize {
+    let full_hi = cond_pmf.len() - 1 + (rung_cdf.len() - 1) + i;
+    let reached =
+        |t: usize| t >= full_hi || cdf_of_sum(cond_pmf, nnz, rung_cdf, i, t) >= q - QUANTILE_EPS;
+    let guess = guess.clamp(i, full_hi);
+    let (mut lo, mut hi) = if reached(guess) {
+        let (mut hi, mut step) = (guess, 1);
+        loop {
+            if hi == i {
+                return i;
             }
-            (lo, full_hi)
+            let probe = hi - step.min(hi - i);
+            if !reached(probe) {
+                break (probe, hi);
+            }
+            hi = probe;
+            step *= 2;
+        }
+    } else {
+        let (mut lo, mut step) = (guess, 1);
+        loop {
+            let probe = (lo + step).min(full_hi);
+            if reached(probe) {
+                break (lo, probe);
+            }
+            lo = probe;
+            step *= 2;
         }
     };
-    // Invariant: cdf_at(lo) < q - ε <= cdf_at(hi) (hi covers all mass).
+    // Invariant: !reached(lo) && reached(hi).
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if cdf_at(mid) >= q - QUANTILE_EPS {
+        if reached(mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -540,35 +562,159 @@ impl TailsCursor<'_> {
 /// Persistent spectral table builder (see the module docs, "Rebuild cost:
 /// incremental builder").
 ///
-/// Every working buffer — the trimmed base, per-row conditionals, spectra,
-/// rung PMF/CDF — is reused from rebuild to rebuild, so a warm
-/// [`TableBuilder::build_with_into`], [`TableBuilder::set_up_into`] or
-/// [`TableBuilder::extend`] performs no allocation once the buffers have
-/// reached their high-water sizes; transforms go through the process-wide
-/// [`FftPlan::shared`] plans. The builder also remembers its last build and
-/// serves a bit-identical repeat of it by copying. The controller rebuilds
-/// through one builder per thread. One-off callers go through
-/// [`TargetTailTables::build`], which spins up a throwaway builder.
+/// Every working buffer — the per-kind ladders (trimmed base, boundaries,
+/// per-row conditionals, spectra) and the rung PMF/CDF — is reused from
+/// rebuild to rebuild, so a warm [`TableBuilder::build_with_into`],
+/// [`TableBuilder::set_up_into`] or [`TableBuilder::extend`] performs no
+/// allocation once the buffers have reached their high-water sizes;
+/// transforms go through the process-wide [`FftPlan::shared`] plans. The
+/// builder remembers its last build and serves a bit-identical repeat of it
+/// by copying, and keeps the ladder of the last compute and memory table it
+/// set up or extended, so extending that table (or a clone of it) one rung
+/// at a time neither conditions its rows again nor restarts its transform
+/// ladder. The controller rebuilds through one builder per thread. One-off
+/// callers go through [`TargetTailTables::build`], which spins up a
+/// throwaway builder.
 #[derive(Debug)]
 pub struct TableBuilder {
     /// Packed-FFT scratch shared by all transforms.
     scratch: Vec<Complex>,
-    /// Trimmed base of the table under construction or extension.
-    base: Histogram,
-    /// Per-row conditional distributions.
-    conds: Vec<Histogram>,
-    /// Non-zero support `[first, last]` of each row's conditional PMF.
-    row_nnz: Vec<(usize, usize)>,
-    /// Spectrum of the trimmed base at the current ladder size.
-    base_spec: Spectrum,
-    /// Running product `base_spec^i`.
-    running: Spectrum,
+    /// The ladders of the last compute and memory table set up or extended,
+    /// indexed by [`COMPUTE`] and [`MEMORY`].
+    ladders: [Ladder; 2],
     /// Time-domain rung `base^⊛i`.
     rung_pmf: Vec<f64>,
     /// Running CDF of the current rung.
     rung_cdf: Vec<f64>,
     /// Inputs and output of the last build, once there has been one.
     memo: Option<Memo>,
+}
+
+/// Index of the compute table's ladder in [`TableBuilder::ladders`].
+const COMPUTE: usize = 0;
+/// Index of the memory table's ladder in [`TableBuilder::ladders`].
+const MEMORY: usize = 1;
+
+/// What one table's rungs derive from (see the module docs, "Rungs on
+/// demand"): its trimmed base and band boundaries, the conditionals taken
+/// from them, and the running product where the last rung left it.
+#[derive(Debug)]
+struct Ladder {
+    /// The trimmed base PMF and bucket width.
+    base: Histogram,
+    /// Lower boundary of each elapsed-work band.
+    boundaries: Vec<f64>,
+    /// Per-row conditional distributions.
+    conds: Vec<Histogram>,
+    /// Non-zero support `[first, last]` of each row's conditional PMF.
+    row_nnz: Vec<(usize, usize)>,
+    /// Spectrum of the base at the last rung's transform size.
+    base_spec: Spectrum,
+    /// Running product `base_spec^exp`.
+    running: Spectrum,
+    /// Power of `running`; 0 while no spectrum of this base exists.
+    exp: usize,
+}
+
+impl Ladder {
+    fn new() -> Self {
+        Self {
+            base: Histogram::zero(),
+            boundaries: Vec::new(),
+            conds: Vec::new(),
+            row_nnz: Vec::new(),
+            base_spec: Spectrum::default(),
+            running: Spectrum::default(),
+            exp: 0,
+        }
+    }
+
+    /// Sets the ladder up for `hist` trimmed, with `rows` bands.
+    fn set_up(&mut self, hist: &Histogram, rows: usize) {
+        // Trim negligible tail mass so the transform size stays small.
+        hist.trim_tail_into(1e-9, &mut self.base);
+        self.boundaries.clear();
+        let base = &self.base;
+        self.boundaries
+            .extend((0..rows).map(|row| row_boundary(base, row, rows)));
+        self.condition_rows();
+    }
+
+    /// Whether the ladder derives from `table`'s stored base PMF, bucket
+    /// width and boundaries, bit for bit: everything else it holds is a
+    /// pure function of those.
+    fn holds(&self, table: &TailTable) -> bool {
+        self.base.bucket_width().to_bits() == table.width.to_bits()
+            && bits_equal(self.base.pmf(), &table.base)
+            && bits_equal(&self.boundaries, &table.boundaries)
+    }
+
+    /// Rebuilds the ladder from what a short `table` stores.
+    fn restore(&mut self, table: &TailTable) {
+        self.base.assign_pmf(&table.base, table.width);
+        self.boundaries.clone_from(&table.boundaries);
+        self.condition_rows();
+    }
+
+    /// The conditional of the base at each boundary, and its non-zero
+    /// support; drops the spectra, which belong to the previous base.
+    fn condition_rows(&mut self) {
+        if self.conds.len() < self.boundaries.len() {
+            self.conds.resize(self.boundaries.len(), Histogram::zero());
+        }
+        self.row_nnz.clear();
+        for (cond, &boundary) in self.conds.iter_mut().zip(&self.boundaries) {
+            self.base.conditional_on_elapsed_into(boundary, cond);
+            let pmf = cond.pmf();
+            let first = pmf
+                .iter()
+                .position(|&p| p != 0.0)
+                .expect("conditional PMF has mass");
+            let last = pmf.iter().rposition(|&p| p != 0.0).expect("has mass");
+            self.row_nnz.push((first, last));
+        }
+        self.exp = 0;
+    }
+
+    /// Rung `i ≥ 1`, `base^⊛i`, into `rung_pmf` (at least its `i·(len−1)+1`
+    /// points of support).
+    ///
+    /// Right-sized ladder: the rung's linear-convolution support
+    /// `i(len−1)+1` sets its power-of-two transform size, so early rungs
+    /// transform small. At each size the running product starts from a
+    /// fresh transform of the base and is multiplied up to the rung's
+    /// power, so a rung's bits depend only on `i`, and rungs at the deepest
+    /// size are bit-identical to a single-size ladder. The product held
+    /// from an earlier rung is continued only when it has the rung's size
+    /// and is not past its power: it then holds exactly the product a
+    /// fresh start would reach on the way.
+    fn rung_into(&mut self, i: usize, scratch: &mut Vec<Complex>, rung_pmf: &mut Vec<f64>) {
+        if i == 1 {
+            // Rung 1 *is* the base PMF — no transform needed.
+            rung_pmf.clear();
+            rung_pmf.extend_from_slice(self.base.pmf());
+            return;
+        }
+        let support = i * (self.base.len() - 1) + 1;
+        let size = support.next_power_of_two().max(2);
+        let plan = FftPlan::shared(size);
+        if self.exp == 0 || self.exp > i || self.base_spec.len() != size {
+            plan.forward_into(self.base.pmf(), scratch, &mut self.base_spec);
+            self.running.clone_from(&self.base_spec);
+            self.exp = 1;
+        }
+        while self.exp < i {
+            self.running.mul_assign(&self.base_spec);
+            self.exp += 1;
+        }
+        plan.inverse_into(&self.running, scratch, rung_pmf);
+    }
+}
+
+/// Whether two slices hold the same `f64`s bit for bit. Stricter than `==`,
+/// which equates `0.0` with `-0.0`.
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// A build's complete inputs and its output: the tables are a pure function
@@ -584,15 +730,9 @@ struct Memo {
 }
 
 /// Whether two histograms are identical bit for bit: the same bucket width
-/// and PMF (the cached CDF is derived from the PMF). Stricter than `==`,
-/// which equates `0.0` with `-0.0`.
+/// and PMF (the cached CDF is derived from the PMF).
 fn same_bits(a: &Histogram, b: &Histogram) -> bool {
-    a.bucket_width().to_bits() == b.bucket_width().to_bits()
-        && a.len() == b.len()
-        && a.pmf()
-            .iter()
-            .zip(b.pmf())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+    a.bucket_width().to_bits() == b.bucket_width().to_bits() && bits_equal(a.pmf(), b.pmf())
 }
 
 impl Memo {
@@ -624,11 +764,7 @@ impl TableBuilder {
     pub fn new() -> Self {
         Self {
             scratch: Vec::new(),
-            base: Histogram::zero(),
-            conds: Vec::new(),
-            row_nnz: Vec::new(),
-            base_spec: Spectrum::default(),
-            running: Spectrum::default(),
+            ladders: [Ladder::new(), Ladder::new()],
             rung_pmf: Vec::new(),
             rung_cdf: Vec::new(),
             memo: None,
@@ -737,11 +873,18 @@ impl TableBuilder {
     /// Builds the explicit positions of both tables up to `depth` (capped
     /// at the Gaussian cutoff): afterwards every position below
     /// `depth.min(tables.gaussian_cutoff())` can be read. Positions already
-    /// built are kept, so this is a no-op on full tables. Each added rung
-    /// replays the full build's size-stepped product — a fresh forward
-    /// transform of the base at the rung's transform size, multiplied up to
-    /// the rung's power — so extended tables are bit-identical to full
-    /// builds however the extensions are split.
+    /// built are kept, so this is a no-op on full tables. Each added rung is
+    /// the full build's size-stepped product — the base's forward transform
+    /// at the rung's transform size, multiplied up to the rung's power — so
+    /// extended tables are bit-identical to full builds however the
+    /// extensions are split.
+    ///
+    /// A table whose stored base and boundaries match the builder's ladder
+    /// of its kind bit for bit (the table this builder last set up or
+    /// extended, or a clone of it) reuses that ladder's conditionals and
+    /// continues its running product where the transform size allows; any
+    /// other table first rebuilds the ladder from what it stores (see the
+    /// module docs, "Rungs on demand").
     pub fn extend(&mut self, tables: &mut TargetTailTables, depth: usize) {
         let depth = depth.min(tables.cutoff);
         let TargetTailTables {
@@ -751,11 +894,13 @@ impl TableBuilder {
             cutoff,
             ..
         } = tables;
-        for table in [compute, memory] {
+        for (kind, table) in [(COMPUTE, compute), (MEMORY, memory)] {
             if table.depth < depth {
-                self.base.assign_pmf(&table.base, table.width);
-                self.condition_rows(&table.boundaries);
-                self.build_rungs(*quantile, *cutoff, depth, table);
+                let ladder = &mut self.ladders[kind];
+                if !ladder.holds(table) {
+                    ladder.restore(table);
+                }
+                self.build_rungs(kind, *quantile, *cutoff, depth, table);
             }
         }
     }
@@ -786,11 +931,27 @@ impl TableBuilder {
                 return;
             }
         }
-        self.build_table_into(compute, quantile, rows, cutoff, depth, &mut out.compute);
+        self.build_table_into(
+            COMPUTE,
+            compute,
+            quantile,
+            rows,
+            cutoff,
+            depth,
+            &mut out.compute,
+        );
         if memory.mean() < NEGLIGIBLE_MEM_TIME {
             out.memory.zero_into(rows, cutoff);
         } else {
-            self.build_table_into(memory, quantile, rows, cutoff, depth, &mut out.memory);
+            self.build_table_into(
+                MEMORY,
+                memory,
+                quantile,
+                rows,
+                cutoff,
+                depth,
+                &mut out.memory,
+            );
         }
         out.quantile = quantile;
         out.cutoff = cutoff;
@@ -817,10 +978,13 @@ impl TableBuilder {
         }
     }
 
-    /// Builds one table into `out` to `depth` explicit positions: row
-    /// setup, then the ladder (see the module docs).
+    /// Builds one table into `out` to `depth` explicit positions through
+    /// the ladder of its `kind`: row setup, then the rungs (see the module
+    /// docs).
+    #[allow(clippy::too_many_arguments)]
     fn build_table_into(
         &mut self,
+        kind: usize,
         hist: &Histogram,
         quantile: f64,
         rows: usize,
@@ -828,116 +992,69 @@ impl TableBuilder {
         depth: usize,
         out: &mut TailTable,
     ) {
-        // Trim negligible tail mass so the transform size stays small.
-        hist.trim_tail_into(1e-9, &mut self.base);
-
         // Row setup: boundaries, conditionals (with their non-zero support),
         // moments, and the position-0 column — all into reused storage.
-        out.boundaries.clear();
-        out.boundaries
-            .extend((0..rows).map(|row| row_boundary(&self.base, row, rows)));
-        self.condition_rows(&out.boundaries);
+        let ladder = &mut self.ladders[kind];
+        ladder.set_up(hist, rows);
+        out.boundaries.clone_from(&ladder.boundaries);
         out.cond_mean.clear();
         out.cond_var.clear();
-        out.last_t.clear();
         out.rows.truncate(rows);
         while out.rows.len() < rows {
             out.rows.push(Vec::new());
         }
-        for (cond, row_vals) in self.conds.iter().zip(&mut out.rows) {
+        for (cond, row_vals) in ladder.conds.iter().zip(&mut out.rows) {
             out.cond_mean.push(cond.mean());
             out.cond_var.push(cond.variance());
             // Position 0 needs no convolution: the conditioned distribution's
-            // own quantile (also the warm start for rung 1).
-            let j0 = cond.quantile_bucket(quantile);
+            // own quantile.
             row_vals.clear();
             row_vals.reserve(cutoff);
-            row_vals.push(cond.bucket_value(j0));
-            out.last_t.push(j0);
+            row_vals.push(cond.quantile(quantile));
         }
-        out.mean = self.base.mean();
-        out.var = self.base.variance();
-        out.width = self.base.bucket_width();
+        out.mean = ladder.base.mean();
+        out.var = ladder.base.variance();
+        out.width = ladder.base.bucket_width();
         out.depth = 1;
         // Keep the base only for a table that stays short of the cutoff.
         out.base.clear();
         if depth < cutoff {
-            out.base.extend_from_slice(self.base.pmf());
+            out.base.extend_from_slice(ladder.base.pmf());
         }
 
-        self.build_rungs(quantile, cutoff, depth, out);
+        self.build_rungs(kind, quantile, cutoff, depth, out);
     }
 
-    /// The conditional of `self.base` at each row boundary, and its
-    /// non-zero support, into the builder's per-row buffers.
-    fn condition_rows(&mut self, boundaries: &[f64]) {
-        if self.conds.len() < boundaries.len() {
-            self.conds.resize(boundaries.len(), Histogram::zero());
-        }
-        self.row_nnz.clear();
-        for (cond, &boundary) in self.conds.iter_mut().zip(boundaries) {
-            self.base.conditional_on_elapsed_into(boundary, cond);
-            let pmf = cond.pmf();
-            let first = pmf
-                .iter()
-                .position(|&p| p != 0.0)
-                .expect("conditional PMF has mass");
-            let last = pmf.iter().rposition(|&p| p != 0.0).expect("has mass");
-            self.row_nnz.push((first, last));
-        }
-    }
-
-    /// Builds rungs `out.depth..depth` of the ladder into `out`, from the
-    /// base and conditionals already in the builder's buffers. A table that
-    /// reaches the cutoff drops its base and warm starts (keeping their
-    /// storage for the next rebuild).
-    fn build_rungs(&mut self, quantile: f64, cutoff: usize, depth: usize, out: &mut TailTable) {
+    /// Builds rungs `out.depth..depth` into `out` from the ladder of its
+    /// `kind`, which must hold `out`'s base and boundaries. A table that
+    /// reaches the cutoff drops its base (keeping the storage for the next
+    /// rebuild).
+    fn build_rungs(
+        &mut self,
+        kind: usize,
+        quantile: f64,
+        cutoff: usize,
+        depth: usize,
+        out: &mut TailTable,
+    ) {
         let Self {
             scratch,
-            base,
-            conds,
-            row_nnz,
-            base_spec,
-            running,
+            ladders,
             rung_pmf,
             rung_cdf,
             memo: _,
         } = self;
-        let base_len = base.pmf().len();
-
-        // Right-sized ladder: rung base^⊛i has linear-convolution support
-        // i(len−1)+1, so early rungs transform at small power-of-two sizes.
-        // The running product at each size starts from a fresh transform of
-        // the base and is multiplied up to the rung's power, so a rung's
-        // bits depend only on i — not on which rung this call starts from,
-        // nor on whether the ladder was split across calls — and rungs at
-        // the deepest size are bit-identical to a single-size ladder.
-        let mut cur_size = 0usize;
-        let mut exp = 0usize;
+        let ladder = &mut ladders[kind];
+        let width = out.width;
+        // The quantile index of a built entry, `(t + 1)·width` (see the
+        // module docs, "Predicted-step quantile search").
+        let index = |value: f64| ((value / width).round() as usize).saturating_sub(1);
         for i in out.depth..depth {
-            let support = i * (base_len - 1) + 1;
-            if i > 1 {
-                let size = support.next_power_of_two().max(2);
-                let plan = FftPlan::shared(size);
-                if size != cur_size {
-                    plan.forward_into(base.pmf(), scratch, base_spec);
-                    running.clone_from(base_spec);
-                    exp = 1;
-                    cur_size = size;
-                }
-                while exp < i {
-                    running.mul_assign(base_spec);
-                    exp += 1;
-                }
-                plan.inverse_into(running, scratch, rung_pmf);
-            } else {
-                // Rung 1 *is* the base PMF — no transform needed.
-                rung_pmf.clear();
-                rung_pmf.extend_from_slice(base.pmf());
-            }
+            ladder.rung_into(i, scratch, rung_pmf);
 
             // The single running-CDF pass over this rung, clamping FFT
             // round-off (a convolution of PMFs cannot go negative).
+            let support = i * (ladder.base.len() - 1) + 1;
             rung_cdf.clear();
             let mut cum = 0.0;
             for &p in &rung_pmf[..support] {
@@ -945,23 +1062,31 @@ impl TableBuilder {
                 rung_cdf.push(cum);
             }
 
-            for (row, (cond, row_vals)) in conds.iter().zip(&mut out.rows).enumerate() {
-                let t = quantile_of_sum(
-                    cond.pmf(),
-                    row_nnz[row],
-                    rung_cdf,
-                    i,
-                    quantile,
-                    Some((out.last_t[row], base_len)),
-                );
-                out.last_t[row] = t;
-                row_vals.push((t + 1) as f64 * out.width);
+            // Predicted step of each row's index at this rung: its own last
+            // step, or at rung 1 the step the row above just took, starting
+            // from one base draw (the base mean in buckets) for row 0.
+            let mut step = if i == 1 {
+                (out.mean / width).round() as usize
+            } else {
+                0
+            };
+            for (cond, (row_vals, &nnz)) in ladder
+                .conds
+                .iter()
+                .zip(out.rows.iter_mut().zip(&ladder.row_nnz))
+            {
+                let last = index(row_vals[i - 1]);
+                if i > 1 {
+                    step = last.saturating_sub(index(row_vals[i - 2]));
+                }
+                let t = quantile_of_sum(cond.pmf(), nnz, rung_cdf, i, quantile, last + step);
+                step = t.saturating_sub(last);
+                row_vals.push((t + 1) as f64 * width);
             }
         }
         out.depth = out.depth.max(depth);
         if out.depth == cutoff {
             out.base.clear();
-            out.last_t.clear();
         }
     }
 }
@@ -1313,7 +1438,6 @@ mod tests {
         TableBuilder::new().set_up_into(&c, &m, 0.95, 8, 16, &mut short);
         assert_eq!(short.depth(), 1);
         assert!(full.compute.base.is_empty() && full.memory.base.is_empty());
-        assert!(full.compute.last_t.is_empty() && full.memory.last_t.is_empty());
 
         // A base the unbuilt rungs would derive from differently.
         let mut other_base = short.clone();
@@ -1330,6 +1454,113 @@ mod tests {
         TableBuilder::new().extend(&mut short, 16);
         assert!(short.compute.base.is_empty() && short.memory.base.is_empty());
         assert_eq!(format!("{short:?}"), format!("{full:?}"));
+    }
+
+    /// The full-range bisection: the reference the predicted-step search
+    /// must agree with.
+    fn quantile_by_bisection(
+        cond_pmf: &[f64],
+        nnz: (usize, usize),
+        rung_cdf: &[f64],
+        i: usize,
+        q: f64,
+    ) -> usize {
+        let reached = |t| cdf_of_sum(cond_pmf, nnz, rung_cdf, i, t) >= q - QUANTILE_EPS;
+        if reached(i) {
+            return i;
+        }
+        let (mut lo, mut hi) = (i, cond_pmf.len() - 1 + (rung_cdf.len() - 1) + i);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if reached(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// A random PMF of `len` buckets with zero-mass buckets inside it,
+    /// scaled to total `mass`.
+    fn random_pmf(rng: &mut DeterministicRng, len: usize, mass: f64) -> Vec<f64> {
+        let mut pmf: Vec<f64> = (0..len)
+            .map(|_| {
+                if rng.bernoulli(0.3) {
+                    0.0
+                } else {
+                    rng.uniform()
+                }
+            })
+            .collect();
+        if pmf.iter().all(|&p| p == 0.0) {
+            pmf[rng.index(len)] = 1.0;
+        }
+        let total: f64 = pmf.iter().sum();
+        pmf.iter_mut().for_each(|p| *p *= mass / total);
+        pmf
+    }
+
+    /// Random conditionals (zero buckets at either end, so their non-zero
+    /// support `[first, last]` is strict) and rung CDFs, where the answer
+    /// falls at `i`, at the sum's last index or in between: the search
+    /// returns the full-range bisection's index from every guess between
+    /// `i − 3` and that last index `+ 3`.
+    #[test]
+    fn predicted_step_search_matches_full_range_bisection_from_every_guess() {
+        let mut rng = DeterministicRng::new(0x5EA4C);
+        let (mut at_i, mut at_end, mut inside) = (0, 0, 0);
+        for case in 0..400 {
+            let i = 1 + rng.index(6);
+            let (lead, trail) = (rng.index(4), rng.index(4));
+            let (lead, q, rung_mass) = match case % 4 {
+                // Mass at a = 0 and b = 0 reaches a tiny quantile at once.
+                0 => (0, 1e-6, 1.0),
+                // A rung short of the quantile's mass never reaches it.
+                1 => (lead, 0.95, 0.9),
+                _ => (lead, 0.05 + 0.949 * rng.uniform(), 1.0),
+            };
+            let mut cond = vec![0.0; lead];
+            let len = 1 + rng.index(12);
+            cond.extend(random_pmf(&mut rng, len, 1.0));
+            cond.extend(std::iter::repeat_n(0.0, trail));
+            if case % 4 == 0 {
+                cond[0] = cond[0].max(0.5);
+            }
+            let first = cond.iter().position(|&p| p != 0.0).expect("has mass");
+            let last = cond.iter().rposition(|&p| p != 0.0).expect("has mass");
+            let len = 1 + rng.index(24);
+            let mut rung = random_pmf(&mut rng, len, rung_mass);
+            if case % 4 == 0 {
+                rung[0] = rung[0].max(0.5);
+            }
+            let rung_cdf: Vec<f64> = rung
+                .iter()
+                .scan(0.0, |cum, &p| {
+                    *cum += p;
+                    Some(*cum)
+                })
+                .collect();
+            let full_hi = cond.len() - 1 + (rung_cdf.len() - 1) + i;
+
+            let expected = quantile_by_bisection(&cond, (first, last), &rung_cdf, i, q);
+            match expected {
+                t if t == i => at_i += 1,
+                t if t == full_hi => at_end += 1,
+                _ => inside += 1,
+            }
+            for guess in i.saturating_sub(3)..=full_hi + 3 {
+                assert_eq!(
+                    quantile_of_sum(&cond, (first, last), &rung_cdf, i, q, guess),
+                    expected,
+                    "case {case}: i {i}, guess {guess}, q {q}, cond {cond:?}, rung {rung:?}"
+                );
+            }
+        }
+        assert!(
+            at_i >= 50 && at_end >= 50 && inside >= 50,
+            "{at_i} {at_end} {inside}"
+        );
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //! The last ones pin on-demand rungs: tables set up to depth 1 and extended
 //! in any split — one rung at a time, in two jumps, at once, through one
 //! builder or several — equal a full build at every position they can
-//! read; a shallower memo never serves a deeper request; a read past the
-//! built depth panics; and `==` is defined over what decisions can read.
+//! read; a builder's per-kind ladder serves only the table it was built
+//! for (and its clones), whichever tables and controllers interleave on it;
+//! a shallower memo never serves a deeper request; a read past the built
+//! depth panics; and `==` is defined over what decisions can read.
 
 use rubik_core::{RubikConfig, RubikController, TableBuilder, TargetTailTables};
-use rubik_sim::{Server, SimConfig};
+use rubik_sim::{
+    DvfsConfig, DvfsPolicy, InServiceView, QueuedView, RequestRecord, Server, ServerState,
+    SimConfig,
+};
 use rubik_stats::{DeterministicRng, Histogram};
 use rubik_workloads::{AppProfile, WorkloadGenerator};
 
@@ -445,7 +450,7 @@ fn extensions_in_any_split_match_full_builds_exactly() {
         let mut other = TableBuilder::new();
 
         // One rung at a time, alternating builders: the state an extension
-        // needs lives in the tables, not in a builder.
+        // needs lives in the tables; a builder's ladder only saves work.
         let mut tables = set_up(&mut builder, &c, &m, rows, cutoff);
         assert_readable_positions_match(&label, &tables, &eager, &probes);
         for depth in 2..=cutoff {
@@ -490,6 +495,223 @@ fn extensions_in_any_split_match_full_builds_exactly() {
             );
         }
         assert_eq!(format!("{tables:?}"), format!("{eager:?}"), "{label}");
+    }
+}
+
+/// Two profiles whose trimmed compute bases have the same length, and
+/// whose trimmed memory bases do too: a ladder check that compared lengths
+/// alone could not tell their tables apart.
+fn same_length_profiles() -> [(Histogram, Histogram); 2] {
+    let mut rng = DeterministicRng::new(0xE9);
+    let profiles = [(1e6, 0.4), (8e5, 0.7)].map(|(mean, cov)| {
+        (
+            lognormal_hist(&mut rng, mean, cov, 4000),
+            lognormal_hist(&mut rng, mean * 7e-11, cov, 4000),
+        )
+    });
+    let trimmed_len = |h: &Histogram| h.trim_tail(1e-9).len();
+    let [(c0, m0), (c1, m1)] = &profiles;
+    assert_eq!(trimmed_len(c0), trimmed_len(c1));
+    assert_eq!(trimmed_len(m0), trimmed_len(m1));
+    profiles
+}
+
+/// One builder extends tables of two profiles alternately, one rung at a
+/// time, so each extension finds the other table's ladder and must rebuild
+/// it; then it extends a clone deeper than its original, so the original's
+/// next rung finds a running product past its power at the same transform
+/// size and must start it over. Every readable position matches the full
+/// build bit for bit.
+#[test]
+fn one_builder_extends_interleaved_tables_and_clones_exactly() {
+    let (rows, cutoff) = (8, 16);
+    let profiles = same_length_profiles();
+    let eager = profiles
+        .each_ref()
+        .map(|(c, m)| TargetTailTables::build_with(c, m, 0.95, rows, cutoff));
+    let probes = probes_for(&profiles[0].0);
+    let mut builder = TableBuilder::new();
+
+    let mut tables = profiles
+        .each_ref()
+        .map(|(c, m)| set_up(&mut builder, c, m, rows, cutoff));
+    for depth in 2..=cutoff {
+        for (k, t) in tables.iter_mut().enumerate() {
+            builder.extend(t, depth);
+            assert_eq!(t.depth(), depth);
+            assert_readable_positions_match(
+                &format!("profile {k}, interleaved, depth {depth}"),
+                t,
+                &eager[k],
+                &probes,
+            );
+        }
+    }
+
+    // Rungs 6 to 8 transform at one size: the clone leaves the product at
+    // power 8 where the original's rung 6 needs power 6.
+    let (c, m) = &profiles[0];
+    let len = c.trim_tail(1e-9).len();
+    let size = |i: usize| (i * (len - 1) + 1).next_power_of_two();
+    assert_eq!(size(6), size(8));
+    let mut original = set_up(&mut builder, c, m, rows, cutoff);
+    builder.extend(&mut original, 6);
+    let mut clone = original.clone();
+    builder.extend(&mut clone, 9);
+    assert_readable_positions_match("clone at depth 9", &clone, &eager[0], &probes);
+    for depth in 7..=cutoff {
+        builder.extend(&mut original, depth);
+        assert_readable_positions_match(
+            &format!("original after its clone, depth {depth}"),
+            &original,
+            &eager[0],
+            &probes,
+        );
+    }
+    builder.extend(&mut clone, cutoff);
+    assert_eq!(format!("{clone:?}"), format!("{:?}", eager[0]));
+    assert_eq!(format!("{original:?}"), format!("{:?}", eager[0]));
+}
+
+/// A busy server at `now` whose in-service request has done `elapsed` of
+/// its compute work, with `queued` requests behind it.
+fn busy(dvfs: &DvfsConfig, now: f64, elapsed: f64, queued: usize) -> ServerState {
+    ServerState {
+        now,
+        current_freq: dvfs.min(),
+        target_freq: dvfs.min(),
+        in_service: Some(InServiceView {
+            id: 0,
+            arrival: now - 2e-4,
+            elapsed_compute_cycles: elapsed,
+            elapsed_membound_time: elapsed * 6e-11,
+            oracle_compute_cycles: 1e6,
+            oracle_membound_time: 60e-6,
+            class: 0,
+        }),
+        queued: (1..=queued as u64)
+            .map(|id| QueuedView {
+                id,
+                arrival: now - 1e-4,
+                oracle_compute_cycles: 1e6,
+                oracle_membound_time: 60e-6,
+                class: 0,
+            })
+            .collect(),
+    }
+}
+
+/// Every decision and the tables after it, as exact text (`{:?}` prints
+/// every f64 exactly), from the same script of completions, ticks and
+/// arrivals run on three controllers of different profiles. With `interleaved`, all three
+/// run on the calling thread and take turns at every step; otherwise each
+/// runs alone on a fresh thread (a fresh build workspace).
+fn run_three_controllers(interleaved: bool) -> Vec<Vec<String>> {
+    const CYCLES: usize = 6;
+    const STEPS: usize = 19;
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let cutoff = config.gaussian_cutoff;
+    assert!(STEPS > cutoff + 1, "the queue must grow past the cutoff");
+    let pools: Vec<Vec<(f64, f64)>> = [(1e6, 0.3), (7e5, 0.6), (1.4e6, 0.9)]
+        .iter()
+        .enumerate()
+        .map(|(k, &(mean, cov))| {
+            let mut rng = DeterministicRng::new(0xEA + k as u64);
+            (0..300)
+                .map(|_| (rng.lognormal(mean, cov), rng.lognormal(mean * 6e-11, cov)))
+                .collect()
+        })
+        .collect();
+    let new_controller = |k: usize| {
+        let mut rubik = RubikController::new(config, dvfs.clone());
+        rubik.seed_profile(pools[k][..256].iter().copied());
+        rubik
+    };
+    // Step 0 of a cycle completes a request (a new profile sample) and
+    // ticks with an empty queue, setting the tables up at depth 1; step
+    // `s > 0` is an arrival that leaves `s` requests queued, so each
+    // decision reads one position more than the last.
+    let step = |rubik: &mut RubikController, k: usize, cycle: usize, s: usize| {
+        let now = 0.2 + (cycle * STEPS + s) as f64 * 1e-3;
+        let elapsed = 1e5 * ((k + 3 * s + cycle) % 17) as f64;
+        let mut out = Vec::new();
+        if s == 0 {
+            let state = busy(&dvfs, now, elapsed, 0);
+            let (c, m) = pools[k][256 + cycle];
+            let record = RequestRecord {
+                id: cycle as u64,
+                arrival: now - 5e-4,
+                start: now - 4e-4,
+                completion: now,
+                compute_cycles: c,
+                membound_time: m,
+                queue_len_at_arrival: 0,
+                class: 0,
+            };
+            out.push(format!("{:?}", rubik.on_completion(&state, &record)));
+            out.push(format!("{:?}", rubik.on_tick(&state)));
+        } else {
+            out.push(format!(
+                "{:?}",
+                rubik.on_arrival(&busy(&dvfs, now, elapsed, s))
+            ));
+        }
+        let tables = rubik.tables().expect("seeded");
+        assert_eq!(tables.depth(), (s + 1).min(cutoff));
+        out.push(format!("{tables:?}"));
+        out
+    };
+    if interleaved {
+        let mut rubiks: Vec<RubikController> = (0..3).map(new_controller).collect();
+        let mut logs = vec![Vec::new(); 3];
+        for cycle in 0..CYCLES {
+            for s in 0..STEPS {
+                for (k, rubik) in rubiks.iter_mut().enumerate() {
+                    logs[k].extend(step(rubik, k, cycle, s));
+                }
+            }
+        }
+        logs
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|k| {
+                    scope.spawn(move || {
+                        let mut rubik = new_controller(k);
+                        let mut log = Vec::new();
+                        for cycle in 0..CYCLES {
+                            for s in 0..STEPS {
+                                log.extend(step(&mut rubik, k, cycle, s));
+                            }
+                        }
+                        log
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("controller thread panicked"))
+                .collect()
+        })
+    }
+}
+
+/// Three controllers of different profiles take turns on one thread, so
+/// every extension finds another controller's ladder in the thread's
+/// builder, while their queues grow by one position per decision between
+/// ticks. Each decision and each `tables()` matches, bit for bit, the same
+/// controller run alone on a fresh thread, where every extension continues
+/// its own ladder.
+#[test]
+fn controllers_interleaved_on_one_thread_match_each_run_alone() {
+    let alone = run_three_controllers(false);
+    let interleaved = run_three_controllers(true);
+    for (k, (a, b)) in alone.iter().zip(&interleaved).enumerate() {
+        assert_eq!(a.len(), b.len());
+        for (n, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(x == y, "controller {k}, record {n}: {x}\nvs\n{y}");
+        }
     }
 }
 

@@ -295,6 +295,92 @@ fn warm_extensions_allocate_nothing() {
     assert_eq!(allocated, 0, "warm extensions must not allocate");
 }
 
+/// An arrival decision at `now` with `queue` waiting.
+fn arrive(rubik: &mut RubikController, dvfs: &DvfsConfig, now: f64, queue: &mut Vec<QueuedView>) {
+    let s = state(now, dvfs, queue);
+    rubik.on_arrival(&s);
+    *queue = s.queued;
+}
+
+/// Between ticks a queue usually grows one request at a time, so each
+/// decision extends its tables by one rung. Two controllers on the memo's
+/// miss path (see [`warm_rebuilds_that_miss_the_memo_allocate_nothing`])
+/// share the thread: each ticks with an empty queue (its tables set up at
+/// depth 1), then decides with 1, 2, … requests queued up to the cutoff,
+/// one rung per decision through every transform size of the ladder. In
+/// even cycles the two take turns at every decision, so each extension
+/// rebuilds the thread builder's ladder from its own tables; in odd cycles
+/// each makes its decisions back to back, so each extension continues the
+/// ladder the last one left.
+#[test]
+fn warm_one_rung_extensions_allocate_nothing() {
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let cutoff = config.gaussian_cutoff;
+    let (mut rubiks, pools) = moving_profiles(config, &dvfs);
+    let mut queue: Vec<QueuedView> = Vec::with_capacity(cutoff);
+    let grow = |queue: &mut Vec<QueuedView>| {
+        queue.push(QueuedView {
+            id: queue.len() as u64 + 1,
+            arrival: 0.19,
+            oracle_compute_cycles: 1e6,
+            oracle_membound_time: 60e-6,
+            class: 0,
+        })
+    };
+    let mut run_cycle = |rubiks: &mut [RubikController], cycle: u64| {
+        for (rubik, demands) in rubiks.iter_mut().zip(&pools) {
+            queue.clear();
+            drive_cycle(rubik, &dvfs, demands, cycle, &mut queue);
+        }
+        let now = 0.2 + cycle as f64 * 4e-3 + 1e-3;
+        if cycle.is_multiple_of(2) {
+            queue.clear();
+            for _ in 1..cutoff {
+                grow(&mut queue);
+                for rubik in rubiks.iter_mut() {
+                    arrive(rubik, &dvfs, now, &mut queue);
+                }
+            }
+        } else {
+            for rubik in rubiks.iter_mut() {
+                queue.clear();
+                for _ in 1..cutoff {
+                    grow(&mut queue);
+                    arrive(rubik, &dvfs, now, &mut queue);
+                }
+            }
+        }
+    };
+
+    for cycle in 0..512 {
+        run_cycle(&mut rubiks, cycle);
+    }
+
+    let before_rebuilds: Vec<u64> = rubiks
+        .iter()
+        .map(|r| r.stats().table_rebuilds_performed)
+        .collect();
+    let mut allocated = 0;
+    for cycle in 512..768 {
+        let before = allocations();
+        run_cycle(&mut rubiks, cycle);
+        allocated += allocations() - before;
+        for rubik in &rubiks {
+            assert_eq!(rubik.tables().expect("seeded").depth(), cutoff);
+        }
+    }
+
+    for (i, rubik) in rubiks.iter().enumerate() {
+        assert_eq!(
+            rubik.stats().table_rebuilds_performed - before_rebuilds[i],
+            256,
+            "each steady-state tick must perform a rebuild"
+        );
+    }
+    assert_eq!(allocated, 0, "warm one-rung extensions must not allocate");
+}
+
 #[test]
 fn version_gated_tick_allocates_nothing_and_skips() {
     let dvfs = DvfsConfig::haswell_like();

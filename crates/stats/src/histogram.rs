@@ -274,14 +274,12 @@ impl Histogram {
     }
 
     /// The index of the bucket [`Histogram::quantile`] reports — the bucket
-    /// where the CDF crosses `q`. Exposed so index-space consumers (the
-    /// table builder seeds its warm-start bisection from it) avoid a
-    /// round-trip through the value domain.
+    /// where the CDF crosses `q`.
     ///
     /// # Panics
     ///
     /// Panics if `q` is not within `[0, 1]`.
-    pub fn quantile_bucket(&self, q: f64) -> usize {
+    fn quantile_bucket(&self, q: f64) -> usize {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
         let i = self.cdf.partition_point(|&c| c < q - 1e-12);
         i.min(self.pmf.len() - 1)
