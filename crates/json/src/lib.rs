@@ -1,4 +1,4 @@
-//! The workspace's one JSON tokenizer.
+//! The workspace's one JSON codec.
 //!
 //! Every JSON document the workspace reads goes through [`Reader`]:
 //! captured request traces (`rubik-workloads::trace_io`), telemetry logs
@@ -21,10 +21,15 @@
 //!   where reading stopped. The offset depends only on the document, not on
 //!   how its bytes were split into reads.
 //!
+//! The crate writes numbers too, into a caller's buffer and without
+//! allocating: [`write_f64`] spells a float byte for byte as
+//! `format!("{v:e}")` does (the shortest digits that read back to the same
+//! bits), and [`write_u64`] spells an integer in decimal. The trace writer
+//! assembles each record from them on the stack.
+//!
 //! [`sections`] and [`merge_sections`] treat a top-level object as named
 //! raw sections: a merge replaces some of them and writes every other one
-//! back byte for byte. Writers keep their own number formats; [`quote`]
-//! writes a string literal for any of them.
+//! back byte for byte. [`quote`] writes a string literal for any writer.
 //!
 //! ```
 //! use rubik_json::Reader;
@@ -47,6 +52,10 @@
 
 use std::fmt::{self, Write as _};
 use std::io::{self, Read};
+
+mod write;
+
+pub use write::{write_f64, write_u64, F64_LEN, U64_LEN};
 
 /// Bytes a new reader's window holds.
 const WINDOW: usize = 8 * 1024;
@@ -234,17 +243,23 @@ impl<R: Read> Reader<R> {
             .map_err(|_| JsonError::new("invalid UTF-8 in string", at))
     }
 
-    /// Reads a number token, checked against JSON's number grammar.
+    /// Reads a number token: the longest run of `[0-9+-.eE]`, which must
+    /// match JSON's number grammar as a whole. The run is checked as it is
+    /// scanned, straight out of the window; only a run that reaches the
+    /// window's end is read on byte by byte through refills, then checked.
     fn number(&mut self) -> Result<&str, JsonError> {
         self.peek()?;
-        let mut n = 0;
-        while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.byte(n)? {
-            n += 1;
+        let (mut n, mut valid) = scan_number(&self.buf[self.pos..self.len]);
+        if self.pos + n == self.len {
+            while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.byte(n)? {
+                n += 1;
+            }
+            valid = scan_number(&self.buf[self.pos..self.pos + n]).1;
         }
-        let token = self.pos..self.pos + n;
-        if !is_number(&self.buf[token.clone()]) {
+        if !valid {
             return Err(self.error("expected a number"));
         }
+        let token = self.pos..self.pos + n;
         self.pos += n;
         Ok(std::str::from_utf8(&self.buf[token]).expect("number tokens are ASCII"))
     }
@@ -486,8 +501,51 @@ impl Elements {
     }
 }
 
+/// The length of the longest run of `[0-9+-.eE]` that starts `bytes`, and
+/// whether that run is a JSON number,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, checked in one pass.
+fn scan_number(bytes: &[u8]) -> (usize, bool) {
+    let at = |i: usize| bytes.get(i).copied();
+    let digits = |mut i: usize| {
+        while let Some(b'0'..=b'9') = at(i) {
+            i += 1;
+        }
+        i
+    };
+    let mut i = usize::from(at(0) == Some(b'-'));
+    let int = i;
+    i = digits(i);
+    let mut valid = match i - int {
+        0 => false,
+        1 => true,
+        _ => bytes[int] != b'0',
+    };
+    if at(i) == Some(b'.') {
+        let fraction = i + 1;
+        i = digits(fraction);
+        valid &= i > fraction;
+    }
+    if let Some(b'e' | b'E') = at(i) {
+        i += 1;
+        if let Some(b'+' | b'-') = at(i) {
+            i += 1;
+        }
+        let exponent = i;
+        i = digits(exponent);
+        valid &= i > exponent;
+    }
+    // Anything more of the run makes the whole of it no number.
+    while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = at(i) {
+        valid = false;
+        i += 1;
+    }
+    (i, valid)
+}
+
 /// Whether `token` is a JSON number:
-/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. The reference that
+/// [`scan_number`] is tested against.
+#[cfg(test)]
 fn is_number(token: &[u8]) -> bool {
     /// Splits off a non-empty run of leading digits.
     fn digits(s: &[u8]) -> Option<(&[u8], &[u8])> {
@@ -666,13 +724,59 @@ mod tests {
 
     #[test]
     fn number_grammar_is_json_s() {
+        let scan = |token: &str| scan_number(token.as_bytes()) == (token.len(), true);
         for good in ["0", "-0", "7", "-12", "0.5", "1e6", "1E+6", "2.5e-3", "10"] {
             assert!(is_number(good.as_bytes()), "{good}");
+            assert!(scan(good), "{good}");
         }
         for bad in [
             "", "-", "+1", "01", ".5", "5.", "1e", "1e+", "--1", "1.2.3", "0x1",
         ] {
             assert!(!is_number(bad.as_bytes()), "{bad}");
+            assert!(!scan(bad), "{bad}");
+        }
+    }
+
+    #[test]
+    fn the_number_scan_accepts_exactly_the_number_grammar() {
+        // Seeded random runs over the token alphabet, each ended by a
+        // delimiter or by the end of the document, read whole, in 1-7-byte
+        // chunks, and straddling the end of a full window.
+        const ALPHABET: &[u8] = b"0123456789+-.eE0123456789";
+        let mut state = 0x6e75_6d62_6572_u64;
+        let mut rng = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % n
+        };
+        for case in 0..20_000 {
+            let len = rng(10);
+            let token: Vec<u8> = (0..len).map(|_| ALPHABET[rng(ALPHABET.len())]).collect();
+            let delimiter = [&b","[..], b"]", b"}", b" ", b""][rng(5)];
+            let pad = if case % 16 == 0 { WINDOW - rng(12) } else { 0 };
+            let text = [&vec![b' '; pad][..], &token, delimiter].concat();
+            let expected = if is_number(&token) {
+                Ok(std::str::from_utf8(&token).unwrap().to_string())
+            } else {
+                // An empty token is looked for after the whitespace.
+                let at = pad + usize::from(token.is_empty() && delimiter == b" ");
+                Err(JsonError::new("expected a number", at))
+            };
+            let whole = Reader::new(&text[..]).number().map(str::to_string);
+            assert_eq!(whole, expected, "{:?}", String::from_utf8_lossy(&token));
+            if pad == 0 {
+                let chunk = 1 + case % 7;
+                let mut json = Reader::new(Trickle {
+                    bytes: &text,
+                    chunk,
+                });
+                let trickled = json.number().map(str::to_string);
+                assert_eq!(trickled, expected, "chunk {chunk}");
+                if expected.is_ok() {
+                    assert_eq!(json.offset(), token.len());
+                }
+            }
         }
     }
 

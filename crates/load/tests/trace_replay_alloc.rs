@@ -4,6 +4,10 @@
 //! any length costs the same few allocations (the buffer and nothing else
 //! in the steady state). A counting global allocator pins that directly:
 //! replaying 8x more requests must make exactly as many allocations.
+//! Capturing allocates nothing at all: the writer spells each record on
+//! the stack.
+
+use std::io;
 
 use rubik_load::{ArrivalSource, PoissonSource, StreamingTraceReader, StreamingTraceWriter};
 use rubik_testalloc::{allocations, CountingAllocator};
@@ -43,4 +47,19 @@ fn replay_allocations_do_not_scale_with_request_count() {
         short, long,
         "512 requests replayed with {short} allocations, 4096 with {long}"
     );
+}
+
+#[test]
+fn writing_a_trace_allocates_nothing() {
+    let mut source = PoissonSource::new(AppProfile::masstree(), 0.5, 4096, 7);
+    let requests: Vec<_> = std::iter::from_fn(|| source.next_arrival()).collect();
+    let before = allocations();
+    let mut writer = StreamingTraceWriter::new(io::sink()).unwrap();
+    for r in &requests {
+        writer.write(r).unwrap();
+    }
+    writer.finish().unwrap();
+    let made = allocations() - before;
+    assert_eq!(requests.len(), 4096);
+    assert_eq!(made, 0, "writing 4096 requests made {made} allocations");
 }

@@ -7,6 +7,8 @@
 //! unknown, duplicate and missing fields, non-finite numbers, inexact
 //! integers (request ids included) and trailing data are errors.
 
+use std::fmt::{self, Write as _};
+
 use rubik_json::{Fields, JsonError, Reader};
 
 use crate::event::{RequestEvent, RequestEventKind, ServerEvent, ServerEventKind};
@@ -20,58 +22,61 @@ pub const FORMAT: &str = "rubik-trace-v1";
 // Writer
 // ---------------------------------------------------------------------------
 
+/// Appends formatted text to `out` in place.
+fn put(out: &mut String, args: fmt::Arguments) {
+    out.write_fmt(args)
+        .expect("writing to a String cannot fail");
+}
+
 fn push_f64(out: &mut String, v: f64) {
     debug_assert!(v.is_finite(), "trace times and powers are finite");
-    out.push_str(&format!("{v:?}"));
+    put(out, format_args!("{v:?}"));
 }
 
 fn push_request_event(out: &mut String, event: &RequestEvent) {
     out.push_str("{\"at\":");
     push_f64(out, event.at);
     match event.kind {
-        RequestEventKind::Routed { server, attempt } => {
-            out.push_str(&format!(
-                ",\"kind\":\"routed\",\"server\":{server},\"attempt\":{attempt}"
-            ));
-        }
-        RequestEventKind::TimedOut { server, attempt } => {
-            out.push_str(&format!(
-                ",\"kind\":\"timed_out\",\"server\":{server},\"attempt\":{attempt}"
-            ));
-        }
+        RequestEventKind::Routed { server, attempt } => put(
+            out,
+            format_args!(",\"kind\":\"routed\",\"server\":{server},\"attempt\":{attempt}"),
+        ),
+        RequestEventKind::TimedOut { server, attempt } => put(
+            out,
+            format_args!(",\"kind\":\"timed_out\",\"server\":{server},\"attempt\":{attempt}"),
+        ),
         RequestEventKind::Backoff { until } => {
             out.push_str(",\"kind\":\"backoff\",\"until\":");
             push_f64(out, until);
         }
-        RequestEventKind::Salvaged { server } => {
-            out.push_str(&format!(",\"kind\":\"salvaged\",\"server\":{server}"));
-        }
-        RequestEventKind::Requeued { from, to } => {
-            out.push_str(&format!(
-                ",\"kind\":\"requeued\",\"from\":{from},\"to\":{to}"
-            ));
-        }
-        RequestEventKind::Migrated { from, to } => {
-            out.push_str(&format!(
-                ",\"kind\":\"migrated\",\"from\":{from},\"to\":{to}"
-            ));
-        }
-        RequestEventKind::Dropped { server } => {
-            out.push_str(&format!(",\"kind\":\"dropped\",\"server\":{server}"));
-        }
-        RequestEventKind::Hedged { server, attempt } => {
-            out.push_str(&format!(
-                ",\"kind\":\"hedged\",\"server\":{server},\"attempt\":{attempt}"
-            ));
-        }
-        RequestEventKind::HedgeWon { server } => {
-            out.push_str(&format!(",\"kind\":\"hedge_won\",\"server\":{server}"));
-        }
-        RequestEventKind::HedgeCancelled { server } => {
-            out.push_str(&format!(
-                ",\"kind\":\"hedge_cancelled\",\"server\":{server}"
-            ));
-        }
+        RequestEventKind::Salvaged { server } => put(
+            out,
+            format_args!(",\"kind\":\"salvaged\",\"server\":{server}"),
+        ),
+        RequestEventKind::Requeued { from, to } => put(
+            out,
+            format_args!(",\"kind\":\"requeued\",\"from\":{from},\"to\":{to}"),
+        ),
+        RequestEventKind::Migrated { from, to } => put(
+            out,
+            format_args!(",\"kind\":\"migrated\",\"from\":{from},\"to\":{to}"),
+        ),
+        RequestEventKind::Dropped { server } => put(
+            out,
+            format_args!(",\"kind\":\"dropped\",\"server\":{server}"),
+        ),
+        RequestEventKind::Hedged { server, attempt } => put(
+            out,
+            format_args!(",\"kind\":\"hedged\",\"server\":{server},\"attempt\":{attempt}"),
+        ),
+        RequestEventKind::HedgeWon { server } => put(
+            out,
+            format_args!(",\"kind\":\"hedge_won\",\"server\":{server}"),
+        ),
+        RequestEventKind::HedgeCancelled { server } => put(
+            out,
+            format_args!(",\"kind\":\"hedge_cancelled\",\"server\":{server}"),
+        ),
     }
     out.push('}');
 }
@@ -79,7 +84,7 @@ fn push_request_event(out: &mut String, event: &RequestEvent) {
 fn push_server_event(out: &mut String, event: &ServerEvent) {
     out.push_str("{\"at\":");
     push_f64(out, event.at);
-    out.push_str(&format!(",\"server\":{}", event.server));
+    put(out, format_args!(",\"server\":{}", event.server));
     match event.kind {
         ServerEventKind::Down => out.push_str(",\"kind\":\"down\""),
         ServerEventKind::Up => out.push_str(",\"kind\":\"up\""),
@@ -91,7 +96,7 @@ fn push_server_event(out: &mut String, event: &ServerEvent) {
         ServerEventKind::FreqStuck { mhz } => {
             out.push_str(",\"kind\":\"freq_stuck\",\"mhz\":");
             match mhz {
-                Some(mhz) => out.push_str(&mhz.to_string()),
+                Some(mhz) => put(out, format_args!("{mhz}")),
                 None => out.push_str("null"),
             }
         }
@@ -107,7 +112,7 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
 }
 
 fn push_request(out: &mut String, request: &RequestTrace) {
-    out.push_str(&format!("{{\"id\":{},\"arrival\":", request.id));
+    put(out, format_args!("{{\"id\":{},\"arrival\":", request.id));
     push_f64(out, request.arrival);
     out.push_str(",\"start\":");
     push_opt_f64(out, request.start);
@@ -115,7 +120,7 @@ fn push_request(out: &mut String, request: &RequestTrace) {
     push_opt_f64(out, request.completion);
     out.push_str(",\"server\":");
     match request.server {
-        Some(server) => out.push_str(&server.to_string()),
+        Some(server) => put(out, format_args!("{server}")),
         None => out.push_str("null"),
     }
     out.push_str(",\"events\":[");
@@ -135,21 +140,27 @@ fn push_epoch(out: &mut String, epoch: &EpochSample) {
     push_f64(out, epoch.end);
     out.push_str(",\"power\":");
     push_f64(out, epoch.power);
-    out.push_str(&format!(
-        ",\"queued\":{},\"in_flight\":{},\"completions\":{},\"retries\":{},\"timeouts\":{}",
-        epoch.queued, epoch.in_flight, epoch.completions, epoch.retries, epoch.timeouts
-    ));
+    put(
+        out,
+        format_args!(
+            ",\"queued\":{},\"in_flight\":{},\"completions\":{},\"retries\":{},\"timeouts\":{}",
+            epoch.queued, epoch.in_flight, epoch.completions, epoch.retries, epoch.timeouts
+        ),
+    );
     out.push_str(",\"per_server\":[");
     for (i, server) in epoch.per_server.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"queued\":{},\"in_flight\":{},\"freq_mhz\":{},\"power\":",
-            server.queued, server.in_flight, server.freq_mhz
-        ));
+        put(
+            out,
+            format_args!(
+                "{{\"queued\":{},\"in_flight\":{},\"freq_mhz\":{},\"power\":",
+                server.queued, server.in_flight, server.freq_mhz
+            ),
+        );
         push_f64(out, server.power);
-        out.push_str(&format!(",\"down\":{}}}", server.down));
+        put(out, format_args!(",\"down\":{}}}", server.down));
     }
     out.push_str("]}");
 }
@@ -157,10 +168,13 @@ fn push_epoch(out: &mut String, epoch: &EpochSample) {
 /// Serialize a [`TraceLog`] as a `rubik-trace-v1` JSON document.
 pub fn to_json(log: &TraceLog) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"format\":\"{FORMAT}\",\"servers\":{},\"end\":",
-        log.servers
-    ));
+    put(
+        &mut out,
+        format_args!(
+            "{{\"format\":\"{FORMAT}\",\"servers\":{},\"end\":",
+            log.servers
+        ),
+    );
     push_f64(&mut out, log.end);
     out.push_str(",\n\"requests\":[");
     for (i, request) in log.requests.iter().enumerate() {

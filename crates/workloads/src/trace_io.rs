@@ -16,17 +16,19 @@
 //!               "membound_time":1e-5,"class":0}, ...]}
 //! ```
 //!
-//! Floats are written with `{:e}`, the shortest form that reads back to the
-//! same bits. The reader rejects unknown, duplicate and missing fields,
-//! non-finite numbers, ids that are not exact integers, and anything after
-//! the closing `]}`.
+//! Floats are written by `rubik-json`'s formatter ([`rubik_json::write_f64`]),
+//! which spells each one byte for byte as `{:e}` would: the shortest form
+//! that reads back to the same bits. Each record is assembled on the stack
+//! and handed to the output in one write. The reader rejects unknown,
+//! duplicate and missing fields, non-finite numbers, ids that are not exact
+//! integers, and anything after the closing `]}`.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 pub use rubik_json::JsonError;
-use rubik_json::{Elements, Reader};
+use rubik_json::{write_f64, write_u64, Elements, Reader, F64_LEN, U64_LEN};
 use rubik_sim::{RequestSpec, Trace};
 
 /// Errors returned by trace I/O.
@@ -160,17 +162,8 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Returns the underlying I/O error if the record cannot be written.
     pub fn write(&mut self, r: &RequestSpec) -> io::Result<()> {
-        if self.written > 0 {
-            self.out.write_all(b",")?;
-        }
-        // `{:e}` prints the shortest-roundtrip mantissa, so values survive a
-        // write/read cycle bit-exactly.
-        write!(
-            self.out,
-            "{{\"id\":{},\"arrival\":{:e},\"compute_cycles\":{:e},\
-             \"membound_time\":{:e},\"class\":{}}}",
-            r.id, r.arrival, r.compute_cycles, r.membound_time, r.class
-        )?;
+        let record = Record::spell(r, self.written > 0);
+        self.out.write_all(&record.bytes[..record.len])?;
         self.written += 1;
         Ok(())
     }
@@ -184,6 +177,65 @@ impl<W: Write> TraceWriter<W> {
         self.out.write_all(b"]}")?;
         self.out.flush()?;
         Ok(self.out)
+    }
+}
+
+/// Bytes a record's numbers and punctuation may touch: a comma, the
+/// braces, keys, colons and commas (62), and room for each number's
+/// longest spelling, two integers and three floats. The longest record is
+/// 10 bytes shorter, since the class is a `u32`.
+const RECORD_ROOM: usize = 1 + 62 + 2 * U64_LEN + 3 * F64_LEN;
+
+/// One request's bytes, assembled on the stack so that the writer hands
+/// its output one `write_all` per request.
+struct Record {
+    bytes: [u8; RECORD_ROOM],
+    len: usize,
+}
+
+impl Record {
+    /// Spells `r` as a trace record, after a comma unless it is the first.
+    /// Not generic, so the writer's every output type shares this one
+    /// compiled copy, with the pieces below inlined into it.
+    fn spell(r: &RequestSpec, comma: bool) -> Self {
+        let mut record = Self {
+            bytes: [0; RECORD_ROOM],
+            len: 0,
+        };
+        if comma {
+            record.push(b",");
+        }
+        record.push(b"{\"id\":");
+        record.u64(r.id);
+        record.push(b",\"arrival\":");
+        record.f64(r.arrival);
+        record.push(b",\"compute_cycles\":");
+        record.f64(r.compute_cycles);
+        record.push(b",\"membound_time\":");
+        record.f64(r.membound_time);
+        record.push(b",\"class\":");
+        record.u64(u64::from(r.class));
+        record.push(b"}");
+        record
+    }
+
+    fn push(&mut self, text: &[u8]) {
+        self.bytes[self.len..self.len + text.len()].copy_from_slice(text);
+        self.len += text.len();
+    }
+
+    fn f64(&mut self, v: f64) {
+        let (room, _) = self.bytes[self.len..]
+            .split_first_chunk_mut()
+            .expect("RECORD_ROOM holds the longest float");
+        self.len += write_f64(v, room);
+    }
+
+    fn u64(&mut self, v: u64) {
+        let (room, _) = self.bytes[self.len..]
+            .split_first_chunk_mut()
+            .expect("RECORD_ROOM holds the longest integer");
+        self.len += write_u64(v, room);
     }
 }
 
@@ -467,6 +519,20 @@ mod tests {
             (json.len(), fnv1a(json.as_bytes())),
             (25_225, 12_958_152_575_550_001_346)
         );
+    }
+
+    #[test]
+    fn the_longest_record_fits_the_stack_buffer() {
+        let tiny = -f64::MIN_POSITIVE;
+        let mut longest = RequestSpec::new(u64::MAX, tiny, tiny, tiny);
+        longest.class = u32::MAX;
+        let mut writer = TraceWriter::new(Vec::new()).unwrap();
+        writer.write(&longest).unwrap();
+        let header = writer.out.len();
+        writer.write(&longest).unwrap();
+        assert_eq!(writer.out.len() - header, RECORD_ROOM - 10);
+        let back = from_json(&String::from_utf8(writer.finish().unwrap()).unwrap()).unwrap();
+        assert_eq!(back.requests(), &[longest, longest]);
     }
 
     #[test]
