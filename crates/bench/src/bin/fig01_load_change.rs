@@ -1,16 +1,26 @@
 //! Fig. 1b: response to a load change (30% -> 50% at t = 1 s) on masstree:
 //! rolling tail latency and Rubik's frequency choices over time.
 
-use rubik::{AppProfile, LoadProfile, StaticOracle, WorkloadGenerator};
+use rubik::load::drain_to_trace;
+use rubik::{AppProfile, LoadShape, ShapedSource, StaticOracle};
 use rubik_bench::{print_header, BenchArgs, Harness, TAIL_QUANTILE};
+
+/// The Fig. 1b schedule: 30% load for 1 s, then 50% for 1 s.
+fn load_step() -> LoadShape {
+    LoadShape::Step {
+        before: 0.30,
+        after: 0.50,
+        at: 1.0,
+        duration: 2.0,
+    }
+}
 
 fn main() {
     let harness = BenchArgs::parse().apply(Harness::new());
     let profile = AppProfile::masstree();
     let bound = harness.latency_bound(&profile);
 
-    let mut generator = WorkloadGenerator::new(profile.clone(), 99);
-    let trace = generator.profile_trace(&LoadProfile::fig1_step());
+    let trace = drain_to_trace(ShapedSource::new(profile.clone(), load_step(), 99), None);
 
     // StaticOracle tuned for the initial 30% load.
     let tuning = harness.trace(&profile, 0.3, 5);
@@ -56,7 +66,7 @@ fn main() {
         println!(
             "{:.1}\t{:.2}\t{:.1}\t{:.1}\t{:.1}",
             t,
-            LoadProfile::fig1_step().load_at(t - 1e-3),
+            load_step().load_at(t - 1e-3),
             at(&static_roll, t) * 1e6,
             at(&rubik_roll, t) * 1e6,
             freq_at(t)

@@ -4,18 +4,33 @@
 //! and Rubik's frequency over time.
 
 use rubik::core::replay;
+use rubik::load::drain_to_trace;
 use rubik::{
-    AdrenalineOracle, AppProfile, FixedFrequencyPolicy, LoadProfile, Server, StaticOracle,
-    WorkloadGenerator,
+    AdrenalineOracle, AppProfile, FixedFrequencyPolicy, LoadShape, Server, ShapedSource,
+    StaticOracle,
 };
 use rubik_bench::{print_header, BenchArgs, Harness, TAIL_QUANTILE};
+
+/// The Fig. 10 schedule: 25%, 50% and 75% load, 4 s each.
+fn load_steps() -> LoadShape {
+    LoadShape::Sequence(
+        [0.25, 0.50, 0.75]
+            .map(|load| LoadShape::Steady {
+                load,
+                duration: 4.0,
+            })
+            .to_vec(),
+    )
+}
 
 fn main() {
     let harness = BenchArgs::parse().apply(Harness::new());
     for (i, app) in AppProfile::all().iter().enumerate() {
         let bound = harness.latency_bound(app);
-        let mut generator = WorkloadGenerator::new(app.clone(), 300 + i as u64);
-        let trace = generator.profile_trace(&LoadProfile::fig10_steps());
+        let trace = drain_to_trace(
+            ShapedSource::new(app.clone(), load_steps(), 300 + i as u64),
+            None,
+        );
 
         // StaticOracle and AdrenalineOracle tuned for the initial 25% load.
         let tuning = harness.trace(app, 0.25, 400 + i as u64);
@@ -82,7 +97,7 @@ fn main() {
             println!(
                 "{:.1}\t{:.2}\t{:.1}\t{:.1}\t{:.1}\t{:.2}\t{:.1}",
                 t,
-                LoadProfile::fig10_steps().load_at(t - 1e-3),
+                load_steps().load_at(t - 1e-3),
                 at(&static_roll, t) * 1e6,
                 at(&adren_roll, t) * 1e6,
                 at(&rubik_roll, t) * 1e6,

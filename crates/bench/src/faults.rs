@@ -139,7 +139,8 @@ impl FaultsScenario {
         .with_fleet_controller(Box::new(
             PegasusFleet::new(self.budget(), power).with_epoch(self.epoch),
         ))
-        .with_fault_plan(self.crash_wave(trace.duration()));
+        .try_with_fault_plan(self.crash_wave(trace.duration()))
+        .expect("the plan names servers of the fleet");
         cluster = if aware {
             cluster.with_request_policy(self.rescue_policy())
         } else {

@@ -126,7 +126,8 @@ impl HedgeScenario {
                 )
             },
         )
-        .with_fault_plan(self.straggling_rack_plan(trace.duration()))
+        .try_with_fault_plan(self.straggling_rack_plan(trace.duration()))
+        .expect("the plan names servers of the fleet")
         .with_request_policy(policy)
         .run_with_results(trace)
     }

@@ -45,7 +45,8 @@ use rubik_telemetry::{
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ClusterError {
-    /// The fleet has zero servers; a cluster needs at least one.
+    /// The fleet has zero servers; a run needs at least one. An empty
+    /// cluster builds, and its run returns this before it starts.
     EmptyFleet,
     /// The attached [`FaultPlan`] is inconsistent with the fleet (server
     /// out of range, non-finite time, empty straggle window, double crash,
@@ -56,8 +57,10 @@ pub enum ClusterError {
     InvalidLoad,
     /// A streamed [`ArrivalSource`] violated its contract: arrival number
     /// `index` (0-based, in pull order) was yielded at time `at` after an
-    /// arrival at the later time `prev`. Requests already routed before the
-    /// violation are abandoned — the run produces no outcome.
+    /// arrival at the later time `prev`. The run's clock starts at 0, so an
+    /// arrival before `t = 0` is out of order against it: the first such
+    /// arrival reads `prev` 0. Requests already routed before the violation
+    /// are abandoned — the run produces no outcome.
     OutOfOrderArrival {
         /// 0-based position of the offending arrival in pull order.
         index: usize,
@@ -192,11 +195,8 @@ impl<P: DvfsPolicy> std::fmt::Debug for Cluster<P> {
 impl<P: DvfsPolicy> Cluster<P> {
     /// Creates a fleet of `servers` identical-hardware servers. `policy` is
     /// called once per server index to build that server's DVFS controller —
-    /// per-server instances, never shared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers == 0`.
+    /// per-server instances, never shared. A fleet of zero servers builds,
+    /// and its run returns [`ClusterError::EmptyFleet`].
     pub fn new<F>(config: SimConfig, servers: usize, router: Box<dyn Router>, mut policy: F) -> Self
     where
         F: FnMut(usize) -> P,
@@ -216,16 +216,12 @@ impl<P: DvfsPolicy> Cluster<P> {
     /// weights feed capacity-aware routing
     /// ([`PowerAware`](crate::PowerAware)) and fleet-budget apportioning
     /// ([`PegasusFleet`](crate::PegasusFleet)). `policy` is called once per
-    /// server with its index and its class's configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is empty.
+    /// server with its index and its class's configuration. An empty spec
+    /// builds, and its run returns [`ClusterError::EmptyFleet`].
     pub fn from_spec<F>(spec: &FleetSpec, router: Box<dyn Router>, mut policy: F) -> Self
     where
         F: FnMut(usize, &SimConfig) -> P,
     {
-        assert!(!spec.is_empty(), "a cluster needs at least one server");
         let n = spec.len();
         let servers = (0..n)
             .map(|i| {
@@ -245,39 +241,6 @@ impl<P: DvfsPolicy> Cluster<P> {
             request_policy: None,
             telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Fallible [`Cluster::new`]: returns [`ClusterError::EmptyFleet`]
-    /// instead of panicking on a zero-server fleet.
-    pub fn try_new<F>(
-        config: SimConfig,
-        servers: usize,
-        router: Box<dyn Router>,
-        policy: F,
-    ) -> Result<Self, ClusterError>
-    where
-        F: FnMut(usize) -> P,
-    {
-        if servers == 0 {
-            return Err(ClusterError::EmptyFleet);
-        }
-        Ok(Self::new(config, servers, router, policy))
-    }
-
-    /// Fallible [`Cluster::from_spec`]: returns
-    /// [`ClusterError::EmptyFleet`] instead of panicking on an empty spec.
-    pub fn try_from_spec<F>(
-        spec: &FleetSpec,
-        router: Box<dyn Router>,
-        policy: F,
-    ) -> Result<Self, ClusterError>
-    where
-        F: FnMut(usize, &SimConfig) -> P,
-    {
-        if spec.is_empty() {
-            return Err(ClusterError::EmptyFleet);
-        }
-        Ok(Self::from_spec(spec, router, policy))
     }
 
     /// Attaches a fleet-level power manager, run on its epoch (initially at
@@ -304,18 +267,10 @@ impl<P: DvfsPolicy> Cluster<P> {
     /// between simulation events. An empty plan is **bit-neutral**: the run
     /// produces exactly the bytes it would without the plan.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the plan fails [`FaultPlan::validate`] against this fleet;
-    /// use [`Cluster::try_with_fault_plan`] for the fallible form.
-    pub fn with_fault_plan(self, plan: FaultPlan) -> Self {
-        match self.try_with_fault_plan(plan) {
-            Ok(cluster) => cluster,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Cluster::with_fault_plan`].
+    /// Returns [`ClusterError::InvalidFaultPlan`] if the plan fails
+    /// [`FaultPlan::validate`] against this fleet.
     pub fn try_with_fault_plan(mut self, plan: FaultPlan) -> Result<Self, ClusterError> {
         plan.validate(self.servers.len())?;
         self.faults = Some(plan);
@@ -362,7 +317,8 @@ impl<P: DvfsPolicy> Cluster<P> {
         self.servers.len()
     }
 
-    /// Whether the fleet is empty (never true — see [`Cluster::new`]).
+    /// Whether the fleet has no servers (its run returns
+    /// [`ClusterError::EmptyFleet`]).
     pub fn is_empty(&self) -> bool {
         self.servers.is_empty()
     }
@@ -382,8 +338,9 @@ impl<P: DvfsPolicy> Cluster<P> {
     ///
     /// # Panics
     ///
-    /// Panics with the error's message if a request arrives at an infinite
-    /// or NaN time ([`ClusterError::NonFiniteArrival`]), the router picks a
+    /// Panics with the error's message if the fleet is empty
+    /// ([`ClusterError::EmptyFleet`]), a request arrives at an infinite or
+    /// NaN time ([`ClusterError::NonFiniteArrival`]), the router picks a
     /// server outside the fleet ([`ClusterError::RouteOutOfRange`]), the
     /// migrator plans an invalid move ([`ClusterError::InvalidMigration`]),
     /// or the fleet controller issues an invalid command
@@ -406,12 +363,14 @@ impl<P: DvfsPolicy> Cluster<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::OutOfOrderArrival`] if the source yields
-    /// arrivals out of time order (a violation of the [`ArrivalSource`]
-    /// contract), [`ClusterError::NonFiniteArrival`] if it yields an
-    /// arrival at an infinite or NaN time, [`ClusterError::RouteOutOfRange`]
-    /// if the router sends an arrival, a retry, or a requeued request
-    /// outside the fleet, [`ClusterError::InvalidMigration`] if the migrator
+    /// Returns [`ClusterError::EmptyFleet`] if the fleet has no servers,
+    /// [`ClusterError::OutOfOrderArrival`] if the source yields arrivals out
+    /// of time order or before `t = 0` (a violation of the
+    /// [`ArrivalSource`] contract), [`ClusterError::NonFiniteArrival`] if it
+    /// yields an arrival at an infinite or NaN time,
+    /// [`ClusterError::RouteOutOfRange`] if the router sends an arrival, a
+    /// retry, or a requeued request outside the fleet,
+    /// [`ClusterError::InvalidMigration`] if the migrator
     /// plans a move that names a server outside the fleet or moves a
     /// server's queue onto itself, and [`ClusterError::InvalidFleetCommand`]
     /// if the fleet controller commands an unknown server or scales a bound
@@ -489,6 +448,9 @@ impl<P: DvfsPolicy> Cluster<P> {
         source: &mut S,
     ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
         let n = self.servers.len();
+        if n == 0 {
+            return Err(ClusterError::EmptyFleet);
+        }
         // One view per server, maintained incrementally: only a stepped or
         // offered server's view changes, so view writes cost O(events), not
         // O(arrivals × fleet). A keyed router also routes in O(log n) per
@@ -568,13 +530,14 @@ impl<P: DvfsPolicy> Cluster<P> {
         // stream length. `offered` replaces the batch path's `trace.len()`
         // in fault-layer conservation accounting.
         let mut offered = 0usize;
-        let mut last_arrival = f64::NEG_INFINITY;
+        // The clock starts at 0, so the first arrival is ordered against it.
+        let mut last_arrival = 0.0;
         while let Some(request) = source.next_arrival() {
             // A misbehaving user source is an input error, not a driver bug:
             // surface it through the result path, typed so `run_streamed`
             // callers can handle it. An arrival at +∞ would otherwise drain
-            // open servers whose ticks never end, and one at −∞ would be
-            // offered before a server's clock starts.
+            // open servers whose ticks never end, and one before t = 0 would
+            // be offered before a server's clock starts.
             if !request.arrival.is_finite() {
                 return Err(ClusterError::NonFiniteArrival {
                     index: offered,
@@ -658,8 +621,7 @@ impl<P: DvfsPolicy> Cluster<P> {
         // over the servers' buffer: the in-place form raised peak RSS.
         let mut results: Vec<RunResult> = Vec::with_capacity(n);
         results.extend(servers.into_iter().map(ServerSim::finish));
-        let mut outcome =
-            ClusterOutcome::aggregate_classed(&results, Some(&classes), &self.power, TAIL_QUANTILE);
+        let mut outcome = ClusterOutcome::aggregate(&results, &classes, &self.power, TAIL_QUANTILE);
         outcome.migrated_requests = hooks.migrated;
         for (server, downtime) in outcome.per_server.iter_mut().zip(&downtimes) {
             server.downtime = *downtime;
@@ -1550,10 +1512,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_server_cluster_panics() {
+    fn an_empty_fleet_is_a_typed_error() {
         let cfg = config();
-        let _ = Cluster::new(cfg.clone(), 0, Box::new(Passthrough), fixed(&cfg));
+        let empty = || Cluster::new(cfg.clone(), 0, Box::new(Passthrough), fixed(&cfg));
+        assert!(empty().is_empty());
+        let err = empty().run_streamed(TraceSource::new(&burst(4, 1e-3)));
+        assert_eq!(err.unwrap_err(), ClusterError::EmptyFleet);
+        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            empty().run(&burst(4, 1e-3))
+        }));
+        let message = batch.expect_err("a batch run of an empty fleet panics");
+        assert_eq!(
+            message.downcast_ref::<String>().map(String::as_str),
+            Some("a cluster needs at least one server")
+        );
+    }
+
+    #[test]
+    fn an_arrival_before_the_clock_starts_is_out_of_order() {
+        let cfg = config();
+        let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg));
+        let err = cluster
+            .run_streamed(TraceSource::new(&arriving_at(&[-1e-3, 1e-3])))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::OutOfOrderArrival {
+                index: 0,
+                at: -1e-3,
+                prev: 0.0
+            }
+        );
+    }
+
+    #[test]
+    fn a_plan_naming_a_server_outside_the_fleet_is_a_typed_error() {
+        let cfg = config();
+        let err = Cluster::new(cfg.clone(), 4, Box::new(RoundRobin::new()), fixed(&cfg))
+            .try_with_fault_plan(FaultPlan::new().crash(4, 1e-3))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::InvalidFaultPlan(
+                "event 0: server 4 out of range for a 4-server fleet".to_string()
+            )
+        );
     }
 
     /// Routes round-robin, except that it answers one past the end of the
@@ -1593,7 +1596,8 @@ mod tests {
     fn crashing(router: Box<Rogue>, policy: RequestPolicy) -> Cluster<FixedFrequencyPolicy> {
         let cfg = config();
         Cluster::new(cfg.clone(), 2, router, fixed(&cfg))
-            .with_fault_plan(FaultPlan::new().crash(0, 2e-3).recover(0, 4e-3))
+            .try_with_fault_plan(FaultPlan::new().crash(0, 2e-3).recover(0, 4e-3))
+            .expect("the plan names servers of the fleet")
             .with_request_policy(policy)
     }
 

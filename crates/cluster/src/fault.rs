@@ -114,7 +114,7 @@ impl FaultEvent {
 /// A scripted, deterministic failure schedule for a whole fleet.
 ///
 /// Built fluently and validated against the fleet size when attached
-/// ([`Cluster::with_fault_plan`](crate::Cluster::with_fault_plan)). The
+/// ([`Cluster::try_with_fault_plan`](crate::Cluster::try_with_fault_plan)). The
 /// default (empty) plan is bit-neutral: attaching it changes nothing.
 ///
 /// ```

@@ -97,12 +97,12 @@ impl FleetSpec {
         Self::default()
     }
 
-    /// A single-class fleet of `servers` identical servers with capacity 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers == 0`.
+    /// A single-class fleet of `servers` identical servers with capacity 1
+    /// (the empty spec when `servers == 0`).
     pub fn homogeneous(config: SimConfig, servers: usize) -> Self {
+        if servers == 0 {
+            return Self::new();
+        }
         Self::new().class("server", config, 1.0, servers)
     }
 
@@ -638,7 +638,8 @@ mod tests {
         assert_eq!(spec.class_of(3).name(), "little");
         assert_eq!(spec.capacity_of(0), 1.0);
         assert_eq!(spec.capacity_of(4), 0.25);
-        assert_eq!(FleetSpec::homogeneous(cfg, 7).len(), 7);
+        assert_eq!(FleetSpec::homogeneous(cfg.clone(), 7).len(), 7);
+        assert!(FleetSpec::homogeneous(cfg, 0).is_empty());
     }
 
     #[test]

@@ -130,8 +130,8 @@
 //! schedules); `MergedSource` interleaves several applications'
 //! streams; `StreamingTraceReader` replays a captured trace file without
 //! loading it. See the `rubik-load` crate docs for the full tour. A
-//! source that hands back a non-monotone arrival violates the
-//! [`ArrivalSource`] contract and is reported as
+//! source that hands back a non-monotone arrival, or one before `t = 0`,
+//! violates the [`ArrivalSource`] contract and is reported as
 //! [`ClusterError::OutOfOrderArrival`] instead of panicking.
 //!
 //! # Example: a capped heterogeneous fleet with migration
@@ -220,7 +220,8 @@
 //!     |_server| FixedFrequencyPolicy::new(config.dvfs.nominal()),
 //! )
 //! // Server 2 is down for the middle third of the run.
-//! .with_fault_plan(FaultPlan::new().crash(2, mid).recover(2, mid + mid / 1.5))
+//! .try_with_fault_plan(FaultPlan::new().crash(2, mid).recover(2, mid + mid / 1.5))
+//! .expect("the plan names servers of the fleet")
 //! // Queued work stranded by the crash is re-routed; anything still
 //! // queued 10 ms after being routed is pulled back and retried.
 //! .with_request_policy(
@@ -259,19 +260,19 @@
 //!
 //! Real outages are not independent: a rack PDU or ToR failure takes
 //! every server in the rack down at once. [`FailureTopology`] places the
-//! fleet into racks and rows, [`CorrelatedFaults`] scripts whole-rack
-//! outages with per-member deterministic recovery jitter, and
-//! [`StochasticFaults`] draws entire failure histories from seeded
-//! MTBF/MTTR renewal processes — all three **compile to an ordinary
-//! [`FaultPlan`]**, so every random scenario validates, replays
-//! bit-exactly at any sweep thread count, and inherits the empty-plan
-//! bit-neutrality contract. Here rack 1 of an 8-server fleet goes dark
-//! for 20 ms and the survivors absorb the re-routed work:
+//! fleet into racks and rows, and [`StochasticFaults`] draws entire failure
+//! histories from seeded MTBF/MTTR renewal processes, per server and per
+//! rack, with per-member deterministic recovery jitter. Both a scripted
+//! outage and a drawn history are an ordinary [`FaultPlan`], so every
+//! random scenario validates, replays bit-exactly at any sweep thread
+//! count, and inherits the empty-plan bit-neutrality contract. Here rack 1
+//! of an 8-server fleet goes dark for 20–23 ms and the survivors absorb
+//! the re-routed work:
 //!
 //! ```
 //! use rubik_cluster::{
-//!     fleet_trace, Cluster, CorrelatedFaults, FailureTopology, HealthAware,
-//!     JoinShortestQueue, RequestPolicy,
+//!     fleet_trace, Cluster, FailureTopology, FaultPlan, HealthAware, JoinShortestQueue,
+//!     RequestPolicy,
 //! };
 //! use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 //! use rubik_workloads::AppProfile;
@@ -280,13 +281,18 @@
 //! let trace = fleet_trace(&AppProfile::masstree(), 0.3, 8, 600, 13);
 //!
 //! // 8 servers, 4 per rack: rack 1 = servers 4..8. The whole rack
-//! // crashes mid-run; members recover 20 ms later, staggered by up to
-//! // 5 ms of seeded jitter.
+//! // crashes mid-run; members recover 20 ms later, staggered by 1 ms
+//! // each, as servers power on one after another.
 //! let topo = FailureTopology::grid(8, 4, 2);
 //! let mid = trace.duration() / 2.0;
-//! let plan = CorrelatedFaults::new(&topo, 42)
-//!     .rack_outage(1, mid, 20e-3, 5e-3)
-//!     .into_plan();
+//! let plan = topo
+//!     .rack_members(1)
+//!     .into_iter()
+//!     .enumerate()
+//!     .fold(FaultPlan::new(), |plan, (k, server)| {
+//!         plan.crash(server, mid)
+//!             .recover(server, mid + 20e-3 + k as f64 * 1e-3)
+//!     });
 //!
 //! let cluster = Cluster::new(
 //!     config.clone(),
@@ -294,7 +300,8 @@
 //!     Box::new(HealthAware::new(JoinShortestQueue::new())),
 //!     |_server| FixedFrequencyPolicy::new(config.dvfs.nominal()),
 //! )
-//! .with_fault_plan(plan)
+//! .try_with_fault_plan(plan)
+//! .expect("the plan names servers of the fleet")
 //! .with_request_policy(
 //!     RequestPolicy::new()
 //!         .with_timeout(10e-3)
@@ -346,7 +353,8 @@
 //!     Box::new(HealthAware::new(JoinShortestQueue::new())),
 //!     |_server| FixedFrequencyPolicy::new(config.dvfs.nominal()),
 //! )
-//! .with_fault_plan(FaultPlan::new().crash(2, mid).recover(2, mid * 1.5));
+//! .try_with_fault_plan(FaultPlan::new().crash(2, mid).recover(2, mid * 1.5))
+//! .expect("the plan names servers of the fleet");
 //!
 //! let (outcome, _results, log) = cluster.run_traced(&trace);
 //! assert_eq!(log.requests.len(), outcome.availability.offered);
@@ -387,7 +395,7 @@ pub use router::{
 };
 pub use rubik_load::{ArrivalSource, TraceSource};
 pub use rubik_telemetry::{Telemetry, TraceLog};
-pub use topology::{CorrelatedFaults, FailureTopology, StochasticFaults};
+pub use topology::{FailureTopology, StochasticFaults};
 
 use rubik_load::{drain_to_trace, PoissonSource};
 use rubik_sim::Trace;

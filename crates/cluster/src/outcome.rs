@@ -165,34 +165,26 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
-    /// Aggregates per-server [`RunResult`]s into a fleet outcome. The global
-    /// tail is the quantile over the *pooled* latencies of every request —
-    /// the number a fleet operator's SLO is written against — not a mean of
-    /// per-server tails.
-    pub fn aggregate(results: &[RunResult], power: &CorePowerModel, quantile: f64) -> Self {
-        Self::aggregate_classed(results, None, power, quantile)
-    }
-
-    /// Like [`ClusterOutcome::aggregate`], labelling each server with its
-    /// core-class index (`None` = homogeneous, every server class 0).
+    /// Aggregates per-server [`RunResult`]s into a fleet outcome, labelling
+    /// each server with its core-class index. The global tail is the
+    /// quantile over the *pooled* latencies of every request — the number a
+    /// fleet operator's SLO is written against — not a mean of per-server
+    /// tails.
     ///
     /// # Panics
     ///
-    /// Panics if `classes` is given with a length other than
-    /// `results.len()`.
-    pub fn aggregate_classed(
+    /// Panics if `classes` and `results` differ in length.
+    pub(crate) fn aggregate(
         results: &[RunResult],
-        classes: Option<&[u32]>,
+        classes: &[u32],
         power: &CorePowerModel,
         quantile: f64,
     ) -> Self {
-        if let Some(classes) = classes {
-            assert_eq!(
-                classes.len(),
-                results.len(),
-                "one class label per server result"
-            );
-        }
+        assert_eq!(
+            classes.len(),
+            results.len(),
+            "one class label per server result"
+        );
         let latencies: Vec<f64> = results
             .iter()
             .flat_map(|r| r.records().iter().map(|rec| rec.latency()))
@@ -212,7 +204,7 @@ impl ClusterOutcome {
             .map(|(i, r)| {
                 let res = r.freq_residency();
                 ServerOutcome {
-                    class: classes.map_or(0, |c| c[i]),
+                    class: classes[i],
                     requests: r.records().len(),
                     tail_latency: r.tail_latency(quantile).unwrap_or(0.0),
                     energy: power.energy(&res).total(),
@@ -369,7 +361,7 @@ mod tests {
         // Server 0: latencies 1 ms ×10; server 1: 3 ms ×10.
         let a = result((0..10).map(|i| record(i, 0.0, 1e-3)).collect(), 0.5, 0.5);
         let b = result((10..20).map(|i| record(i, 0.0, 3e-3)).collect(), 0.8, 0.2);
-        let o = ClusterOutcome::aggregate(&[a, b], &power, 0.95);
+        let o = ClusterOutcome::aggregate(&[a, b], &[0, 0], &power, 0.95);
         assert_eq!(o.requests, 20);
         assert_eq!(o.servers(), 2);
         // The pooled 95th percentile lands in the slow server's latencies.
@@ -385,7 +377,7 @@ mod tests {
     #[test]
     fn empty_fleet_outcome_is_zeroed() {
         let power = CorePowerModel::haswell_like();
-        let o = ClusterOutcome::aggregate(&[], &power, 0.95);
+        let o = ClusterOutcome::aggregate(&[], &[], &power, 0.95);
         assert_eq!(o.requests, 0);
         assert_eq!(o.tail_latency, 0.0);
         assert_eq!(o.fleet_power, 0.0);
@@ -402,7 +394,7 @@ mod tests {
         // Three servers that each served nothing but idled for a second.
         let idle = |_: usize| result(vec![], 0.0, 1.0);
         let results: Vec<RunResult> = (0..3).map(idle).collect();
-        let o = ClusterOutcome::aggregate(&results, &power, 0.95);
+        let o = ClusterOutcome::aggregate(&results, &[0; 3], &power, 0.95);
         assert_eq!(o.requests, 0);
         let imbalance = o.load_imbalance();
         assert!(!imbalance.is_nan(), "all-idle imbalance must not be NaN");
@@ -415,7 +407,7 @@ mod tests {
         let a = result((0..30).map(|i| record(i, 0.0, 1e-3)).collect(), 0.9, 0.1);
         let b = result((30..40).map(|i| record(i, 0.0, 1e-3)).collect(), 0.3, 0.7);
         let c = result((40..45).map(|i| record(i, 0.0, 1e-3)).collect(), 0.2, 0.8);
-        let o = ClusterOutcome::aggregate_classed(&[a, b, c], Some(&[0, 1, 1]), &power, 0.95);
+        let o = ClusterOutcome::aggregate(&[a, b, c], &[0, 1, 1], &power, 0.95);
         assert_eq!(o.per_server[0].class, 0);
         assert_eq!(o.per_server[2].class, 1);
         let totals = o.class_totals();
@@ -436,7 +428,7 @@ mod tests {
     fn neutral_availability_fill_matches_the_plain_outcome() {
         let power = CorePowerModel::haswell_like();
         let a = result((0..10).map(|i| record(i, 0.0, 1e-3)).collect(), 0.5, 0.5);
-        let o = ClusterOutcome::aggregate(&[a], &power, 0.95);
+        let o = ClusterOutcome::aggregate(&[a], &[0], &power, 0.95);
         let av = o.availability;
         assert_eq!(av.offered, 10);
         assert_eq!(av.completed, 10);
@@ -474,7 +466,7 @@ mod tests {
         let power = CorePowerModel::haswell_like();
         let a = result((0..30).map(|i| record(i, 0.0, 1e-3)).collect(), 0.9, 0.1);
         let b = result((30..40).map(|i| record(i, 0.0, 1e-3)).collect(), 0.3, 0.7);
-        let o = ClusterOutcome::aggregate(&[a, b], &power, 0.95);
+        let o = ClusterOutcome::aggregate(&[a, b], &[0, 0], &power, 0.95);
         // 30 of 40 requests on one of two servers: 30 / 20 = 1.5.
         assert!((o.load_imbalance() - 1.5).abs() < 1e-12);
     }

@@ -2,10 +2,11 @@
 //!
 //! A [`FailureTopology`] places a fleet's servers into racks and rows —
 //! the blast-radius structure real outages follow: a ToR switch or rack
-//! PDU failure takes its whole rack down at once. [`CorrelatedFaults`]
-//! scripts such rack-level events (all members crash together, each
-//! recovering with its own deterministic jitter), and [`StochasticFaults`]
-//! draws whole failure histories from seeded MTBF/MTTR renewal processes.
+//! PDU failure takes its whole rack down at once. [`StochasticFaults`]
+//! draws whole failure histories from seeded MTBF/MTTR renewal processes,
+//! per server and per rack (all members crash together, each recovering
+//! with its own deterministic jitter); a scripted rack outage is a
+//! [`FaultPlan`] over [`FailureTopology::rack_members`].
 //!
 //! Everything **compiles down to an ordinary [`FaultPlan`]**: the random
 //! draws happen once, at plan-construction time, from
@@ -111,77 +112,6 @@ impl FailureTopology {
         let start = rack * self.per_rack;
         let end = (start + self.per_rack).min(self.servers);
         (start..end).collect()
-    }
-}
-
-/// Scripts correlated rack-level outages against a [`FailureTopology`]:
-/// one event crashes every member of the rack at the same instant, and
-/// each member recovers after the outage's base repair time plus its own
-/// deterministic jitter (staggered power-on, fsck, cache warm-up — rack
-/// power comes back at once, servers do not).
-///
-/// ```
-/// use rubik_cluster::{CorrelatedFaults, FailureTopology};
-///
-/// let topo = FailureTopology::grid(8, 4, 2);
-/// let plan = CorrelatedFaults::new(&topo, 42)
-///     .rack_outage(1, 0.050, 0.020, 0.010)
-///     .into_plan();
-/// // Rack 1 = servers 4..8: four crashes at t = 50 ms, four jittered
-/// // recoveries in [70 ms, 80 ms).
-/// assert_eq!(plan.events().len(), 8);
-/// assert!(plan.validate(8).is_ok());
-/// ```
-#[derive(Debug, Clone)]
-pub struct CorrelatedFaults {
-    topology: FailureTopology,
-    seed: u64,
-    outages: u64,
-    plan: FaultPlan,
-}
-
-impl CorrelatedFaults {
-    /// A generator over `topology`, with `seed` driving the per-member
-    /// recovery jitter.
-    pub fn new(topology: &FailureTopology, seed: u64) -> Self {
-        Self {
-            topology: topology.clone(),
-            seed,
-            outages: 0,
-            plan: FaultPlan::new(),
-        }
-    }
-
-    /// Scripts a whole-rack outage at `at`: every member of `rack` crashes
-    /// together and recovers at `at + mttr` plus a per-member uniform
-    /// jitter in `[0, jitter)` seconds. Deterministic in `(seed, rack,
-    /// outage index, member)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rack` is out of range, or `at`/`mttr`/`jitter` are not
-    /// finite and non-negative with `mttr > 0`.
-    pub fn rack_outage(mut self, rack: usize, at: f64, mttr: f64, jitter: f64) -> Self {
-        assert!(at.is_finite() && at >= 0.0, "outage time must be finite");
-        assert!(mttr.is_finite() && mttr > 0.0, "mttr must be positive");
-        assert!(
-            jitter.is_finite() && jitter >= 0.0,
-            "jitter must be finite and non-negative"
-        );
-        self.outages += 1;
-        let event = self.outages;
-        for member in self.topology.rack_members(rack) {
-            let mut rng = DeterministicRng::new(mix(self.seed, event, member));
-            let recover_at = at + mttr + jitter * rng.uniform();
-            self.plan = self.plan.crash(member, at).recover(member, recover_at);
-        }
-        self
-    }
-
-    /// The accumulated plan (validate it against the fleet on attach, as
-    /// with any hand-written plan).
-    pub fn into_plan(self) -> FaultPlan {
-        self.plan
     }
 }
 
@@ -368,62 +298,6 @@ mod tests {
     #[should_panic(expected = "not in the topology")]
     fn out_of_range_server_is_rejected() {
         FailureTopology::grid(4, 2, 1).rack_of(4);
-    }
-
-    #[test]
-    fn rack_outage_crashes_the_whole_rack_together() {
-        let topo = FailureTopology::grid(8, 4, 2);
-        let plan = CorrelatedFaults::new(&topo, 42)
-            .rack_outage(1, 0.050, 0.020, 0.010)
-            .into_plan();
-        assert!(plan.validate(8).is_ok());
-        let crashes: Vec<usize> = plan
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::Crash { server, at } => {
-                    assert_eq!(at, 0.050, "members crash at one instant");
-                    Some(server)
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(crashes, vec![4, 5, 6, 7]);
-        for e in plan.events() {
-            if let FaultEvent::Recover { at, .. } = *e {
-                assert!(
-                    (0.070..0.080).contains(&at),
-                    "recovery {at} outside the jitter window"
-                );
-            }
-        }
-        // Jitter staggers the members: not all recoveries coincide.
-        let recoveries: Vec<u64> = plan
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::Recover { at, .. } => Some(at.to_bits()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(recoveries.len(), 4);
-        assert!(
-            recoveries.windows(2).any(|w| w[0] != w[1]),
-            "per-member jitter must stagger recoveries"
-        );
-    }
-
-    #[test]
-    fn correlated_outages_are_seed_deterministic() {
-        let topo = FailureTopology::grid(8, 4, 2);
-        let build = |seed| {
-            CorrelatedFaults::new(&topo, seed)
-                .rack_outage(0, 0.010, 0.030, 0.005)
-                .rack_outage(1, 0.100, 0.020, 0.005)
-                .into_plan()
-        };
-        assert_eq!(build(7), build(7));
-        assert_ne!(build(7), build(8));
     }
 
     #[test]

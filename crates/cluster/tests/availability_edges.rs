@@ -31,7 +31,8 @@ fn timeout_then_crash_losses_partition_the_offered_load() {
     let cluster = Cluster::new(config.clone(), 2, Box::new(Passthrough), |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     })
-    .with_fault_plan(FaultPlan::new().crash(0, 0.5 * duration))
+    .try_with_fault_plan(FaultPlan::new().crash(0, 0.5 * duration))
+    .expect("the plan names servers of the fleet")
     .with_request_policy(RequestPolicy::new().with_timeout(4.0 * mean).with_retries(
         2,
         mean,
@@ -80,7 +81,8 @@ fn zero_completions_leave_the_goodput_tail_absent() {
     let cluster = Cluster::new(config.clone(), 2, Box::new(RoundRobin::new()), |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     })
-    .with_fault_plan(FaultPlan::new().crash(0, 0.0).crash(1, 0.0));
+    .try_with_fault_plan(FaultPlan::new().crash(0, 0.0).crash(1, 0.0))
+    .expect("the plan names servers of the fleet");
     let outcome = cluster.run(&trace);
     let a = outcome.availability;
 

@@ -98,12 +98,13 @@ fn hedged_cell(router: Box<dyn Router>) -> (ClusterOutcome, Vec<RunResult>) {
         PegasusFleet::new(4.0 * FLEET as f64, power).with_epoch(duration / 20.0),
     ))
     .with_migrator(Box::new(ThresholdMigrator::default()))
-    .with_fault_plan(
+    .try_with_fault_plan(
         FaultPlan::new()
             .crash(0, 0.25 * duration)
             .recover(0, 0.70 * duration)
             .straggle(1, 0.10 * duration, 0.60 * duration, 4.0),
     )
+    .expect("the plan names servers of the fleet")
     .with_request_policy(
         RequestPolicy::new()
             .with_timeout(8.0 * mean)

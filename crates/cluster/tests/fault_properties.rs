@@ -92,7 +92,8 @@ fn empty_fault_plan_and_inert_policy_are_bitwise_invisible() {
             routers().swap_remove(c.get("router")),
             rubik_factory(&config, &trace, bound),
         )
-        .with_fault_plan(FaultPlan::new())
+        .try_with_fault_plan(FaultPlan::new())
+        .expect("the plan names servers of the fleet")
         .with_request_policy(RequestPolicy::new());
         let (faulted_outcome, faulted_results) = faulted.run_with_results(&trace);
 
@@ -180,7 +181,8 @@ fn fault_runs_are_deterministic_across_sweep_threads_and_conserve_requests() {
             Box::new(HealthAware::new(JoinShortestQueue::new())),
             |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
         )
-        .with_fault_plan(eventful_plan(trace.duration(), fleet))
+        .try_with_fault_plan(eventful_plan(trace.duration(), fleet))
+        .expect("the plan names servers of the fleet")
         .with_request_policy(
             RequestPolicy::new()
                 .with_timeout(8.0 * mean)
@@ -306,7 +308,8 @@ fn the_watt_cap_holds_through_a_crash_wave() {
     )
     .with_power(power)
     .with_fleet_controller(Box::new(PegasusFleet::new(budget, power).with_epoch(epoch)))
-    .with_fault_plan(plan)
+    .try_with_fault_plan(plan)
+    .expect("the plan names servers of the fleet")
     .with_request_policy(
         RequestPolicy::new()
             .with_timeout(8.0 * bound)
@@ -367,7 +370,8 @@ fn health_aware_retries_cut_deadline_violations_versus_failure_blind() {
     let blind = Cluster::new(config.clone(), fleet, Box::new(RoundRobin::new()), |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     })
-    .with_fault_plan(plan.clone())
+    .try_with_fault_plan(plan.clone())
+    .expect("the plan names servers of the fleet")
     .with_request_policy(RequestPolicy::new().with_deadline(deadline));
     let blind_out = blind.run(&trace);
 
@@ -377,7 +381,8 @@ fn health_aware_retries_cut_deadline_violations_versus_failure_blind() {
         Box::new(HealthAware::new(RoundRobin::new())),
         |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
     )
-    .with_fault_plan(plan)
+    .try_with_fault_plan(plan)
+    .expect("the plan names servers of the fleet")
     .with_request_policy(
         RequestPolicy::new()
             .with_deadline(deadline)
@@ -508,7 +513,9 @@ impl Scenario {
     ) -> Cluster<RubikController> {
         let mut cluster = Cluster::from_spec(&self.spec, router, |i, _| rubik(i));
         if let Some(plan) = &self.plan {
-            cluster = cluster.with_fault_plan(plan.clone());
+            cluster = cluster
+                .try_with_fault_plan(plan.clone())
+                .expect("the plan names servers of the fleet");
         }
         if let Some(policy) = self.policy {
             cluster = cluster.with_request_policy(policy);

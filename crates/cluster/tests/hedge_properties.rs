@@ -51,7 +51,8 @@ fn disabled_hedging_is_bitwise_invisible_and_counts_nothing() {
     let unhedged = Cluster::new(config.clone(), 4, Box::new(RoundRobin::new()), |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     })
-    .with_fault_plan(FaultPlan::new())
+    .try_with_fault_plan(FaultPlan::new())
+    .expect("the plan names servers of the fleet")
     .with_request_policy(RequestPolicy::new());
     let (unhedged_outcome, unhedged_results) = unhedged.run_with_results(&trace);
 
@@ -77,7 +78,8 @@ fn disabled_hedging_is_bitwise_invisible_and_counts_nothing() {
         Box::new(HealthAware::new(JoinShortestQueue::new())),
         |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
     )
-    .with_fault_plan(straggler_plan(trace.duration()))
+    .try_with_fault_plan(straggler_plan(trace.duration()))
+    .expect("the plan names servers of the fleet")
     .with_request_policy(RequestPolicy::new().with_timeout(8.0 * mean).with_retries(
         4,
         mean,
@@ -120,7 +122,8 @@ fn hedged_runs_conserve_requests_and_are_thread_invariant() {
             Box::new(JoinShortestQueue::new()),
             |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
         )
-        .with_fault_plan(straggler_plan(trace.duration()))
+        .try_with_fault_plan(straggler_plan(trace.duration()))
+        .expect("the plan names servers of the fleet")
         .with_request_policy(RequestPolicy::new().with_hedging(0.95, 2.0 * mean));
         let (outcome, results) = cluster.run_with_results(&trace);
         let a = outcome.availability;
@@ -212,7 +215,8 @@ fn stochastic_fault_scenarios_replay_bit_exactly_across_threads() {
             Box::new(HealthAware::new(JoinShortestQueue::new())),
             |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
         )
-        .with_fault_plan(plan)
+        .try_with_fault_plan(plan)
+        .expect("the plan names servers of the fleet")
         .with_request_policy(
             RequestPolicy::new()
                 .with_timeout(8.0 * mean)

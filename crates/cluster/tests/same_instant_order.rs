@@ -71,7 +71,8 @@ fn every_crash_at_an_instant_applies_before_its_salvaged_retries_route() {
     // queue (the lowest index among the equal queues) and been stranded
     // there for good.
     let outcome = cluster(3, health_aware_jsq())
-        .with_fault_plan(FaultPlan::new().crash(0, T).crash(1, T))
+        .try_with_fault_plan(FaultPlan::new().crash(0, T).crash(1, T))
+        .expect("the plan names servers of the fleet")
         .with_request_policy(RequestPolicy::new().salvaging_in_flight())
         .run(&requests(&[0.0; 3]));
     let a = &outcome.availability;
@@ -89,7 +90,8 @@ fn a_salvaged_retry_routes_before_a_hedge_launch_at_the_same_instant() {
     // once the crash salvaged its attempt; its retry hedges at `2T`, onto
     // server 1.
     let (outcome, _, log) = cluster(4, health_aware_jsq())
-        .with_fault_plan(FaultPlan::new().crash(0, T))
+        .try_with_fault_plan(FaultPlan::new().crash(0, T))
+        .expect("the plan names servers of the fleet")
         .with_request_policy(
             RequestPolicy::new()
                 .salvaging_in_flight()

@@ -76,7 +76,8 @@ fn cell_cluster(
             policy = policy.with_hedging(0.9, 0.5 * mean).with_hedge_window(64);
         }
         cluster = cluster
-            .with_fault_plan(eventful_plan(duration))
+            .try_with_fault_plan(eventful_plan(duration))
+            .expect("the plan names servers of the fleet")
             .with_request_policy(policy);
     }
     cluster

@@ -62,7 +62,8 @@ fn cell_cluster(
     .with_migrator(Box::new(ThresholdMigrator::default()));
     if faulted {
         cluster = cluster
-            .with_fault_plan(eventful_plan(duration))
+            .try_with_fault_plan(eventful_plan(duration))
+            .expect("the plan names servers of the fleet")
             .with_request_policy(
                 RequestPolicy::new()
                     .with_timeout(8.0 * mean)

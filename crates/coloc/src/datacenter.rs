@@ -14,7 +14,7 @@ use rubik_power::ServerPowerModel;
 use rubik_sweep::{SweepExecutor, SweepSpec};
 use rubik_workloads::{AppProfile, BatchMix};
 
-use crate::runner::ColocatedCore;
+use crate::runner::{ColocatedCore, BATCH_LLC_SHARE};
 use crate::schemes::{batch_tpw_freq, ColocScheme};
 
 /// Configuration of the datacenter experiment.
@@ -123,11 +123,6 @@ impl DatacenterComparison {
         &self.config
     }
 
-    /// Builds the load-independent sweep context (serial).
-    pub fn context(&self) -> DatacenterContext {
-        self.context_with_threads(1)
-    }
-
     /// Builds the load-independent sweep context, fanning the per-app
     /// latency-bound calibrations across `threads` workers (`0` = auto).
     pub fn context_with_threads(&self, threads: usize) -> DatacenterContext {
@@ -182,13 +177,6 @@ impl DatacenterComparison {
             batch_server_power,
             batch_server_tput,
         }
-    }
-
-    /// Evaluates one LC load point, rebuilding the context (kept for
-    /// API compatibility; sweeps should build the context once and use
-    /// [`DatacenterComparison::evaluate_with`]).
-    pub fn evaluate(&self, lc_load: f64) -> DatacenterPoint {
-        self.evaluate_with(&self.context(), lc_load)
     }
 
     /// Evaluates one LC load point against a precomputed context.
@@ -249,11 +237,10 @@ impl DatacenterComparison {
             );
             worst_tail = worst_tail.max(coloc.normalized_tail);
             coloc_power_total += platform_power + cores * coloc.average_power();
-            let batch_share = 0.5;
             coloc_batch_tput_total += cores
                 * (coloc.batch_work / coloc.duration).max(0.0).min(
                     self.core
-                        .mean_batch_throughput(mix, dvfs.nominal(), batch_share),
+                        .mean_batch_throughput(mix, dvfs.nominal(), BATCH_LLC_SHARE),
                 );
         }
 
@@ -319,7 +306,7 @@ mod tests {
     #[test]
     fn colocation_saves_power_and_servers() {
         let dc = DatacenterComparison::new(DatacenterConfig::small());
-        let point = dc.evaluate(0.3);
+        let point = dc.evaluate_with(&dc.context_with_threads(1), 0.3);
         assert!(
             point.coloc_power < point.segregated_power,
             "coloc {} vs segregated {}",
@@ -333,8 +320,9 @@ mod tests {
     #[test]
     fn lower_lc_load_absorbs_more_batch_work() {
         let dc = DatacenterComparison::new(DatacenterConfig::small());
-        let low = dc.evaluate(0.15);
-        let high = dc.evaluate(0.5);
+        let ctx = dc.context_with_threads(1);
+        let low = dc.evaluate_with(&ctx, 0.15);
+        let high = dc.evaluate_with(&ctx, 0.5);
         // At lower LC load more idle cycles are available, so fewer extra
         // batch servers are needed.
         assert!(low.coloc_servers <= high.coloc_servers);
@@ -344,6 +332,6 @@ mod tests {
     #[should_panic(expected = "LC load")]
     fn rejects_out_of_range_load() {
         let dc = DatacenterComparison::new(DatacenterConfig::small());
-        let _ = dc.evaluate(1.5);
+        let _ = dc.evaluate_with(&dc.context_with_threads(1), 1.5);
     }
 }

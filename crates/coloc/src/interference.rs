@@ -63,20 +63,14 @@ impl CoreInterferenceModel {
     /// time according to the idle gap before it. The busy-period boundaries
     /// are estimated from arrival gaps versus the mean service time, which
     /// makes the transformation independent of the DVFS policy under test
-    /// (every scheme is charged the same interference).
-    ///
-    /// Also multiplies every request's memory-bound time by
-    /// `membound_inflation` (≥ 1), the unpartitioned-memory penalty.
-    pub fn apply(&self, trace: &Trace, mean_service_time: f64, membound_inflation: f64) -> Trace {
-        assert!(
-            membound_inflation >= 1.0,
-            "inflation cannot shrink memory time"
-        );
+    /// (every scheme is charged the same interference). The LLC and memory
+    /// bandwidth are partitioned, so nothing else inflates the LC
+    /// application's memory-bound time.
+    pub fn apply(&self, trace: &Trace, mean_service_time: f64) -> Trace {
         let mut out: Vec<RequestSpec> = Vec::with_capacity(trace.len());
         let mut prev_arrival: Option<f64> = None;
         for spec in trace.requests() {
             let mut new_spec = *spec;
-            new_spec.membound_time *= membound_inflation;
             let gap = match prev_arrival {
                 // Idle gap estimate: time since the previous arrival minus
                 // one mean service time (the work the previous request left).
@@ -119,7 +113,7 @@ mod tests {
             RequestSpec::new(0, 0.0, 1e6, 10e-6),
             RequestSpec::new(1, 1.0, 1e6, 10e-6),
         ]);
-        let out = m.apply(&trace, 100e-6, 1.0);
+        let out = m.apply(&trace, 100e-6);
         assert_eq!(out, trace);
     }
 
@@ -131,7 +125,7 @@ mod tests {
             RequestSpec::new(1, 0.00005, 1e6, 10e-6), // 50 µs later: still busy-ish
             RequestSpec::new(2, 0.1, 1e6, 10e-6),     // long idle gap before it
         ]);
-        let out = m.apply(&trace, 100e-6, 1.0);
+        let out = m.apply(&trace, 100e-6);
         let r1 = out.requests()[1].membound_time;
         let r2 = out.requests()[2].membound_time;
         assert!(
@@ -139,20 +133,5 @@ mod tests {
             "request after a long gap should pay the warm-up cost"
         );
         assert!((r2 - (10e-6 + m.max_penalty)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn membound_inflation_multiplies_all_requests() {
-        let m = CoreInterferenceModel::none();
-        let trace = Trace::new(vec![RequestSpec::new(0, 0.0, 1e6, 10e-6)]);
-        let out = m.apply(&trace, 100e-6, 1.5);
-        assert!((out.requests()[0].membound_time - 15e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "inflation")]
-    fn rejects_shrinking_inflation() {
-        let m = CoreInterferenceModel::none();
-        let _ = m.apply(&Trace::default(), 1e-4, 0.5);
     }
 }

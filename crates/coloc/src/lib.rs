@@ -5,8 +5,9 @@
 //! server's idle core cycles with batch work:
 //!
 //! * the memory system (LLC capacity and DRAM bandwidth) is partitioned
-//!   between LC and batch applications, removing the large, slow-to-recover
-//!   interference ([`MemorySystemConfig`]),
+//!   between LC and batch applications, half each, removing the large,
+//!   slow-to-recover interference: the LC application's memory-bound time
+//!   is left as it is, and batch work runs on half the LLC,
 //! * cores are time-shared: the LC application preempts batch work whenever it
 //!   has pending requests and yields the core when idle
 //!   ([`ColocatedCore`]),
@@ -26,12 +27,10 @@
 
 pub mod datacenter;
 pub mod interference;
-pub mod partition;
 pub mod runner;
 pub mod schemes;
 
 pub use datacenter::{DatacenterComparison, DatacenterConfig, DatacenterContext, DatacenterPoint};
 pub use interference::CoreInterferenceModel;
-pub use partition::MemorySystemConfig;
 pub use runner::{ColocOutcome, ColocRunSpec, ColocatedCore};
 pub use schemes::ColocScheme;

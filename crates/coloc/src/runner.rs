@@ -10,12 +10,18 @@
 
 use rubik_core::{RubikConfig, RubikController, StaticOracle};
 use rubik_power::CorePowerModel;
-use rubik_sim::{FixedFrequencyPolicy, Freq, Server, SimConfig, Trace};
+use rubik_sim::{FixedFrequencyPolicy, Freq, Server, SimConfig};
 use rubik_workloads::{AppProfile, BatchMix, WorkloadGenerator};
 
 use crate::interference::CoreInterferenceModel;
-use crate::partition::MemorySystemConfig;
 use crate::schemes::{batch_tpw_freq, hw_t_lc_freq, hw_tpw_lc_freq, ColocScheme};
+
+/// The share of the LLC left to batch work on a colocated core.
+/// RubikColoc partitions the LLC and memory bandwidth between the LC
+/// application and batch work (as in Ubik and memory channel partitioning,
+/// paper Sec. 6), half each, so batch work never inflates the LC
+/// application's memory-bound time.
+pub(crate) const BATCH_LLC_SHARE: f64 = 0.5;
 
 /// Result of simulating one colocated core under one scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,7 +190,6 @@ impl<'a> ColocRunSpec<'a> {
 pub struct ColocatedCore {
     sim_config: SimConfig,
     power: CorePowerModel,
-    memory: MemorySystemConfig,
     interference: CoreInterferenceModel,
     quantile: f64,
     force_rubik_rebuilds: bool,
@@ -196,7 +201,6 @@ impl ColocatedCore {
         Self {
             sim_config: SimConfig::paper_simulated(),
             power: CorePowerModel::haswell_like(),
-            memory: MemorySystemConfig::partitioned(),
             interference: CoreInterferenceModel::paper_default(),
             quantile: 0.95,
             force_rubik_rebuilds: false,
@@ -211,12 +215,6 @@ impl ColocatedCore {
     /// and for benchmarking the gating win.
     pub fn with_forced_rubik_rebuilds(mut self, forced: bool) -> Self {
         self.force_rubik_rebuilds = forced;
-        self
-    }
-
-    /// Overrides the memory-system configuration.
-    pub fn with_memory(mut self, memory: MemorySystemConfig) -> Self {
-        self.memory = memory;
         self
     }
 
@@ -254,17 +252,14 @@ impl ColocatedCore {
         let mut generator = WorkloadGenerator::new(profile.clone(), seed);
         let base_trace = generator.steady_trace(load, requests);
 
-        // Interference: warm-up penalties in idle gaps plus (if the memory
-        // system were unpartitioned) inflated memory-bound time.
-        let inflation = self.memory.lc_membound_inflation(mix);
+        // Interference: warm-up penalties in idle gaps.
         let trace = self
             .interference
-            .apply(&base_trace, profile.mean_service_time(), inflation);
+            .apply(&base_trace, profile.mean_service_time());
 
         // Batch frequency: TPW-optimal for the software schemes, the
         // scheme's own preference for the hardware schemes.
-        let batch_share = self.memory.batch_llc_share();
-        let mean_batch_tpw_freq = self.mean_batch_freq(mix, batch_share);
+        let mean_batch_tpw_freq = self.mean_batch_freq(mix, BATCH_LLC_SHARE);
 
         let (result, batch_freq) = match scheme {
             ColocScheme::RubikColoc => {
@@ -329,7 +324,7 @@ impl ColocatedCore {
         // Batch work fills all non-busy time on the colocated core.
         let idle_time = duration - residency.busy_time();
         let batch_energy = self.power.active_power(batch_freq) * idle_time;
-        let batch_work = idle_time * self.mean_batch_throughput(mix, batch_freq, batch_share);
+        let batch_work = idle_time * self.mean_batch_throughput(mix, batch_freq, BATCH_LLC_SHARE);
 
         ColocOutcome {
             tail_latency: tail,
@@ -379,14 +374,6 @@ impl ColocatedCore {
     /// The simulator configuration.
     pub fn sim_config(&self) -> &SimConfig {
         &self.sim_config
-    }
-
-    /// Applies this runner's interference and memory-system model to a trace
-    /// (exposed for the colocation benches and tests).
-    pub fn transform_trace(&self, trace: &Trace, profile: &AppProfile, mix: &BatchMix) -> Trace {
-        let inflation = self.memory.lc_membound_inflation(mix);
-        self.interference
-            .apply(trace, profile.mean_service_time(), inflation)
     }
 }
 

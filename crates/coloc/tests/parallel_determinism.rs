@@ -140,9 +140,12 @@ fn datacenter_sweep_is_bit_identical_across_thread_counts() {
         config.requests_per_sample = 300;
         let dc = DatacenterComparison::new(config);
 
-        // Serial reference: the pre-engine code path (evaluate per load,
-        // context rebuilt each call) — the engine must reproduce it exactly.
-        let reference: Vec<[u64; 6]> = loads.iter().map(|&l| point_bits(&dc.evaluate(l))).collect();
+        // Serial reference: the pre-engine code path (a serial context
+        // rebuilt for each load) — the engine must reproduce it exactly.
+        let reference: Vec<[u64; 6]> = loads
+            .iter()
+            .map(|&l| point_bits(&dc.evaluate_with(&dc.context_with_threads(1), l)))
+            .collect();
         for threads in [1usize, 2, 8] {
             let swept: Vec<[u64; 6]> = dc
                 .sweep_with_threads(&loads, threads)

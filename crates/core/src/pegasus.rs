@@ -157,8 +157,9 @@ impl DvfsPolicy for PegasusPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rubik_load::{drain_to_trace, LoadShape, ShapedSource};
     use rubik_sim::{Server, SimConfig};
-    use rubik_workloads::{AppProfile, LoadProfile, WorkloadGenerator};
+    use rubik_workloads::AppProfile;
 
     #[test]
     fn starts_at_nominal() {
@@ -170,12 +171,12 @@ mod tests {
     fn steps_down_under_light_load() {
         let profile = AppProfile::masstree();
         let bound = 5.0 * profile.mean_service_time();
-        let mut g = WorkloadGenerator::new(profile, 1);
         // 10 seconds of light load gives the controller time to creep down.
-        let trace = g.profile_trace(&LoadProfile::Constant {
+        let light = LoadShape::Steady {
             load: 0.15,
             duration: 10.0,
-        });
+        };
+        let trace = drain_to_trace(ShapedSource::new(profile, light, 1), None);
         let mut pegasus = PegasusPolicy::new(PegasusConfig::new(bound), DvfsConfig::haswell_like());
         let _ = Server::new(SimConfig::default()).run(&trace, &mut pegasus);
         assert!(pegasus.current_freq() < Freq::from_mhz(2400));
@@ -185,8 +186,13 @@ mod tests {
     fn reacts_to_load_increase_but_only_after_its_window() {
         let profile = AppProfile::masstree();
         let bound = 2.0 * profile.mean_service_time();
-        let mut g = WorkloadGenerator::new(profile, 2);
-        let trace = g.profile_trace(&LoadProfile::Steps(vec![(0.2, 3.0), (0.85, 3.0)]));
+        let step = LoadShape::Step {
+            before: 0.2,
+            after: 0.85,
+            at: 3.0,
+            duration: 6.0,
+        };
+        let trace = drain_to_trace(ShapedSource::new(profile, step, 2), None);
         let mut pegasus = PegasusPolicy::new(PegasusConfig::new(bound), DvfsConfig::haswell_like());
         let result = Server::new(SimConfig::default()).run(&trace, &mut pegasus);
         // It ends above where it was during the light phase (it reacted), but

@@ -63,27 +63,34 @@ use crate::tables::{
     TableBuilder, TargetTailTables, DEFAULT_GAUSSIAN_CUTOFF, DEFAULT_PROGRESS_ROWS,
 };
 
+/// The tail percentile the bound applies to (the paper's 95th).
+const QUANTILE: f64 = 0.95;
+
+/// Profiled requests before the analytical model is trusted; until then
+/// Rubik runs at the nominal frequency when busy.
+const MIN_SAMPLES: usize = 64;
+
+/// Window over which the measured tail latency feeds the PI controller, in
+/// seconds (the paper's 1 s).
+const FEEDBACK_WINDOW: f64 = 1.0;
+
 /// Configuration of the Rubik controller.
+///
+/// The rest of the model is fixed at the paper's values: the bound applies
+/// to the 95th-percentile latency, the analytical model is trusted from 64
+/// profiled requests on (before that a busy core runs at the nominal
+/// frequency), the tables have 8 progress rows ([`DEFAULT_PROGRESS_ROWS`])
+/// and switch to the Gaussian approximation at queue position 16
+/// ([`DEFAULT_GAUSSIAN_CUTOFF`]), and feedback measures the tail over 1 s
+/// windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RubikConfig {
     /// The tail-latency bound `L`, in seconds.
     pub latency_bound: f64,
-    /// The tail percentile the bound applies to (0.95 in the paper).
-    pub quantile: f64,
     /// Number of recent requests the online profiler keeps.
     pub profiling_window: usize,
-    /// Minimum profiled requests before the analytical model is trusted;
-    /// until then Rubik runs at the nominal frequency when busy.
-    pub min_samples: usize,
-    /// Number of progress (ω) rows in the target tail tables.
-    pub progress_rows: usize,
-    /// Queue depth at which the Gaussian approximation takes over.
-    pub gaussian_cutoff: usize,
     /// Whether the PI feedback fine-tuning is enabled.
     pub feedback: bool,
-    /// Window over which measured tail latency feeds the PI controller, in
-    /// seconds (1 s in the paper).
-    pub feedback_window: f64,
     /// Whether periodic table rebuilds are skipped when the profile is
     /// unchanged since the last build (identical histograms rebuild
     /// identical tables, so gating never changes an output bit). On by
@@ -104,13 +111,8 @@ impl RubikConfig {
         assert!(latency_bound > 0.0, "latency bound must be positive");
         Self {
             latency_bound,
-            quantile: 0.95,
             profiling_window: 4096,
-            min_samples: 64,
-            progress_rows: DEFAULT_PROGRESS_ROWS,
-            gaussian_cutoff: DEFAULT_GAUSSIAN_CUTOFF,
             feedback: true,
-            feedback_window: 1.0,
             rebuild_gating: true,
         }
     }
@@ -130,29 +132,6 @@ impl RubikConfig {
     /// gated controller produces bit-identical decisions.
     pub fn without_rebuild_gating(mut self) -> Self {
         self.rebuild_gating = false;
-        self
-    }
-
-    /// Sets the tail percentile (e.g. 0.99).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the quantile is not in `(0, 1)`.
-    pub fn with_quantile(mut self, quantile: f64) -> Self {
-        assert!(quantile > 0.0 && quantile < 1.0);
-        self.quantile = quantile;
-        self
-    }
-
-    /// Sets the table dimensions (used by ablation benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn with_table_shape(mut self, progress_rows: usize, gaussian_cutoff: usize) -> Self {
-        assert!(progress_rows > 0 && gaussian_cutoff > 0);
-        self.progress_rows = progress_rows;
-        self.gaussian_cutoff = gaussian_cutoff;
         self
     }
 
@@ -225,7 +204,7 @@ pub struct RubikController {
 impl RubikController {
     /// Creates a Rubik controller for the given DVFS domain.
     pub fn new(config: RubikConfig, dvfs: DvfsConfig) -> Self {
-        let measured = RollingTailTracker::new(config.feedback_window, config.quantile);
+        let measured = RollingTailTracker::new(FEEDBACK_WINDOW, QUANTILE);
         Self {
             profiler: OnlineProfiler::new(config.profiling_window),
             tables: None,
@@ -328,7 +307,7 @@ impl RubikController {
     /// seed) or when the controller has none yet, row setup only otherwise
     /// (a tick; decisions extend the tables as far as they read).
     fn rebuild_tables(&mut self, full: bool) {
-        if self.profiler.len() < self.config.min_samples {
+        if self.profiler.len() < MIN_SAMPLES {
             return;
         }
         // Version gate: no sample has entered or left the window since the
@@ -346,12 +325,8 @@ impl RubikController {
             self.profiler.compute_histogram_into(&mut ws.compute);
             self.profiler.membound_histogram_into(&mut ws.membound);
             let (c, m) = (&ws.compute, &ws.membound);
-            let RubikConfig {
-                quantile,
-                progress_rows: rows,
-                gaussian_cutoff: cutoff,
-                ..
-            } = self.config;
+            let (quantile, rows, cutoff) =
+                (QUANTILE, DEFAULT_PROGRESS_ROWS, DEFAULT_GAUSSIAN_CUTOFF);
             match &mut self.tables {
                 Some(tables) if full => ws
                     .builder
@@ -454,9 +429,7 @@ impl DvfsPolicy for RubikController {
         self.rebuild_tables(false);
 
         // Feedback fine-tuning over the rolling measurement window.
-        if self.config.feedback
-            && state.now - self.last_feedback_update >= self.config.feedback_window
-        {
+        if self.config.feedback && state.now - self.last_feedback_update >= FEEDBACK_WINDOW {
             self.last_feedback_update = state.now;
             self.measured.advance(state.now);
             if let Some(tail) = self.measured.tail() {

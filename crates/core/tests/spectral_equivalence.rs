@@ -21,6 +21,7 @@
 //! a shallower memo never serves a deeper request; a read past the built
 //! depth panics; and `==` is defined over what decisions can read.
 
+use rubik_core::tables::DEFAULT_GAUSSIAN_CUTOFF;
 use rubik_core::{RubikConfig, RubikController, TableBuilder, TargetTailTables};
 use rubik_sim::{
     DvfsConfig, DvfsPolicy, InServiceView, QueuedView, RequestRecord, Server, ServerState,
@@ -611,7 +612,7 @@ fn run_three_controllers(interleaved: bool) -> Vec<Vec<String>> {
     const STEPS: usize = 19;
     let dvfs = DvfsConfig::haswell_like();
     let config = RubikConfig::new(2e-3).with_profiling_window(256);
-    let cutoff = config.gaussian_cutoff;
+    let cutoff = DEFAULT_GAUSSIAN_CUTOFF;
     assert!(STEPS > cutoff + 1, "the queue must grow past the cutoff");
     let pools: Vec<Vec<(f64, f64)>> = [(1e6, 0.3), (7e5, 0.6), (1.4e6, 0.9)]
         .iter()

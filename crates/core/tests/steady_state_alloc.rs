@@ -16,6 +16,7 @@
 //! engine lives per thread, not per controller, so a fleet's N-th seeded
 //! controller (and a clone of one) costs its profile and tables only.
 
+use rubik_core::tables::DEFAULT_GAUSSIAN_CUTOFF;
 use rubik_core::{RubikConfig, RubikController, TargetTailTables};
 use rubik_sim::{DvfsConfig, DvfsPolicy, InServiceView, QueuedView, RequestRecord, ServerState};
 use rubik_stats::DeterministicRng;
@@ -235,7 +236,7 @@ fn warm_extensions_allocate_nothing() {
     const PERIOD: usize = 20;
     let dvfs = DvfsConfig::haswell_like();
     let config = RubikConfig::new(2e-3).with_profiling_window(256);
-    let cutoff = config.gaussian_cutoff;
+    let cutoff = DEFAULT_GAUSSIAN_CUTOFF;
     assert!(PERIOD > cutoff);
     let (mut rubiks, pools) = moving_profiles(config, &dvfs);
     let mut queue: Vec<QueuedView> = Vec::with_capacity(PERIOD);
@@ -316,7 +317,7 @@ fn arrive(rubik: &mut RubikController, dvfs: &DvfsConfig, now: f64, queue: &mut 
 fn warm_one_rung_extensions_allocate_nothing() {
     let dvfs = DvfsConfig::haswell_like();
     let config = RubikConfig::new(2e-3).with_profiling_window(256);
-    let cutoff = config.gaussian_cutoff;
+    let cutoff = DEFAULT_GAUSSIAN_CUTOFF;
     let (mut rubiks, pools) = moving_profiles(config, &dvfs);
     let mut queue: Vec<QueuedView> = Vec::with_capacity(cutoff);
     let grow = |queue: &mut Vec<QueuedView>| {

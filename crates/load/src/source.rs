@@ -13,15 +13,15 @@
 use rubik_sim::{RequestSpec, Trace};
 use rubik_workloads::{AppProfile, WorkloadGenerator};
 
-use crate::shape::{LoadShape, LoadShapeError};
+use crate::shape::LoadShape;
 
 /// A pull-based, deterministic stream of time-ordered arrivals.
 ///
-/// Implementors must yield requests in non-decreasing arrival order and be
-/// fully determined by their construction (seed included): pulling the
-/// stream twice from identically-built sources gives bit-identical
-/// requests. `None` is terminal — once a source is exhausted it stays
-/// exhausted.
+/// Implementors must yield requests in non-decreasing arrival order, from
+/// `t = 0` on, and be fully determined by their construction (seed
+/// included): pulling the stream twice from identically-built sources gives
+/// bit-identical requests. `None` is terminal — once a source is exhausted
+/// it stays exhausted.
 pub trait ArrivalSource {
     /// The next arrival, or `None` when the stream is exhausted.
     fn next_arrival(&mut self) -> Option<RequestSpec>;
@@ -163,31 +163,17 @@ impl ShapedSource {
     ///
     /// # Panics
     ///
-    /// Panics if the shape fails [`LoadShape::validate`]; use
-    /// [`ShapedSource::try_new`] for a fallible constructor.
+    /// Panics if the shape fails [`LoadShape::validate`], the typed check
+    /// to run on a shape that comes from outside the program.
     pub fn new(profile: AppProfile, shape: LoadShape, seed: u64) -> Self {
-        match Self::try_new(profile, shape, seed) {
-            Ok(source) => source,
-            Err(e) => panic!("invalid load shape: {e}"),
+        if let Err(e) = shape.validate() {
+            panic!("invalid load shape: {e}");
         }
-    }
-
-    /// Fallible [`ShapedSource::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the shape's [`LoadShapeError`] if it fails validation.
-    pub fn try_new(
-        profile: AppProfile,
-        shape: LoadShape,
-        seed: u64,
-    ) -> Result<Self, LoadShapeError> {
-        shape.validate()?;
         let generator = WorkloadGenerator::new(profile, seed);
         let capacity = generator.steady_rate(1.0);
         let peak_rate = shape.peak_load() * capacity;
         let duration = shape.duration();
-        Ok(Self {
+        Self {
             generator,
             shape,
             capacity,
@@ -197,7 +183,7 @@ impl ShapedSource {
             next_id: 0,
             emitted: 0,
             max_requests: usize::MAX,
-        })
+        }
     }
 
     /// Scales the stream to a pooled fleet of `servers` servers: every load

@@ -79,11 +79,6 @@ impl CorePowerModel {
         Self::new(VfCurve::haswell_like(), 2.6, 1.1, 0.10, 0.1)
     }
 
-    /// The voltage/frequency curve.
-    pub fn vf_curve(&self) -> &VfCurve {
-        &self.vf
-    }
-
     /// Dynamic power (W) while executing at frequency `f`.
     pub fn dynamic_power(&self, f: Freq) -> f64 {
         let v = self.vf.voltage(f);

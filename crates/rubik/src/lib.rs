@@ -6,8 +6,8 @@
 //!
 //! * [`stats`] — histograms, convolution, Gaussian tails, percentiles,
 //! * [`sim`] — the discrete-event server simulator with per-core DVFS,
-//! * [`workloads`] — the five latency-critical application models, load
-//!   profiles, and SPEC-like batch applications,
+//! * [`workloads`] — the five latency-critical application models, their
+//!   steady-load trace generator, and SPEC-like batch applications,
 //! * [`power`] — core and full-system power models,
 //! * [`core`] — the Rubik controller and the baseline schemes
 //!   (fixed-frequency, StaticOracle, DynamicOracle, AdrenalineOracle,
@@ -64,10 +64,10 @@ pub use rubik_workloads as workloads;
 
 pub use rubik_cluster::{
     AvailabilityStats, ClassTotals, Cluster, ClusterError, ClusterOutcome, CoreClass,
-    CorrelatedFaults, FailureTopology, FaultEvent, FaultPlan, FleetCommand, FleetController,
-    FleetSpec, HealthAware, JoinShortestQueue, Migration, Migrator, Passthrough, PegasusFleet,
-    PowerAware, RequestPolicy, RoundRobin, RouteKey, Router, ServerHealth, ServerPowerView,
-    ServerView, StochasticFaults, ThresholdMigrator,
+    FailureTopology, FaultEvent, FaultPlan, FleetCommand, FleetController, FleetSpec, HealthAware,
+    JoinShortestQueue, Migration, Migrator, Passthrough, PegasusFleet, PowerAware, RequestPolicy,
+    RoundRobin, RouteKey, Router, ServerHealth, ServerPowerView, ServerView, StochasticFaults,
+    ThresholdMigrator,
 };
 pub use rubik_coloc::{
     ColocOutcome, ColocScheme, ColocatedCore, DatacenterComparison, DatacenterConfig,
@@ -89,4 +89,4 @@ pub use rubik_sim::{
 pub use rubik_stats::Histogram;
 pub use rubik_sweep::{SweepExecutor, SweepRun, SweepSpec};
 pub use rubik_telemetry::{Telemetry, TraceLog};
-pub use rubik_workloads::{AppProfile, BatchApp, BatchMix, LoadProfile, WorkloadGenerator};
+pub use rubik_workloads::{AppProfile, BatchApp, BatchMix, WorkloadGenerator};

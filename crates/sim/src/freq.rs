@@ -226,12 +226,6 @@ impl DvfsConfig {
         let steps = (mhz - self.min.mhz()) / self.step_mhz;
         Freq::from_mhz(self.min.mhz() + steps * self.step_mhz)
     }
-
-    /// Clamps an arbitrary frequency to the nearest available level at or
-    /// above it (the conservative direction for meeting latency bounds).
-    pub fn clamp_up(&self, f: Freq) -> Freq {
-        self.ceil_level(f.hz())
-    }
 }
 
 impl Default for DvfsConfig {

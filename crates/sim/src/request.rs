@@ -34,12 +34,6 @@ impl RequestSpec {
         }
     }
 
-    /// Sets the application-level class.
-    pub fn with_class(mut self, class: u32) -> Self {
-        self.class = class;
-        self
-    }
-
     /// Service time of this request when run uninterrupted at frequency `f`.
     pub fn service_time_at(&self, f: Freq) -> f64 {
         f.time_for_cycles(self.compute_cycles) + self.membound_time

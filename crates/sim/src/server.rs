@@ -264,11 +264,6 @@ impl<P: DvfsPolicy> ServerSim<P> {
         self.now
     }
 
-    /// Whether the arrival stream is still open (see [`ServerSim::close`]).
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-
     /// The DVFS policy driving this simulation.
     pub fn policy(&self) -> &P {
         &self.policy

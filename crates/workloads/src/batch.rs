@@ -152,14 +152,6 @@ impl BatchMix {
     pub fn paper_mixes(seed: u64) -> Vec<BatchMix> {
         Self::generate(20, 6, seed)
     }
-
-    /// Average memory intensity of the mix.
-    pub fn mean_mem_intensity(&self) -> f64 {
-        if self.apps.is_empty() {
-            return 0.0;
-        }
-        self.apps.iter().map(|a| a.mem_intensity()).sum::<f64>() / self.apps.len() as f64
-    }
 }
 
 #[cfg(test)]

@@ -3,13 +3,14 @@
 //! The paper integrates server and client in one process; the client produces
 //! a request stream with exponentially distributed inter-arrival times at a
 //! given rate (a Markov input process, Sec. 5.1). [`WorkloadGenerator`] does
-//! the same: it combines an [`AppProfile`] with a [`LoadProfile`] and a seed
-//! to produce a reproducible [`Trace`].
+//! the same: it combines an [`AppProfile`] with a load and a seed to produce
+//! a reproducible [`Trace`]. Time-varying loads (the paper's load steps) are
+//! drawn by `rubik-load`'s `ShapedSource`, which interleaves this
+//! generator's draws.
 
 use rubik_sim::{Freq, RequestSpec, Trace};
 use rubik_stats::DeterministicRng;
 
-use crate::load::LoadProfile;
 use crate::profile::AppProfile;
 
 /// Class label assigned to requests whose work factor is in the top decile.
@@ -106,37 +107,6 @@ impl WorkloadGenerator {
         self.rng.uniform()
     }
 
-    /// Generates a trace following a time-varying [`LoadProfile`]. Arrivals
-    /// are produced by a piecewise Poisson process whose rate tracks the
-    /// profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails validation.
-    pub fn profile_trace(&mut self, load_profile: &LoadProfile) -> Trace {
-        load_profile
-            .validate()
-            .expect("load profile must be well-formed");
-        let capacity = self.profile.capacity_qps(self.nominal, self.nominal);
-        let duration = load_profile.duration();
-        let mut now = 0.0;
-        let mut id = 0u64;
-        let mut requests = Vec::new();
-        // Thinning-free approach: advance with the rate in effect at the
-        // current time; rates change slowly relative to inter-arrival times.
-        while now < duration {
-            let load = load_profile.load_at(now).max(1e-3);
-            let rate = load * capacity;
-            now += self.rng.exponential(1.0 / rate);
-            if now >= duration {
-                break;
-            }
-            requests.push(self.draw_request(id, now));
-            id += 1;
-        }
-        Trace::new(requests)
-    }
-
     /// Generates `paper_requests()` requests at the given load — the run
     /// length used by the paper's Table 3.
     pub fn paper_trace(&mut self, load: f64) -> Trace {
@@ -221,17 +191,6 @@ mod tests {
         let mut a = WorkloadGenerator::new(AppProfile::shore(), 1);
         let mut b = WorkloadGenerator::new(AppProfile::shore(), 2);
         assert_ne!(a.steady_trace(0.4, 100), b.steady_trace(0.4, 100));
-    }
-
-    #[test]
-    fn profile_trace_tracks_load_steps() {
-        let mut g = WorkloadGenerator::new(AppProfile::masstree(), 5);
-        let trace = g.profile_trace(&LoadProfile::Steps(vec![(0.2, 2.0), (0.6, 2.0)]));
-        let early = trace.requests().iter().filter(|r| r.arrival < 2.0).count() as f64;
-        let late = trace.requests().iter().filter(|r| r.arrival >= 2.0).count() as f64;
-        // Roughly 3x more requests in the high-load phase.
-        assert!(late / early > 2.0, "early {early}, late {late}");
-        assert!(trace.duration() <= 4.0);
     }
 
     #[test]

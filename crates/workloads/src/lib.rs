@@ -13,9 +13,9 @@
 //! The crate provides:
 //!
 //! * [`AppProfile`] — the five LC application models and their parameters,
-//! * [`LoadProfile`] — constant, stepped, and diurnal offered-load curves,
-//! * [`WorkloadGenerator`] — turns a profile plus a load curve into a
-//!   [`rubik_sim::Trace`] of requests,
+//! * [`WorkloadGenerator`] — turns a profile plus a steady load into a
+//!   [`rubik_sim::Trace`] of requests (time-varying load curves live in
+//!   `rubik-load`, whose sources draw through this generator),
 //! * [`BatchApp`] / [`BatchMix`] — SPEC CPU2006-like batch application models
 //!   used by RubikColoc,
 //! * [`trace_io`] — JSON capture/replay of traces (the paper's trace-driven
@@ -37,11 +37,9 @@
 
 pub mod batch;
 pub mod generator;
-pub mod load;
 pub mod profile;
 pub mod trace_io;
 
 pub use batch::{BatchApp, BatchMix};
 pub use generator::WorkloadGenerator;
-pub use load::LoadProfile;
 pub use profile::{AppProfile, ServiceShape};

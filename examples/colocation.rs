@@ -52,12 +52,13 @@ fn main() {
     println!();
     println!("Datacenter comparison (segregated vs RubikColoc), 20-server toy scale:");
     let dc = DatacenterComparison::new(DatacenterConfig::small());
+    let ctx = dc.context_with_threads(1);
     println!(
         "{:>8} {:>22} {:>18} {:>14}",
         "LC load", "power vs segregated", "servers vs segr.", "worst tail"
     );
     for &load in &[0.2, 0.4, 0.6] {
-        let p = dc.evaluate(load);
+        let p = dc.evaluate_with(&ctx, load);
         println!(
             "{:>7.0}% {:>21.0}% {:>17.0}% {:>14.2}",
             load * 100.0,

@@ -9,10 +9,23 @@
 //! cargo run --release --example load_spike
 //! ```
 
+use rubik::load::drain_to_trace;
 use rubik::{
-    AppProfile, CorePowerModel, FixedFrequencyPolicy, LoadProfile, RubikConfig, RubikController,
-    Server, SimConfig, StaticOracle, WorkloadGenerator,
+    AppProfile, CorePowerModel, FixedFrequencyPolicy, LoadShape, RubikConfig, RubikController,
+    Server, ShapedSource, SimConfig, StaticOracle, WorkloadGenerator,
 };
+
+/// The load schedule: 25%, 50% and 75% of capacity, 4 s each.
+fn load_steps() -> LoadShape {
+    LoadShape::Sequence(
+        [0.25, 0.50, 0.75]
+            .map(|load| LoadShape::Steady {
+                load,
+                duration: 4.0,
+            })
+            .to_vec(),
+    )
+}
 
 fn main() {
     let profile = AppProfile::masstree();
@@ -27,12 +40,11 @@ fn main() {
         .tail_at(&calib_trace, config.dvfs.nominal())
         .expect("non-empty trace");
 
-    // The load-step trace: 25% -> 50% -> 75%, 4 s each.
-    let mut generator = WorkloadGenerator::new(profile.clone(), 2);
-    let trace = generator.profile_trace(&LoadProfile::fig10_steps());
+    // The load-step trace, drawn as a non-homogeneous Poisson process.
+    let trace = drain_to_trace(ShapedSource::new(profile.clone(), load_steps(), 2), None);
 
     // StaticOracle tuned for the initial 25% load.
-    let tuning = generator.steady_trace(0.25, 4_000);
+    let tuning = WorkloadGenerator::new(profile.clone(), 3).steady_trace(0.25, 4_000);
     let static_freq = static_oracle.lowest_feasible_freq(&tuning, bound);
     let mut static_policy = FixedFrequencyPolicy::new(static_freq);
     let static_result = Server::new(config.clone()).run(&trace, &mut static_policy);
@@ -64,7 +76,7 @@ fn main() {
 
     for step in 1..=24 {
         let t = step as f64 * 0.5;
-        let load = LoadProfile::fig10_steps().load_at(t - 0.01);
+        let load = load_steps().load_at(t - 0.01);
         let res = rubik_result.freq_residency_between(t - window, t);
         let rubik_power = if res.total_time() > 0.0 {
             power.average_power(&res)
