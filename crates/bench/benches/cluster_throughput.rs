@@ -32,7 +32,7 @@ use criterion::{
 use rubik::cluster::{fleet_trace, JoinShortestQueue, PowerAware, RoundRobin};
 use rubik::{
     AppProfile, Cluster, DvfsPolicy, FixedFrequencyPolicy, Router, RubikConfig, RubikController,
-    SimConfig, Trace,
+    SimConfig, Trace, TraceSource,
 };
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_controller.json");
@@ -124,7 +124,10 @@ fn bench_cell<P: DvfsPolicy>(
         b.iter_batched(
             || Cluster::new(config.clone(), cell.servers, (cell.router)(), |_| policy()),
             |cluster| {
-                let outcome = cluster.run(trace);
+                let outcome = cluster
+                    .run(TraceSource::new(trace))
+                    .expect("a valid fleet run")
+                    .outcome;
                 assert_eq!(outcome.requests, trace.len());
                 outcome.fleet_energy
             },
@@ -142,7 +145,8 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster_throughput");
     for cell in cells() {
         let requests = per_server * cell.servers;
-        let trace = fleet_trace(&profile, LOAD, cell.servers, requests, 2015);
+        let trace = fleet_trace(&profile, LOAD, cell.servers, requests, 2015)
+            .expect("a non-empty fleet at a positive load");
         if cell.rubik {
             let seeded = RubikController::seeded_for_trace(
                 RubikConfig::new(bound).with_profiling_window(1024),

@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rubik::cluster::{fleet_trace, FleetSpec, PegasusFleet, RoundRobin, ThresholdMigrator};
 use rubik::{
     AppProfile, Cluster, ClusterOutcome, CorePowerModel, DvfsConfig, Freq, RubikConfig,
-    RubikController, RunResult, SimConfig, Trace,
+    RubikController, RunResult, SimConfig, Trace, TraceSource,
 };
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_controller.json");
@@ -93,7 +93,10 @@ fn run_fleet(
     if migrate {
         cluster = cluster.with_migrator(Box::new(ThresholdMigrator::new(2, 1).with_interval(1e-3)));
     }
-    cluster.run_with_results(trace)
+    let report = cluster
+        .run(TraceSource::new(trace))
+        .expect("a valid fleet run");
+    (report.outcome, report.results)
 }
 
 /// The largest power drawn over any epoch-aligned window of the run.
@@ -107,7 +110,8 @@ fn bench_fleet_cap(c: &mut Criterion) {
     let per_server = requests_per_server();
     let budget = BUDGET_PER_SERVER * FLEET as f64;
     let spec = fleet_spec();
-    let trace = fleet_trace(&profile, LOAD, FLEET, per_server * FLEET, 2015);
+    let trace = fleet_trace(&profile, LOAD, FLEET, per_server * FLEET, 2015)
+        .expect("a non-empty fleet at a positive load");
 
     let mut group = c.benchmark_group("fleet_cap");
     for (label, migrate) in [("capped", false), ("capped_migrating", true)] {

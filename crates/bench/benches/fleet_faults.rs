@@ -36,7 +36,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use rubik::telemetry::{to_chrome_json, to_json, AttributionReport};
-use rubik::{CorePowerModel, RunResult, Trace};
+use rubik::{CorePowerModel, RunResult, Telemetry, Trace, TraceSource};
 use rubik_bench::faults::FaultsScenario;
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_controller.json");
@@ -112,7 +112,11 @@ fn bench_fleet_faults(c: &mut Criterion) {
     for (label, aware) in [("blind", false), ("health_aware", true)] {
         group.bench_with_input(BenchmarkId::new("mode", label), &aware, |b, &aware| {
             b.iter(|| {
-                let (outcome, _) = scenario.run(&trace, aware);
+                let outcome = scenario
+                    .cluster(&trace, aware)
+                    .run(TraceSource::new(&trace))
+                    .expect("a valid fleet run")
+                    .outcome;
                 assert_eq!(outcome.availability.offered, trace.len());
                 outcome.fleet_energy // checksum against dead-code elimination
             })
@@ -123,8 +127,17 @@ fn bench_fleet_faults(c: &mut Criterion) {
     // One measured run per mode for the recorded experiment numbers — with
     // telemetry recording, which the neutrality suite proves is invisible
     // to every simulation output.
-    let (blind, blind_results, blind_log) = scenario.run_traced(&trace, false);
-    let (aware, aware_results, aware_log) = scenario.run_traced(&trace, true);
+    let traced = |aware| {
+        let report = scenario
+            .cluster(&trace, aware)
+            .with_telemetry(Telemetry::recording())
+            .run(TraceSource::new(&trace))
+            .expect("a valid fleet run");
+        let log = report.log.expect("recording");
+        (report.outcome, report.results, log)
+    };
+    let (blind, blind_results, blind_log) = traced(false);
+    let (aware, aware_results, aware_log) = traced(true);
     let power = CorePowerModel::haswell_like();
     let max_power =
         rubik_bench::max_epoch_power(&aware_results, aware.duration, scenario.epoch, &power);

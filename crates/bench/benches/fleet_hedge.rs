@@ -23,6 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use rubik::{ClusterOutcome, RunResult, Trace, TraceSource};
 use rubik_bench::hedge::{p99_latency, HedgeScenario};
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_controller.json");
@@ -39,6 +40,14 @@ fn scenario() -> HedgeScenario {
     scenario
 }
 
+fn run(scenario: &HedgeScenario, trace: &Trace, hedged: bool) -> (ClusterOutcome, Vec<RunResult>) {
+    let report = scenario
+        .cluster(trace, hedged)
+        .run(TraceSource::new(trace))
+        .expect("a valid fleet run");
+    (report.outcome, report.results)
+}
+
 fn bench_fleet_hedge(c: &mut Criterion) {
     let scenario = scenario();
     let trace = scenario.trace();
@@ -47,7 +56,7 @@ fn bench_fleet_hedge(c: &mut Criterion) {
     for (label, hedged) in [("unhedged", false), ("hedged", true)] {
         group.bench_with_input(BenchmarkId::new("mode", label), &hedged, |b, &hedged| {
             b.iter(|| {
-                let (outcome, _) = scenario.run(&trace, hedged);
+                let (outcome, _) = run(&scenario, &trace, hedged);
                 assert_eq!(outcome.availability.offered, trace.len());
                 outcome.fleet_energy // checksum against dead-code elimination
             })
@@ -56,8 +65,8 @@ fn bench_fleet_hedge(c: &mut Criterion) {
     group.finish();
 
     // One measured run per mode for the recorded experiment numbers.
-    let (off, off_results) = scenario.run(&trace, false);
-    let (on, on_results) = scenario.run(&trace, true);
+    let (off, off_results) = run(&scenario, &trace, false);
+    let (on, on_results) = run(&scenario, &trace, true);
     let (p99_off, p99_on) = (p99_latency(&off_results), p99_latency(&on_results));
     let a = &on.availability;
 

@@ -1,5 +1,5 @@
 //! Streamed fleet serving under time-varying load: a 100-server Rubik fleet
-//! fed by `Cluster::run_streamed` from a live non-homogeneous Poisson source
+//! fed through `Cluster::run` from a live non-homogeneous Poisson source
 //! (a diurnal swing followed by a load step), with a `PegasusFleet` cap
 //! re-apportioning a 300 W global budget every epoch.
 //!
@@ -102,9 +102,10 @@ fn run_fleet(
         cluster = cluster
             .with_fleet_controller(Box::new(PegasusFleet::new(budget, power).with_epoch(EPOCH)));
     }
-    cluster
-        .run_streamed_with_results(source(profile, duration))
-        .expect("generated sources are time-ordered")
+    let report = cluster
+        .run(source(profile, duration))
+        .expect("generated sources are time-ordered");
+    (report.outcome, report.results)
 }
 
 fn bench_fleet_stream(c: &mut Criterion) {
@@ -137,7 +138,7 @@ fn bench_fleet_stream(c: &mut Criterion) {
     let capped_max = rubik_bench::max_epoch_power(&capped_results, capped.duration, EPOCH, &power);
 
     let section = format!(
-        "{{\n    \"servers\": {FLEET},\n    \"arrivals\": \"streamed (run_streamed, live NHPP source)\",\n    \
+        "{{\n    \"servers\": {FLEET},\n    \"arrivals\": \"streamed (Cluster::run, live NHPP source)\",\n    \
          \"shape\": \"diurnal {DIURNAL_MEAN}+/-{DIURNAL_AMPLITUDE} (2 periods), then step to {STEP_LOAD}\",\n    \
          \"expected_requests\": {expected:.0},\n    \"requests\": {},\n    \
          \"policy\": \"rubik-per-server (256-request prefix seed)\",\n    \

@@ -13,6 +13,7 @@
 use rubik::cluster::{fleet_trace, JoinShortestQueue, PowerAware, RoundRobin, Router};
 use rubik::{
     AppProfile, Cluster, ClusterOutcome, RubikConfig, RubikController, SimConfig, SweepSpec,
+    TraceSource,
 };
 use rubik_bench::{print_header, BenchArgs};
 
@@ -56,7 +57,8 @@ fn main() {
                 fleet,
                 per_server_requests * fleet,
                 trace_seed,
-            );
+            )
+            .expect("a non-empty fleet at a positive load");
             let cluster = Cluster::new(config.clone(), fleet, router(cell.get("router")), |_| {
                 RubikController::seeded_for_trace(
                     RubikConfig::new(bound).with_profiling_window(1024),
@@ -65,7 +67,10 @@ fn main() {
                     256,
                 )
             });
-            cluster.run(&trace)
+            cluster
+                .run(TraceSource::new(&trace))
+                .expect("a valid fleet run")
+                .outcome
         })
         .into_results();
 
@@ -112,7 +117,8 @@ fn main() {
             fleet,
             per_server_requests * fleet,
             trace_seed,
-        );
+        )
+        .expect("a non-empty fleet at a positive load");
         let cluster = Cluster::new(config.clone(), fleet, router(1), |_| {
             RubikController::seeded_for_trace(
                 RubikConfig::new(bound).with_profiling_window(1024),
@@ -120,8 +126,11 @@ fn main() {
                 &trace,
                 256,
             )
-        });
-        let (_, _, log) = cluster.run_traced(&trace);
-        args.emit_trace(&log);
+        })
+        .with_telemetry(args.telemetry());
+        let report = cluster
+            .run(TraceSource::new(&trace))
+            .expect("a valid fleet run");
+        args.emit_trace(&report.log.expect("--trace-out records telemetry"));
     }
 }

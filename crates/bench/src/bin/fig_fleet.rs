@@ -29,8 +29,8 @@ use rubik::cluster::{
 };
 use rubik::load::{drain_to_trace, ShapedSource};
 use rubik::{
-    AppProfile, Cluster, CorePowerModel, DvfsConfig, Freq, RubikConfig, RubikController, SimConfig,
-    SweepSpec, Trace, WorkloadGenerator,
+    AppProfile, Cluster, CorePowerModel, DvfsConfig, Freq, RubikConfig, RubikController, RunReport,
+    SimConfig, SweepSpec, Trace, TraceSource, WorkloadGenerator,
 };
 use rubik_bench::{print_header, BenchArgs, LoadShapeArg};
 
@@ -89,7 +89,8 @@ fn build_trace(
     seed: u64,
 ) -> Trace {
     match shape {
-        None => fleet_trace(profile, LOAD, servers, requests, seed),
+        None => fleet_trace(profile, LOAD, servers, requests, seed)
+            .expect("a non-empty fleet at a positive load"),
         Some(arg) => {
             let capacity = WorkloadGenerator::new(profile.clone(), seed).steady_rate(1.0);
             let duration = requests as f64 / (arg.average_load(LOAD) * capacity * servers as f64);
@@ -156,7 +157,11 @@ fn main() {
                 cluster = cluster
                     .with_migrator(Box::new(ThresholdMigrator::new(2, 1).with_interval(2e-3)));
             }
-            let (outcome, results) = cluster.run_with_results(&trace);
+            let RunReport {
+                outcome, results, ..
+            } = cluster
+                .run(TraceSource::new(&trace))
+                .expect("a valid fleet run");
             let big_requests: usize = outcome
                 .class_totals()
                 .iter()
@@ -248,8 +253,11 @@ fn main() {
         .with_fleet_controller(Box::new(
             PegasusFleet::new(BUDGETS[1] * fleet.len() as f64, power).with_epoch(EPOCH),
         ))
-        .with_migrator(Box::new(ThresholdMigrator::new(2, 1).with_interval(2e-3)));
-        let (_, _, log) = cluster.run_traced(&trace);
-        args.emit_trace(&log);
+        .with_migrator(Box::new(ThresholdMigrator::new(2, 1).with_interval(2e-3)))
+        .with_telemetry(args.telemetry());
+        let report = cluster
+            .run(TraceSource::new(&trace))
+            .expect("a valid fleet run");
+        args.emit_trace(&report.log.expect("--trace-out records telemetry"));
     }
 }

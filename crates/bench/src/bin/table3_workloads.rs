@@ -1,6 +1,6 @@
 //! Table 3: latency-critical application configurations and request counts.
 
-use rubik::{AppProfile, Freq};
+use rubik::AppProfile;
 use rubik_bench::{print_header, BenchArgs, Harness};
 
 fn main() {
@@ -27,6 +27,5 @@ fn main() {
             app.mem_fraction(),
             bound * 1e6
         );
-        let _ = Freq::from_mhz(2400);
     }
 }

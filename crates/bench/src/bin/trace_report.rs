@@ -20,7 +20,7 @@
 //! the golden fixture `tests/golden/trace_report_fleet_faults.txt` pins.
 
 use rubik::telemetry::{from_json, to_chrome_json, to_json};
-use rubik::TraceLog;
+use rubik::{Telemetry, TraceLog, TraceSource};
 use rubik_bench::faults::FaultsScenario;
 
 #[derive(Debug, Default)]
@@ -170,7 +170,12 @@ fn run_scenario(args: &Args, quantile: f64) -> Result<(), String> {
         ("blind: jsq, deadline only", false),
         ("health-aware: health-aware(jsq) + timeouts + retries", true),
     ] {
-        let (outcome, _results, log) = scenario.run_traced(&trace, aware);
+        let report = scenario
+            .cluster(&trace, aware)
+            .with_telemetry(Telemetry::recording())
+            .run(TraceSource::new(&trace))
+            .map_err(|e| e.to_string())?;
+        let (outcome, log) = (report.outcome, report.log.expect("recording"));
         let a = &outcome.availability;
         println!("\n## {label}");
         println!(

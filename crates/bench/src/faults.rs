@@ -17,9 +17,8 @@
 
 use rubik::cluster::fleet_trace;
 use rubik::{
-    AppProfile, Cluster, ClusterOutcome, CorePowerModel, FaultPlan, HealthAware, JoinShortestQueue,
-    PegasusFleet, RequestPolicy, Router, RubikConfig, RubikController, RunResult, SimConfig,
-    Telemetry, Trace, TraceLog,
+    AppProfile, Cluster, CorePowerModel, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet,
+    RequestPolicy, Router, RubikConfig, RubikController, SimConfig, Trace,
 };
 
 /// The fleet-faults experiment shape. Construct with [`Default::default`]
@@ -88,6 +87,7 @@ impl FaultsScenario {
             self.requests_per_server * self.fleet,
             self.seed,
         )
+        .expect("the scenario's fleet and load are valid")
     }
 
     /// The crash wave: `crashed` servers go down in a staggered wave a
@@ -118,7 +118,10 @@ impl FaultsScenario {
             .draining_on_crash()
     }
 
-    fn cluster(&self, trace: &Trace, aware: bool) -> Cluster<RubikController> {
+    /// The scenario's fleet for `trace`, ready for [`Cluster::run`]:
+    /// `aware` selects the failure-aware stack (health-aware routing +
+    /// timeouts + retries) over the blind baseline.
+    pub fn cluster(&self, trace: &Trace, aware: bool) -> Cluster<RubikController> {
         let config = SimConfig::paper_simulated();
         let power = CorePowerModel::haswell_like();
         let bound = self.bound();
@@ -150,30 +153,12 @@ impl FaultsScenario {
         };
         cluster
     }
-
-    /// One run of the scenario: `aware` selects the failure-aware stack
-    /// (health-aware routing + timeouts + retries) over the blind baseline.
-    pub fn run(&self, trace: &Trace, aware: bool) -> (ClusterOutcome, Vec<RunResult>) {
-        self.cluster(trace, aware).run_with_results(trace)
-    }
-
-    /// Like [`run`](Self::run), with telemetry recording: also returns the
-    /// assembled [`TraceLog`]. Recording is observation only — outcome and
-    /// results are bit-identical to [`run`](Self::run).
-    pub fn run_traced(
-        &self,
-        trace: &Trace,
-        aware: bool,
-    ) -> (ClusterOutcome, Vec<RunResult>, TraceLog) {
-        self.cluster(trace, aware)
-            .with_telemetry(Telemetry::recording())
-            .run_traced(trace)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rubik::{Telemetry, TraceSource};
 
     #[test]
     fn traced_scenario_runs_are_bitwise_identical_to_plain_ones() {
@@ -185,8 +170,16 @@ mod tests {
         };
         let trace = scenario.trace();
         for aware in [false, true] {
-            let (plain, _) = scenario.run(&trace, aware);
-            let (traced, _, log) = scenario.run_traced(&trace, aware);
+            let run = |telemetry| {
+                scenario
+                    .cluster(&trace, aware)
+                    .with_telemetry(telemetry)
+                    .run(TraceSource::new(&trace))
+                    .expect("a valid run")
+            };
+            let plain = run(Telemetry::disabled()).outcome;
+            let traced = run(Telemetry::recording());
+            let (traced, log) = (traced.outcome, traced.log.expect("recording"));
             assert_eq!(
                 plain.fleet_energy.to_bits(),
                 traced.fleet_energy.to_bits(),

@@ -16,8 +16,8 @@
 
 use rubik::cluster::fleet_trace;
 use rubik::{
-    AppProfile, Cluster, ClusterOutcome, FailureTopology, FaultPlan, JoinShortestQueue,
-    RequestPolicy, RubikConfig, RubikController, RunResult, SimConfig, Trace,
+    AppProfile, Cluster, FailureTopology, FaultPlan, JoinShortestQueue, RequestPolicy, RubikConfig,
+    RubikController, RunResult, SimConfig, Trace,
 };
 
 /// The fleet-hedge experiment shape. Construct with [`Default::default`]
@@ -88,6 +88,7 @@ impl HedgeScenario {
             self.requests_per_server * self.fleet,
             self.seed,
         )
+        .expect("the scenario's fleet and load are valid")
     }
 
     /// The fault plan: every member of the straggling rack runs `slowdown`
@@ -100,10 +101,10 @@ impl HedgeScenario {
         plan
     }
 
-    /// One run of the scenario; `hedged` arms the hedging policy (the
-    /// unhedged baseline carries a default, bit-neutral policy on the same
-    /// plan).
-    pub fn run(&self, trace: &Trace, hedged: bool) -> (ClusterOutcome, Vec<RunResult>) {
+    /// The scenario's fleet for `trace`, ready for [`Cluster::run`];
+    /// `hedged` arms the hedging policy (the unhedged baseline carries a
+    /// default, bit-neutral policy on the same plan).
+    pub fn cluster(&self, trace: &Trace, hedged: bool) -> Cluster<RubikController> {
         let config = SimConfig::paper_simulated();
         let bound = self.bound();
         let policy = if hedged {
@@ -129,7 +130,6 @@ impl HedgeScenario {
         .try_with_fault_plan(self.straggling_rack_plan(trace.duration()))
         .expect("the plan names servers of the fleet")
         .with_request_policy(policy)
-        .run_with_results(trace)
     }
 }
 
@@ -145,6 +145,7 @@ pub fn p99_latency(results: &[RunResult]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rubik::TraceSource;
 
     #[test]
     fn hedging_cuts_the_p99_under_a_straggling_rack() {
@@ -154,8 +155,15 @@ mod tests {
             ..Default::default()
         };
         let trace = scenario.trace();
-        let (off, off_results) = scenario.run(&trace, false);
-        let (on, on_results) = scenario.run(&trace, true);
+        let run = |hedged| {
+            let report = scenario
+                .cluster(&trace, hedged)
+                .run(TraceSource::new(&trace))
+                .expect("a valid run");
+            (report.outcome, report.results)
+        };
+        let (off, off_results) = run(false);
+        let (on, on_results) = run(true);
         assert_eq!(
             (off.availability.hedged, off.availability.hedge_wins),
             (0, 0)

@@ -111,11 +111,14 @@ pub enum LoadShapeArg {
 }
 
 impl LoadShapeArg {
-    /// Parses a `--load-shape` specification.
+    /// Parses a `--load-shape` specification. Its levels are checked by
+    /// [`LoadShape::validate`] on the shape over a unit window, so a spec
+    /// parses only if the shape offers load somewhere.
     ///
     /// # Errors
     ///
-    /// Returns a usage message naming the malformed part.
+    /// Returns a usage message naming the malformed part, or the shape's
+    /// [`LoadShapeError`](rubik::load::LoadShapeError).
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut parts = spec.split(':');
         let kind = parts.next().unwrap_or_default();
@@ -126,13 +129,6 @@ impl LoadShapeArg {
                 .and_then(|v| {
                     v.parse::<f64>()
                         .map_err(|_| format!("--load-shape {kind}: invalid {name} {v:?}"))
-                })
-                .and_then(|v| {
-                    if v.is_finite() && (0.0..=16.0).contains(&v) {
-                        Ok(v)
-                    } else {
-                        Err(format!("--load-shape {kind}: {name} {v} outside [0, 16]"))
-                    }
                 })
         };
         let arg = match kind {
@@ -145,16 +141,10 @@ impl LoadShapeArg {
                 before: num("BEFORE")?,
                 after: num("AFTER")?,
             },
-            "diurnal" => {
-                let mean = num("MEAN")?;
-                let amplitude = num("AMPLITUDE")?;
-                if amplitude > mean {
-                    return Err(format!(
-                        "--load-shape diurnal: amplitude {amplitude} exceeds mean {mean}"
-                    ));
-                }
-                Self::Diurnal { mean, amplitude }
-            }
+            "diurnal" => Self::Diurnal {
+                mean: num("MEAN")?,
+                amplitude: num("AMPLITUDE")?,
+            },
             other => {
                 return Err(format!(
                     "--load-shape: unknown shape {other:?} (expected steady, ramp, step, diurnal)"
@@ -164,6 +154,11 @@ impl LoadShapeArg {
         if parts.next().is_some() {
             return Err(format!("--load-shape {kind}: too many parameters"));
         }
+        // Over a unit window; `steady` runs at the binary's own load,
+        // which is valid.
+        arg.to_shape(1.0, 1.0)
+            .validate()
+            .map_err(|e| format!("--load-shape {spec}: {e}"))?;
         Ok(arg)
     }
 
@@ -192,14 +187,12 @@ impl LoadShapeArg {
     }
 
     /// Time-averaged load of the shape, used to size the window so a run
-    /// draws roughly the binary's request budget.
+    /// draws roughly the binary's request budget: the
+    /// [`LoadShape::average_load`] of the shape over a one-second window,
+    /// where halving is exact, so a step or ramp averages to
+    /// `0.5 × (a + b)` bit for bit.
     pub fn average_load(&self, base_load: f64) -> f64 {
-        match *self {
-            Self::Steady => base_load,
-            Self::Ramp { from, to } => 0.5 * (from + to),
-            Self::Step { before, after } => 0.5 * (before + after),
-            Self::Diurnal { mean, .. } => mean,
-        }
+        self.to_shape(base_load, 1.0).average_load()
     }
 
     /// A stable human-readable label (used in figure headers).
@@ -696,6 +689,13 @@ mod tests {
             "step:-0.1:0.5",
             "diurnal:0.3:0.4", // amplitude > mean
             "steady:0.4",      // steady takes no parameters
+            "ramp:0:17",       // above 16x nominal capacity
+            "ramp:nan:0.5",
+            // No load anywhere: a run window sized by the average would
+            // be infinite.
+            "ramp:0:0",
+            "step:0:0",
+            "diurnal:0:0",
         ] {
             assert!(
                 BenchArgs::parse_from(&argv(&["--load-shape", bad])).is_err(),

@@ -26,9 +26,9 @@
 //! deterministic — fleet-scale parallelism comes from sweeping many cluster
 //! cells on `rubik-sweep`, not from threading inside one cluster.
 
-use rubik_load::{ArrivalSource, TraceSource};
+use rubik_load::ArrivalSource;
 use rubik_power::CorePowerModel;
-use rubik_sim::{DvfsPolicy, RequestSpec, RunResult, ServerSim, SimConfig, SimEvent, Trace};
+use rubik_sim::{DvfsPolicy, RequestSpec, RunResult, ServerSim, SimConfig, SimEvent};
 
 use crate::fault::{FaultLayer, FaultPlan, FaultWork, HedgeResolution, OpKind, RequestPolicy};
 use crate::fleet::{EpochMeter, FleetCommand, FleetController, FleetSpec, ServerPowerView};
@@ -41,7 +41,7 @@ use rubik_telemetry::{
     Telemetry, TraceLog,
 };
 
-/// Why a [`Cluster`] could not be built or a streamed run could not finish.
+/// Why a [`Cluster`] could not be built or its run could not finish.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ClusterError {
@@ -154,12 +154,26 @@ impl std::error::Error for ClusterError {}
 /// The quantile of every tail latency a run reports.
 const TAIL_QUANTILE: f64 = 0.95;
 
+/// What one [`Cluster::run`] produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunReport {
+    /// The aggregated outcome; its tail latencies are 95th percentiles.
+    pub outcome: ClusterOutcome,
+    /// Each server's raw [`RunResult`], in server order: its request
+    /// records and its frequency/activity timeline.
+    pub results: Vec<RunResult>,
+    /// The assembled telemetry log: `Some` exactly when
+    /// [`Telemetry::recording`] was attached with
+    /// [`Cluster::with_telemetry`].
+    pub log: Option<TraceLog>,
+}
+
 /// A fleet of simulated servers behind a load balancer.
 ///
 /// Built with one [`DvfsPolicy`] instance per server (Rubik per server, in
-/// the paper's setting) and a [`Router`]; consumed by [`Cluster::run`],
-/// which drives the global arrival stream through the fleet and aggregates
-/// a [`ClusterOutcome`], whose tail latencies are 95th percentiles.
+/// the paper's setting) and a [`Router`]; consumed by [`Cluster::run`], the
+/// one way to run a fleet, which drives an [`ArrivalSource`] through the
+/// fleet and returns a [`RunReport`] or a typed [`ClusterError`].
 pub struct Cluster<P: DvfsPolicy = Box<dyn DvfsPolicy>> {
     servers: Vec<ServerSim<P>>,
     router: Box<dyn Router>,
@@ -293,8 +307,8 @@ impl<P: DvfsPolicy> Cluster<P> {
     /// per-request lifecycle events, server fault windows, and a per-epoch
     /// fleet time series at the same deterministic boundary instants the
     /// driver already sequences — recording telemetry leaves the simulation
-    /// outputs bit-identical too; it only *adds* the log, retrieved with
-    /// [`Cluster::run_traced`].
+    /// outputs bit-identical too; it only *adds* the log, returned as
+    /// [`RunReport::log`].
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -323,43 +337,34 @@ impl<P: DvfsPolicy> Cluster<P> {
         self.servers.is_empty()
     }
 
-    /// The fleet's router.
-    pub fn router(&self) -> &dyn Router {
-        self.router.as_ref()
-    }
-
-    /// Serves the global arrival stream `trace` through the fleet and
-    /// returns the aggregated outcome.
+    /// Serves the arrival stream `source` through the fleet and reports
+    /// the aggregated outcome, each server's raw [`RunResult`], and the
+    /// telemetry log when recording.
     ///
-    /// The trace is the *fleet's* arrival process (e.g. from
-    /// [`crate::fleet_trace`]); each request is routed on arrival and
-    /// offered to one server. Requests must be time-ordered, which
-    /// [`Trace`] guarantees.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the error's message if the fleet is empty
-    /// ([`ClusterError::EmptyFleet`]), a request arrives at an infinite or
-    /// NaN time ([`ClusterError::NonFiniteArrival`]), the router picks a
-    /// server outside the fleet ([`ClusterError::RouteOutOfRange`]), the
-    /// migrator plans an invalid move ([`ClusterError::InvalidMigration`]),
-    /// or the fleet controller issues an invalid command
-    /// ([`ClusterError::InvalidFleetCommand`]). The batch `run*` methods all
-    /// do; [`Cluster::run_streamed`] returns the error instead.
-    pub fn run(self, trace: &Trace) -> ClusterOutcome {
-        self.run_with_results(trace).0
-    }
-
-    /// Serves a pull-based arrival stream through the fleet and returns
-    /// the aggregated outcome.
-    ///
-    /// Arrivals are pulled from `source` one at a time, as the event loop
-    /// reaches them: the stream is never materialized, so resident memory
+    /// `source` is the *fleet's* arrival process: each request is routed on
+    /// arrival and offered to one server. Arrivals are pulled one at a time,
+    /// as the event loop reaches them, so a live source (a
+    /// [`rubik_load::PoissonSource`], a [`rubik_load::ShapedSource`], a
+    /// streaming trace reader) is never materialized: resident memory
     /// scales with in-flight work (plus the per-request completion records
-    /// every run keeps for outcome aggregation), not with the length of
-    /// the arrival stream. `run_streamed(TraceSource::new(&trace))` is
-    /// bitwise-identical to `run(&trace)` — the batch path is itself built
-    /// on this one.
+    /// every run keeps for outcome aggregation), not with the length of the
+    /// stream. A materialized [`Trace`](rubik_sim::Trace) (e.g. from
+    /// [`crate::fleet_trace`]) comes in as
+    /// [`TraceSource::new(&trace)`](crate::TraceSource::new),
+    /// and replays the same bits as the live source it was drained from.
+    ///
+    /// # Hook ordering
+    ///
+    /// The attached [`Migrator`] and [`FleetController`] run on their own
+    /// periodic clocks, interleaved with the event stream: at a boundary
+    /// time `t`, every fleet event strictly before `t` has been processed,
+    /// the migrator (if both fire at `t`) rebalances first, and the fleet
+    /// controller then observes the post-rebalance queues. Telemetry
+    /// sampling (when recording) is its own boundary and runs *last* at
+    /// equal instants, observing the post-hook fleet. Boundaries keep
+    /// firing through the post-arrival drain so a trailing backlog is still
+    /// rebalanced and capped. A cluster without hooks takes the exact code
+    /// path (and produces the exact bits) it did before hooks existed.
     ///
     /// # Errors
     ///
@@ -375,78 +380,7 @@ impl<P: DvfsPolicy> Cluster<P> {
     /// server's queue onto itself, and [`ClusterError::InvalidFleetCommand`]
     /// if the fleet controller commands an unknown server or scales a bound
     /// by a non-positive or non-finite factor.
-    pub fn run_streamed<S: ArrivalSource>(self, source: S) -> Result<ClusterOutcome, ClusterError> {
-        Ok(self.run_streamed_with_results(source)?.0)
-    }
-
-    /// Like [`Cluster::run_streamed`], but also returns each server's raw
-    /// [`RunResult`], mirroring [`Cluster::run_with_results`].
-    pub fn run_streamed_with_results<S: ArrivalSource>(
-        self,
-        mut source: S,
-    ) -> Result<(ClusterOutcome, Vec<RunResult>), ClusterError> {
-        let (outcome, results, _) = self.run_core(&mut source)?;
-        Ok((outcome, results))
-    }
-
-    /// Like [`Cluster::run_streamed_with_results`], but also returns the
-    /// assembled [`TraceLog`], mirroring [`Cluster::run_traced`]: if no
-    /// recording telemetry was attached, [`Telemetry::recording`] is
-    /// enabled with its default sampling epoch.
-    pub fn run_streamed_traced<S: ArrivalSource>(
-        mut self,
-        mut source: S,
-    ) -> Result<(ClusterOutcome, Vec<RunResult>, TraceLog), ClusterError> {
-        if !self.telemetry.is_enabled() {
-            self.telemetry = Telemetry::recording();
-        }
-        let (outcome, results, log) = self.run_core(&mut source)?;
-        Ok((outcome, results, log.expect("telemetry is enabled")))
-    }
-
-    /// Like [`Cluster::run`], but also returns each server's raw
-    /// [`RunResult`] (used by the equivalence suites and for per-server
-    /// timelines).
-    ///
-    /// # Hook ordering
-    ///
-    /// The attached [`Migrator`] and [`FleetController`] run on their own
-    /// periodic clocks, interleaved with the event stream: at a boundary
-    /// time `t`, every fleet event strictly before `t` has been processed,
-    /// the migrator (if both fire at `t`) rebalances first, and the fleet
-    /// controller then observes the post-rebalance queues. Telemetry
-    /// sampling (when recording) is its own boundary and runs *last* at
-    /// equal instants, observing the post-hook fleet. Boundaries keep
-    /// firing through the post-arrival drain so a trailing backlog is still
-    /// rebalanced and capped. A cluster without hooks takes the exact code
-    /// path (and produces the exact bits) it did before hooks existed.
-    pub fn run_with_results(self, trace: &Trace) -> (ClusterOutcome, Vec<RunResult>) {
-        let (outcome, results, _) = self
-            .run_core(&mut TraceSource::new(trace))
-            .unwrap_or_else(|e| panic!("{e}"));
-        (outcome, results)
-    }
-
-    /// Like [`Cluster::run_with_results`], but also returns the assembled
-    /// [`TraceLog`]. If no recording telemetry was attached with
-    /// [`Cluster::with_telemetry`], this enables [`Telemetry::recording`]
-    /// with its default sampling epoch — recording never changes the
-    /// simulated outcome, only observes it.
-    pub fn run_traced(mut self, trace: &Trace) -> (ClusterOutcome, Vec<RunResult>, TraceLog) {
-        if !self.telemetry.is_enabled() {
-            self.telemetry = Telemetry::recording();
-        }
-        let (outcome, results, log) = self
-            .run_core(&mut TraceSource::new(trace))
-            .unwrap_or_else(|e| panic!("{e}"));
-        (outcome, results, log.expect("telemetry is enabled"))
-    }
-
-    /// The one event loop every public run method funnels into.
-    fn run_core<S: ArrivalSource>(
-        mut self,
-        source: &mut S,
-    ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
+    pub fn run<S: ArrivalSource>(mut self, mut source: S) -> Result<RunReport, ClusterError> {
         let n = self.servers.len();
         if n == 0 {
             return Err(ClusterError::EmptyFleet);
@@ -527,15 +461,15 @@ impl<P: DvfsPolicy> Cluster<P> {
 
         // Pull arrivals lazily: the stream is consumed one request at a
         // time, so the driver's resident memory tracks in-flight work, not
-        // stream length. `offered` replaces the batch path's `trace.len()`
-        // in fault-layer conservation accounting.
+        // stream length. `offered` counts them for the fault layer's
+        // conservation accounting.
         let mut offered = 0usize;
         // The clock starts at 0, so the first arrival is ordered against it.
         let mut last_arrival = 0.0;
         while let Some(request) = source.next_arrival() {
             // A misbehaving user source is an input error, not a driver bug:
-            // surface it through the result path, typed so `run_streamed`
-            // callers can handle it. An arrival at +∞ would otherwise drain
+            // surface it through the result path, typed so callers can
+            // handle it. An arrival at +∞ would otherwise drain
             // open servers whose ticks never end, and one before t = 0 would
             // be offered before a server's clock starts.
             if !request.arrival.is_finite() {
@@ -630,7 +564,21 @@ impl<P: DvfsPolicy> Cluster<P> {
             outcome.availability = l.finalize(offered, TAIL_QUANTILE, &results);
         }
         let log = tele.finalize(&results, end);
-        Ok((outcome, results, log))
+        Ok(RunReport {
+            outcome,
+            results,
+            log,
+        })
+    }
+
+    /// [`Cluster::run`] without the log, kept only for the repository
+    /// benchmark's one call; nothing else may call it.
+    #[doc(hidden)]
+    pub fn run_streamed_with_results<S: ArrivalSource>(
+        self,
+        source: S,
+    ) -> Result<(ClusterOutcome, Vec<RunResult>), ClusterError> {
+        self.run(source).map(|r| (r.outcome, r.results))
     }
 }
 
@@ -1377,7 +1325,8 @@ impl Hooks {
 mod tests {
     use super::*;
     use crate::router::{JoinShortestQueue, Passthrough, RoundRobin};
-    use rubik_sim::{FixedFrequencyPolicy, RequestSpec};
+    use rubik_load::TraceSource;
+    use rubik_sim::{FixedFrequencyPolicy, RequestSpec, Trace};
 
     fn config() -> SimConfig {
         SimConfig::paper_simulated()
@@ -1397,7 +1346,10 @@ mod tests {
     fn all_requests_complete_across_the_fleet() {
         let cfg = config();
         let cluster = Cluster::new(cfg.clone(), 4, Box::new(RoundRobin::new()), fixed(&cfg));
-        let outcome = cluster.run(&burst(200, 1e-4));
+        let outcome = cluster
+            .run(TraceSource::new(&burst(200, 1e-4)))
+            .unwrap()
+            .outcome;
         assert_eq!(outcome.requests, 200);
         assert_eq!(outcome.servers(), 4);
         // Round-robin spreads a uniform stream evenly.
@@ -1425,8 +1377,8 @@ mod tests {
             Box::new(JoinShortestQueue::new()),
             fixed(&cfg),
         );
-        let rr_out = rr.run(&trace);
-        let jsq_out = jsq.run(&trace);
+        let rr_out = rr.run(TraceSource::new(&trace)).unwrap().outcome;
+        let jsq_out = jsq.run(TraceSource::new(&trace)).unwrap().outcome;
         assert_eq!(rr_out.requests, 60);
         assert_eq!(jsq_out.requests, 60);
         assert!(
@@ -1441,10 +1393,11 @@ mod tests {
     fn empty_trace_produces_empty_outcome() {
         let cfg = config();
         let cluster = Cluster::new(cfg.clone(), 3, Box::new(Passthrough), fixed(&cfg));
-        let (outcome, results) = cluster.run_with_results(&Trace::default());
-        assert_eq!(outcome.requests, 0);
-        assert_eq!(results.len(), 3);
-        for r in &results {
+        let report = cluster.run(TraceSource::new(&Trace::default())).unwrap();
+        assert_eq!(report.outcome.requests, 0);
+        assert_eq!(report.results.len(), 3);
+        assert!(report.log.is_none(), "no log without recording telemetry");
+        for r in &report.results {
             assert!(r.records().is_empty());
         }
     }
@@ -1453,8 +1406,9 @@ mod tests {
     fn run_is_deterministic_for_a_fixed_input() {
         let cfg = config();
         let trace = burst(120, 3e-4);
-        let run =
-            |router: Box<dyn Router>| Cluster::new(cfg.clone(), 3, router, fixed(&cfg)).run(&trace);
+        let run = |router: Box<dyn Router>| {
+            Cluster::new(cfg.clone(), 3, router, fixed(&cfg)).run(TraceSource::new(&trace))
+        };
         let a = run(Box::new(JoinShortestQueue::new()));
         let b = run(Box::new(JoinShortestQueue::new()));
         assert_eq!(a, b);
@@ -1473,7 +1427,10 @@ mod tests {
                 Box::new(FixedFrequencyPolicy::new(if i == 0 { slow } else { fast }))
             },
         );
-        let outcome = cluster.run(&burst(40, 2e-3));
+        let outcome = cluster
+            .run(TraceSource::new(&burst(40, 2e-3)))
+            .unwrap()
+            .outcome;
         // The slow server burns less power but is slower per request.
         assert!(outcome.per_server[0].tail_latency > outcome.per_server[1].tail_latency);
         assert!(outcome.per_server[0].busy_time > outcome.per_server[1].busy_time);
@@ -1516,16 +1473,9 @@ mod tests {
         let cfg = config();
         let empty = || Cluster::new(cfg.clone(), 0, Box::new(Passthrough), fixed(&cfg));
         assert!(empty().is_empty());
-        let err = empty().run_streamed(TraceSource::new(&burst(4, 1e-3)));
-        assert_eq!(err.unwrap_err(), ClusterError::EmptyFleet);
-        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            empty().run(&burst(4, 1e-3))
-        }));
-        let message = batch.expect_err("a batch run of an empty fleet panics");
-        assert_eq!(
-            message.downcast_ref::<String>().map(String::as_str),
-            Some("a cluster needs at least one server")
-        );
+        let err = empty().run(TraceSource::new(&burst(4, 1e-3))).unwrap_err();
+        assert_eq!(err, ClusterError::EmptyFleet);
+        assert_eq!(err.to_string(), "a cluster needs at least one server");
     }
 
     #[test]
@@ -1533,7 +1483,7 @@ mod tests {
         let cfg = config();
         let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg));
         let err = cluster
-            .run_streamed(TraceSource::new(&arriving_at(&[-1e-3, 1e-3])))
+            .run(TraceSource::new(&arriving_at(&[-1e-3, 1e-3])))
             .unwrap_err();
         assert_eq!(
             err,
@@ -1614,9 +1564,7 @@ mod tests {
         // The crash salvages server 0's in-service request into a retry:
         // the first repeat sighting, so the first bad choice.
         let cluster = crashing(Rogue::new(None), RequestPolicy::new().salvaging_in_flight());
-        let err = cluster
-            .run_streamed(TraceSource::new(&burst(40, 1e-4)))
-            .unwrap_err();
+        let err = cluster.run(TraceSource::new(&burst(40, 1e-4))).unwrap_err();
         assert_eq!(err, out_of_range());
     }
 
@@ -1625,9 +1573,7 @@ mod tests {
         // Without salvage, the crash drains server 0's queue through the
         // router instead.
         let cluster = crashing(Rogue::new(None), RequestPolicy::new().draining_on_crash());
-        let err = cluster
-            .run_streamed(TraceSource::new(&burst(40, 1e-4)))
-            .unwrap_err();
+        let err = cluster.run(TraceSource::new(&burst(40, 1e-4))).unwrap_err();
         assert_eq!(err, out_of_range());
     }
 
@@ -1635,9 +1581,7 @@ mod tests {
     fn an_arrival_routed_out_of_range_is_a_typed_error() {
         let cfg = config();
         let cluster = Cluster::new(cfg.clone(), 2, Rogue::new(Some(5)), fixed(&cfg));
-        let err = cluster
-            .run_streamed_with_results(TraceSource::new(&burst(40, 1e-4)))
-            .unwrap_err();
+        let err = cluster.run(TraceSource::new(&burst(40, 1e-4))).unwrap_err();
         assert_eq!(err, out_of_range());
         assert_eq!(
             err.to_string(),
@@ -1666,26 +1610,14 @@ mod tests {
         ] {
             let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg));
             let err = cluster
-                .run_streamed(TraceSource::new(&arriving_at(&arrivals)))
+                .run(TraceSource::new(&arriving_at(&arrivals)))
                 .unwrap_err();
             assert_eq!(err, ClusterError::NonFiniteArrival { index, at });
+            assert_eq!(
+                err.to_string(),
+                format!("arrival #{index} at {at} is not a finite time")
+            );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival #1 at inf is not a finite time")]
-    fn a_batch_run_panics_with_the_non_finite_arrival_error() {
-        let cfg = config();
-        let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg));
-        let _ = cluster.run(&arriving_at(&[1e-3, f64::INFINITY]));
-    }
-
-    #[test]
-    #[should_panic(expected = "router rogue chose server 2 of a 2-server fleet")]
-    fn a_batch_run_panics_with_the_route_error() {
-        let cfg = config();
-        let cluster = Cluster::new(cfg.clone(), 2, Rogue::new(Some(5)), fixed(&cfg));
-        let _ = cluster.run(&burst(40, 1e-4));
     }
 
     /// Plans the same move at every rebalance check.
@@ -1712,9 +1644,7 @@ mod tests {
             let migration = Migration { from, to, count: 1 };
             let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg))
                 .with_migrator(Box::new(RogueMigrator(migration)));
-            let err = cluster
-                .run_streamed(TraceSource::new(&burst(40, 1e-4)))
-                .unwrap_err();
+            let err = cluster.run(TraceSource::new(&burst(40, 1e-4))).unwrap_err();
             assert_eq!(
                 err,
                 ClusterError::InvalidMigration {
@@ -1776,9 +1706,7 @@ mod tests {
         ] {
             let cluster = Cluster::new(cfg.clone(), 2, Box::new(RoundRobin::new()), fixed(&cfg))
                 .with_fleet_controller(Box::new(RogueController(command)));
-            let err = cluster
-                .run_streamed(TraceSource::new(&burst(40, 1e-4)))
-                .unwrap_err();
+            let err = cluster.run(TraceSource::new(&burst(40, 1e-4))).unwrap_err();
             // Compared through the message: a NaN scale is never `==` itself.
             assert!(matches!(err, ClusterError::InvalidFleetCommand { .. }));
             assert_eq!(

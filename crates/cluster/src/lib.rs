@@ -37,10 +37,11 @@
 //!   their arrival times preserved, triggered on queue imbalance with
 //!   hysteresis,
 //! * [`fleet_trace`] — scales an application's arrival process to a fleet,
-//! * [`Cluster::run_streamed`] — serves a pull-based
+//! * [`Cluster::run`] — the one way to run a fleet: serves a pull-based
 //!   [`ArrivalSource`] (steady Poisson, shaped non-homogeneous Poisson,
-//!   merged multi-app, or file-backed streaming replay from `rubik-load`)
-//!   without materializing the stream,
+//!   merged multi-app, file-backed streaming replay from `rubik-load`, or a
+//!   materialized trace through [`TraceSource`]) without materializing the
+//!   stream, and returns a [`RunReport`] or a typed [`ClusterError`],
 //! * [`FaultPlan`] / [`RequestPolicy`] — deterministic fault injection
 //!   (crashes, stragglers, stuck frequencies) and the client-side request
 //!   lifecycle (deadlines, timeouts, retries with deterministic jitter).
@@ -55,7 +56,7 @@
 //! # Example: a small Rubik fleet behind JSQ
 //!
 //! ```
-//! use rubik_cluster::{fleet_trace, Cluster, JoinShortestQueue};
+//! use rubik_cluster::{fleet_trace, Cluster, JoinShortestQueue, TraceSource};
 //! use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 //! use rubik_workloads::AppProfile;
 //!
@@ -63,14 +64,14 @@
 //! let profile = AppProfile::masstree();
 //!
 //! // 8 servers at 40% load each; 800 requests arriving fleet-wide.
-//! let trace = fleet_trace(&profile, 0.4, 8, 800, 42);
+//! let trace = fleet_trace(&profile, 0.4, 8, 800, 42).expect("a valid fleet and load");
 //! let cluster = Cluster::new(
 //!     config.clone(),
 //!     8,
 //!     Box::new(JoinShortestQueue::new()),
 //!     |_server| FixedFrequencyPolicy::new(config.dvfs.nominal()),
 //! );
-//! let outcome = cluster.run(&trace);
+//! let outcome = cluster.run(TraceSource::new(&trace)).expect("a valid run").outcome;
 //!
 //! assert_eq!(outcome.requests, 800);
 //! assert_eq!(outcome.servers(), 8);
@@ -87,11 +88,10 @@
 //!
 //! # Streaming arrivals and load shapes
 //!
-//! [`Cluster::run`] replays a materialized trace; [`Cluster::run_streamed`]
-//! pulls arrivals lazily from any [`ArrivalSource`] in `rubik-load`, so the
-//! stream itself never occupies memory and the offered load can *change*
-//! mid-run — the regime the paper's Fig. 1 story is about. The two paths
-//! are the same code: `run(&trace)` is `run_streamed(TraceSource::new(&trace))`,
+//! [`Cluster::run`] pulls arrivals lazily from any [`ArrivalSource`] in
+//! `rubik-load`, so the stream itself never occupies memory and the offered
+//! load can *change* mid-run — the regime the paper's Fig. 1 story is
+//! about. A live source and the trace drained from it are the same run,
 //! pinned bitwise in `tests/stream_equivalence.rs`.
 //!
 //! Here a 4-server fleet rides a diurnal sinusoid into a morning ramp; the
@@ -118,7 +118,7 @@
 //!     Box::new(JoinShortestQueue::new()),
 //!     |_server| FixedFrequencyPolicy::new(config.dvfs.nominal()),
 //! );
-//! let outcome = cluster.run_streamed(source).expect("shaped sources are time-ordered");
+//! let outcome = cluster.run(source).expect("shaped sources are time-ordered").outcome;
 //!
 //! assert!(outcome.requests > 100, "the shape window draws plenty of load");
 //! assert!(outcome.tail_latency > 0.0);
@@ -142,7 +142,7 @@
 //!
 //! ```
 //! use rubik_cluster::{
-//!     fleet_trace, Cluster, FleetSpec, PegasusFleet, PowerAware, ThresholdMigrator,
+//!     fleet_trace, Cluster, FleetSpec, PegasusFleet, PowerAware, ThresholdMigrator, TraceSource,
 //! };
 //! use rubik_power::CorePowerModel;
 //! use rubik_sim::{DvfsConfig, FixedFrequencyPolicy, Freq, SimConfig};
@@ -161,7 +161,8 @@
 //!     .class("little", little, 0.5, 4);
 //!
 //! let power = CorePowerModel::haswell_like();
-//! let trace = fleet_trace(&AppProfile::masstree(), 0.3, spec.len(), 600, 7);
+//! let trace = fleet_trace(&AppProfile::masstree(), 0.3, spec.len(), 600, 7)
+//!     .expect("a valid fleet and load");
 //! let cluster = Cluster::from_spec(&spec, Box::new(PowerAware::new(power)), |_i, config| {
 //!     FixedFrequencyPolicy::new(config.dvfs.nominal())
 //! })
@@ -169,7 +170,7 @@
 //! .with_fleet_controller(Box::new(PegasusFleet::new(28.0, power)))
 //! .with_migrator(Box::new(ThresholdMigrator::default()));
 //!
-//! let outcome = cluster.run(&trace);
+//! let outcome = cluster.run(TraceSource::new(&trace)).expect("a valid run").outcome;
 //! assert_eq!(outcome.requests, 600);
 //! // The cap binds: average fleet power stays under the 28 W budget.
 //! assert!(outcome.fleet_power <= 28.0);
@@ -203,14 +204,14 @@
 //!
 //! ```
 //! use rubik_cluster::{
-//!     fleet_trace, Cluster, FaultPlan, HealthAware, JoinShortestQueue, RequestPolicy,
+//!     fleet_trace, Cluster, FaultPlan, HealthAware, JoinShortestQueue, RequestPolicy, TraceSource,
 //! };
 //! use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 //! use rubik_workloads::AppProfile;
 //!
 //! let config = SimConfig::paper_simulated();
 //! let profile = AppProfile::masstree();
-//! let trace = fleet_trace(&profile, 0.4, 4, 400, 11);
+//! let trace = fleet_trace(&profile, 0.4, 4, 400, 11).expect("a valid fleet and load");
 //! let mid = trace.duration() / 2.0;
 //!
 //! let cluster = Cluster::new(
@@ -232,7 +233,7 @@
 //!         .salvaging_in_flight(),
 //! );
 //!
-//! let outcome = cluster.run(&trace);
+//! let outcome = cluster.run(TraceSource::new(&trace)).expect("a valid run").outcome;
 //! let avail = outcome.availability;
 //! assert_eq!(avail.offered, 400);
 //! assert_eq!(avail.completed, 400, "everything was rescued");
@@ -272,13 +273,14 @@
 //! ```
 //! use rubik_cluster::{
 //!     fleet_trace, Cluster, FailureTopology, FaultPlan, HealthAware, JoinShortestQueue,
-//!     RequestPolicy,
+//!     RequestPolicy, TraceSource,
 //! };
 //! use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 //! use rubik_workloads::AppProfile;
 //!
 //! let config = SimConfig::paper_simulated();
-//! let trace = fleet_trace(&AppProfile::masstree(), 0.3, 8, 600, 13);
+//! let trace = fleet_trace(&AppProfile::masstree(), 0.3, 8, 600, 13)
+//!     .expect("a valid fleet and load");
 //!
 //! // 8 servers, 4 per rack: rack 1 = servers 4..8. The whole rack
 //! // crashes mid-run; members recover 20 ms later, staggered by 1 ms
@@ -310,7 +312,7 @@
 //!         .salvaging_in_flight(),
 //! );
 //!
-//! let outcome = cluster.run(&trace);
+//! let outcome = cluster.run(TraceSource::new(&trace)).expect("a valid run").outcome;
 //! assert_eq!(outcome.availability.completed, 600, "survivors absorb the rack");
 //! // Exactly the four rack members saw downtime.
 //! let down: Vec<usize> = (0..8)
@@ -326,25 +328,30 @@
 //!
 //! # Observability
 //!
-//! Attaching [`Telemetry`] records what the driver already sequences: every
-//! request's lifecycle (routing, timeouts, backoff, requeues, migrations),
-//! every scripted fault window, and a per-epoch fleet time series of power,
-//! queue depths, and in-flight work. The contract is strict in both
-//! directions — [`Telemetry::disabled`] (the default) is bitwise-invisible
-//! and allocation-free, and even [`Telemetry::recording`] leaves the
-//! simulated outcome bit-identical because samples are taken at boundary
-//! instants the event loop already honors. The assembled [`TraceLog`]
+//! Attaching [`Telemetry::recording`] with [`Cluster::with_telemetry`]
+//! records what the driver already sequences, returned as
+//! [`RunReport::log`]: every request's lifecycle (routing, timeouts,
+//! backoff, requeues, migrations), every scripted fault window, and a
+//! per-epoch fleet time series of power, queue depths, and in-flight work.
+//! The contract is strict in both directions — [`Telemetry::disabled`]
+//! (the default) is bitwise-invisible and allocation-free, and even
+//! [`Telemetry::recording`] leaves the simulated outcome bit-identical
+//! because samples are taken at boundary instants the event loop already
+//! honors. The assembled [`TraceLog`]
 //! self-serializes to JSON and Chrome `trace_event` format
 //! (`rubik_telemetry::to_json` / `to_chrome_json`), and can decompose the
 //! tail cohort's latency into queueing, service, backoff, and downtime:
 //!
 //! ```
-//! use rubik_cluster::{fleet_trace, Cluster, FaultPlan, HealthAware, JoinShortestQueue};
+//! use rubik_cluster::{
+//!     fleet_trace, Cluster, FaultPlan, HealthAware, JoinShortestQueue, Telemetry, TraceSource,
+//! };
 //! use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 //! use rubik_workloads::AppProfile;
 //!
 //! let config = SimConfig::paper_simulated();
-//! let trace = fleet_trace(&AppProfile::masstree(), 0.4, 4, 400, 11);
+//! let trace = fleet_trace(&AppProfile::masstree(), 0.4, 4, 400, 11)
+//!     .expect("a valid fleet and load");
 //! let mid = trace.duration() / 2.0;
 //!
 //! let cluster = Cluster::new(
@@ -354,9 +361,11 @@
 //!     |_server| FixedFrequencyPolicy::new(config.dvfs.nominal()),
 //! )
 //! .try_with_fault_plan(FaultPlan::new().crash(2, mid).recover(2, mid * 1.5))
-//! .expect("the plan names servers of the fleet");
+//! .expect("the plan names servers of the fleet")
+//! .with_telemetry(Telemetry::recording());
 //!
-//! let (outcome, _results, log) = cluster.run_traced(&trace);
+//! let report = cluster.run(TraceSource::new(&trace)).expect("a valid run");
+//! let (outcome, log) = (report.outcome, report.log.expect("recording"));
 //! assert_eq!(log.requests.len(), outcome.availability.offered);
 //! assert_eq!(log.completed(), outcome.availability.completed);
 //! // Server 2's crash shows up as a down window in the log...
@@ -382,7 +391,7 @@ mod outcome;
 mod router;
 mod topology;
 
-pub use driver::{Cluster, ClusterError};
+pub use driver::{Cluster, ClusterError, RunReport};
 pub use fault::{FaultEvent, FaultPlan, RequestPolicy};
 pub use fleet::{
     CoreClass, FleetCommand, FleetController, FleetSpec, PegasusFleet, ServerPowerView,
@@ -404,36 +413,15 @@ use rubik_workloads::AppProfile;
 /// Generates the arrival stream of a whole fleet: `servers` servers each at
 /// `per_server_load` (fraction of one core's nominal capacity) produce a
 /// pooled Poisson stream at `per_server_load × servers` times one core's
-/// capacity.
-///
-/// A thin wrapper over [`try_fleet_trace`], which itself drains the steady
-/// [`rubik_load::PoissonSource`] — the streamed and batch arrival processes
-/// are the same bits by construction.
-///
-/// # Panics
-///
-/// Panics if `servers == 0` or the load is not positive and finite.
-pub fn fleet_trace(
-    profile: &AppProfile,
-    per_server_load: f64,
-    servers: usize,
-    requests: usize,
-    seed: u64,
-) -> Trace {
-    match try_fleet_trace(profile, per_server_load, servers, requests, seed) {
-        Ok(trace) => trace,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`fleet_trace`]: returns [`ClusterError::EmptyFleet`] for a
-/// zero-server fleet and [`ClusterError::InvalidLoad`] when the per-server
-/// load is not positive and finite.
+/// capacity. It drains the steady [`rubik_load::PoissonSource`], so the
+/// streamed and batch arrival processes are the same bits by construction.
 ///
 /// # Errors
 ///
-/// See above; no other failure modes exist.
-pub fn try_fleet_trace(
+/// Returns [`ClusterError::EmptyFleet`] for a zero-server fleet and
+/// [`ClusterError::InvalidLoad`] when the fleet's load is not positive and
+/// finite.
+pub fn fleet_trace(
     profile: &AppProfile,
     per_server_load: f64,
     servers: usize,
@@ -461,8 +449,8 @@ mod tests {
     #[test]
     fn fleet_trace_scales_rate_with_servers() {
         let profile = AppProfile::masstree();
-        let one = fleet_trace(&profile, 0.4, 1, 4000, 7);
-        let four = fleet_trace(&profile, 0.4, 4, 4000, 7);
+        let one = fleet_trace(&profile, 0.4, 1, 4000, 7).unwrap();
+        let four = fleet_trace(&profile, 0.4, 4, 4000, 7).unwrap();
         // Same request count, ~4x the arrival rate => ~1/4 the duration.
         let ratio = one.duration() / four.duration();
         assert!((3.0..5.0).contains(&ratio), "ratio = {ratio}");
@@ -471,19 +459,13 @@ mod tests {
         assert!(four.offered_load(nominal) > 3.0 * one.offered_load(nominal) / 2.0);
     }
 
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn fleet_trace_rejects_zero_servers() {
-        let _ = fleet_trace(&AppProfile::masstree(), 0.4, 0, 100, 1);
-    }
-
     /// `fleet_trace` is now a wrapper over the streaming `PoissonSource`;
     /// its output must be bit-for-bit what the batch generator produced
     /// before the rewrite.
     #[test]
     fn fleet_trace_matches_batch_generator_bit_for_bit() {
         let profile = AppProfile::xapian();
-        let wrapped = fleet_trace(&profile, 0.45, 8, 1000, 21);
+        let wrapped = fleet_trace(&profile, 0.45, 8, 1000, 21).unwrap();
         let batch =
             rubik_workloads::WorkloadGenerator::new(profile, 21).steady_trace(0.45 * 8.0, 1000);
         assert_eq!(wrapped.len(), batch.len());
@@ -499,19 +481,18 @@ mod tests {
     #[test]
     fn try_fleet_trace_returns_typed_errors() {
         let profile = AppProfile::masstree();
+        let empty = fleet_trace(&profile, 0.4, 0, 10, 1).unwrap_err();
+        assert_eq!(empty, ClusterError::EmptyFleet);
+        assert_eq!(empty.to_string(), "a cluster needs at least one server");
         assert_eq!(
-            try_fleet_trace(&profile, 0.4, 0, 10, 1).unwrap_err(),
-            ClusterError::EmptyFleet
-        );
-        assert_eq!(
-            try_fleet_trace(&profile, 0.0, 4, 10, 1).unwrap_err(),
+            fleet_trace(&profile, 0.0, 4, 10, 1).unwrap_err(),
             ClusterError::InvalidLoad
         );
         assert_eq!(
-            try_fleet_trace(&profile, f64::NAN, 4, 10, 1).unwrap_err(),
+            fleet_trace(&profile, f64::NAN, 4, 10, 1).unwrap_err(),
             ClusterError::InvalidLoad
         );
-        let trace = try_fleet_trace(&profile, 0.4, 4, 10, 1).unwrap();
+        let trace = fleet_trace(&profile, 0.4, 4, 10, 1).unwrap();
         assert_eq!(trace.len(), 10);
     }
 }

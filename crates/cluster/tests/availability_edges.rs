@@ -11,7 +11,9 @@
 //!    `tail_latency_ok` is `None` — not a `0.0` that would masquerade as a
 //!    perfect tail.
 
-use rubik_cluster::{fleet_trace, Cluster, FaultPlan, Passthrough, RequestPolicy, RoundRobin};
+use rubik_cluster::{
+    fleet_trace, Cluster, FaultPlan, Passthrough, RequestPolicy, RoundRobin, Telemetry, TraceSource,
+};
 use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 use rubik_telemetry::RequestEventKind;
 use rubik_workloads::AppProfile;
@@ -25,7 +27,8 @@ fn timeout_then_crash_losses_partition_the_offered_load() {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
     let mean = profile.mean_service_time();
-    let trace = fleet_trace(&profile, 0.6, 2, 300, 5);
+    let trace =
+        fleet_trace(&profile, 0.6, 2, 300, 5).expect("a non-empty fleet at a positive load");
     let duration = trace.duration();
 
     let cluster = Cluster::new(config.clone(), 2, Box::new(Passthrough), |_| {
@@ -37,8 +40,10 @@ fn timeout_then_crash_losses_partition_the_offered_load() {
         2,
         mean,
         8.0 * mean,
-    ));
-    let (outcome, _results, log) = cluster.run_traced(&trace);
+    ))
+    .with_telemetry(Telemetry::recording());
+    let report = cluster.run(TraceSource::new(&trace)).expect("a valid run");
+    let (outcome, log) = (report.outcome, report.log.expect("recording"));
     let a = outcome.availability;
 
     assert_eq!(a.offered, 300);
@@ -76,14 +81,18 @@ fn timeout_then_crash_losses_partition_the_offered_load() {
 fn zero_completions_leave_the_goodput_tail_absent() {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.4, 2, 100, 9);
+    let trace =
+        fleet_trace(&profile, 0.4, 2, 100, 9).expect("a non-empty fleet at a positive load");
 
     let cluster = Cluster::new(config.clone(), 2, Box::new(RoundRobin::new()), |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     })
     .try_with_fault_plan(FaultPlan::new().crash(0, 0.0).crash(1, 0.0))
     .expect("the plan names servers of the fleet");
-    let outcome = cluster.run(&trace);
+    let outcome = cluster
+        .run(TraceSource::new(&trace))
+        .expect("a valid run")
+        .outcome;
     let a = outcome.availability;
 
     assert_eq!(a.completed, 0);
@@ -102,13 +111,17 @@ fn zero_completions_leave_the_goodput_tail_absent() {
 fn all_late_completions_leave_the_goodput_tail_absent() {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.4, 2, 100, 13);
+    let trace =
+        fleet_trace(&profile, 0.4, 2, 100, 13).expect("a non-empty fleet at a positive load");
 
     let cluster = Cluster::new(config.clone(), 2, Box::new(RoundRobin::new()), |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     })
     .with_request_policy(RequestPolicy::new().with_deadline(1e-12));
-    let outcome = cluster.run(&trace);
+    let outcome = cluster
+        .run(TraceSource::new(&trace))
+        .expect("a valid run")
+        .outcome;
     let a = outcome.availability;
 
     assert_eq!(a.completed, a.offered, "everything still completes");

@@ -14,7 +14,7 @@ mod common;
 use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, ClusterOutcome, JoinShortestQueue, Passthrough, PowerAware, RoundRobin,
-    Router,
+    Router, RunReport, TraceSource,
 };
 use rubik_core::{PegasusConfig, PegasusPolicy, RubikConfig, RubikController};
 use rubik_sim::{DvfsPolicy, FixedFrequencyPolicy, IdleMode, Server, SimConfig, Trace};
@@ -79,7 +79,8 @@ fn one_server_passthrough_cluster_reproduces_server_run_bitwise() {
                 let cluster = Cluster::new(config.clone(), 1, Box::new(Passthrough), |_| {
                     slot.take().expect("policy factory called once per server")
                 });
-                let (_, results) = cluster.run_with_results(&trace);
+                let RunReport { results, .. } =
+                    cluster.run(TraceSource::new(&trace)).expect("a valid run");
                 assert_eq!(results.len(), 1);
                 assert!(
                     result_bits(&results[0]) == reference,
@@ -105,7 +106,8 @@ fn run_cell(router_idx: usize, fleet: usize, load: f64, seed: u64) -> ClusterOut
     let profile = AppProfile::masstree();
     let bound = 3.0 * profile.mean_service_time();
     // Scale the request count with the fleet so every server sees work.
-    let trace = fleet_trace(&profile, load, fleet, 120 * fleet, seed);
+    let trace = fleet_trace(&profile, load, fleet, 120 * fleet, seed)
+        .expect("a non-empty fleet at a positive load");
     let router = routers().swap_remove(router_idx);
     let cluster = Cluster::new(config.clone(), fleet, router, |_| {
         RubikController::seeded_for_trace(
@@ -115,7 +117,10 @@ fn run_cell(router_idx: usize, fleet: usize, load: f64, seed: u64) -> ClusterOut
             256,
         )
     });
-    cluster.run(&trace)
+    cluster
+        .run(TraceSource::new(&trace))
+        .expect("a valid run")
+        .outcome
 }
 
 #[test]
@@ -154,7 +159,8 @@ fn thousand_server_fleet_runs_in_one_process_and_is_thread_invariant() {
     let fleet = 1000;
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.25, fleet, 6000, 2015);
+    let trace = fleet_trace(&profile, 0.25, fleet, 6000, 2015)
+        .expect("a non-empty fleet at a positive load");
 
     let spec = SweepSpec::new().axis("router", routers().len());
     let cell = |c: &rubik_sweep::Cell<'_>| {
@@ -164,7 +170,10 @@ fn thousand_server_fleet_runs_in_one_process_and_is_thread_invariant() {
             routers().swap_remove(c.get("router")),
             |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
         );
-        let outcome = cluster.run(&trace);
+        let outcome = cluster
+            .run(TraceSource::new(&trace))
+            .expect("a valid run")
+            .outcome;
         assert_eq!(outcome.requests, 6000);
         assert_eq!(outcome.servers(), fleet);
         outcome_bits(&outcome)
@@ -186,14 +195,18 @@ fn router_choice_changes_outcomes_but_not_request_conservation() {
     // stream, yet every request completes exactly once under each.
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::xapian();
-    let trace = fleet_trace(&profile, 0.5, 4, 800, 7);
+    let trace =
+        fleet_trace(&profile, 0.5, 4, 800, 7).expect("a non-empty fleet at a positive load");
     let mut tails = Vec::new();
     for router in routers() {
         let name = router.name().to_string();
         let cluster = Cluster::new(config.clone(), 4, router, |_| {
             FixedFrequencyPolicy::new(config.dvfs.nominal())
         });
-        let outcome = cluster.run(&trace);
+        let outcome = cluster
+            .run(TraceSource::new(&trace))
+            .expect("a valid run")
+            .outcome;
         assert_eq!(outcome.requests, 800, "router {name} lost requests");
         tails.push((name, outcome.tail_latency));
     }

@@ -24,7 +24,7 @@ mod common;
 use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, ClusterOutcome, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet,
-    PowerAware, RequestPolicy, RoundRobin, Router, ThresholdMigrator,
+    PowerAware, RequestPolicy, RoundRobin, Router, RunReport, ThresholdMigrator, TraceSource,
 };
 use rubik_core::{RubikConfig, RubikController};
 use rubik_power::CorePowerModel;
@@ -56,7 +56,8 @@ fn a_rubik_fleet_whose_ticks_tie_keeps_its_event_order() {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
     let bound = 3.0 * profile.mean_service_time();
-    let trace = fleet_trace(&profile, 0.1, FLEET, 100 * FLEET, 7331);
+    let trace = fleet_trace(&profile, 0.1, FLEET, 100 * FLEET, 7331)
+        .expect("a non-empty fleet at a positive load");
     assert!(
         trace.duration() > 2.0 * config.tick_interval,
         "the run must cross at least two tick instants, not {} s",
@@ -75,7 +76,9 @@ fn a_rubik_fleet_whose_ticks_tie_keeps_its_event_order() {
             )
         },
     );
-    let (outcome, results) = cluster.run_with_results(&trace);
+    let RunReport {
+        outcome, results, ..
+    } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
     assert_eq!(outcome.requests, trace.len());
     assert_eq!(fingerprint(&outcome, &results), 16_933_077_010_830_300_069);
 }
@@ -88,7 +91,8 @@ fn hedged_cell(router: Box<dyn Router>) -> (ClusterOutcome, Vec<RunResult>) {
     let power = CorePowerModel::haswell_like();
     let profile = AppProfile::masstree();
     let mean = profile.mean_service_time();
-    let trace = fleet_trace(&profile, 0.5, FLEET, 100 * FLEET, SEED);
+    let trace = fleet_trace(&profile, 0.5, FLEET, 100 * FLEET, SEED)
+        .expect("a non-empty fleet at a positive load");
     let duration = trace.duration();
     let cluster = Cluster::new(config.clone(), FLEET, router, |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
@@ -115,7 +119,9 @@ fn hedged_cell(router: Box<dyn Router>) -> (ClusterOutcome, Vec<RunResult>) {
             .with_hedging(0.9, 0.5 * mean)
             .with_hedge_window(64),
     );
-    let (outcome, results) = cluster.run_with_results(&trace);
+    let RunReport {
+        outcome, results, ..
+    } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
     let a = &outcome.availability;
     assert!(a.hedged > 0, "the cell launched no hedge");
     assert!(a.retries > 0, "the cell retried nothing");

@@ -27,7 +27,8 @@ mod common;
 use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, FaultPlan, FleetSpec, HealthAware, JoinShortestQueue, PegasusFleet,
-    PowerAware, RequestPolicy, RoundRobin, Router, ServerView, ThresholdMigrator,
+    PowerAware, RequestPolicy, RoundRobin, Router, RunReport, ServerView, Telemetry,
+    ThresholdMigrator, TraceSource,
 };
 use rubik_core::{RubikConfig, RubikController};
 use rubik_power::CorePowerModel;
@@ -76,7 +77,8 @@ fn empty_fault_plan_and_inert_policy_are_bitwise_invisible() {
         let profile = AppProfile::masstree();
         let bound = 3.0 * profile.mean_service_time();
         let fleet = fleets[c.get("fleet")];
-        let trace = fleet_trace(&profile, 0.5, fleet, 120 * fleet, seeds[c.get("seed")]);
+        let trace = fleet_trace(&profile, 0.5, fleet, 120 * fleet, seeds[c.get("seed")])
+            .expect("a non-empty fleet at a positive load");
 
         let plain = Cluster::new(
             config.clone(),
@@ -84,7 +86,11 @@ fn empty_fault_plan_and_inert_policy_are_bitwise_invisible() {
             routers().swap_remove(c.get("router")),
             rubik_factory(&config, &trace, bound),
         );
-        let (plain_outcome, plain_results) = plain.run_with_results(&trace);
+        let RunReport {
+            outcome: plain_outcome,
+            results: plain_results,
+            ..
+        } = plain.run(TraceSource::new(&trace)).expect("a valid run");
 
         let faulted = Cluster::new(
             config.clone(),
@@ -95,7 +101,11 @@ fn empty_fault_plan_and_inert_policy_are_bitwise_invisible() {
         .try_with_fault_plan(FaultPlan::new())
         .expect("the plan names servers of the fleet")
         .with_request_policy(RequestPolicy::new());
-        let (faulted_outcome, faulted_results) = faulted.run_with_results(&trace);
+        let RunReport {
+            outcome: faulted_outcome,
+            results: faulted_results,
+            ..
+        } = faulted.run(TraceSource::new(&trace)).expect("a valid run");
 
         // Same simulation, byte for byte...
         assert_eq!(
@@ -172,7 +182,8 @@ fn fault_runs_are_deterministic_across_sweep_threads_and_conserve_requests() {
         let profile = AppProfile::masstree();
         let fleet = fleets[c.get("fleet")];
         let requests = 150 * fleet;
-        let trace = fleet_trace(&profile, 0.5, fleet, requests, seeds[c.get("seed")]);
+        let trace = fleet_trace(&profile, 0.5, fleet, requests, seeds[c.get("seed")])
+            .expect("a non-empty fleet at a positive load");
         let mean = profile.mean_service_time();
 
         let cluster = Cluster::new(
@@ -191,7 +202,9 @@ fn fault_runs_are_deterministic_across_sweep_threads_and_conserve_requests() {
                 .salvaging_in_flight()
                 .draining_on_crash(),
         );
-        let (outcome, results) = cluster.run_with_results(&trace);
+        let RunReport {
+            outcome, results, ..
+        } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
         let a = outcome.availability;
 
         // Conservation: completions and losses partition the offered load,
@@ -289,7 +302,8 @@ fn the_watt_cap_holds_through_a_crash_wave() {
     let floor = fleet as f64 * power.active_power(config.dvfs.min());
     let step = step_granularity(&config.dvfs, &power);
 
-    let trace = fleet_trace(&profile, 0.6, fleet, 300 * fleet, 23);
+    let trace = fleet_trace(&profile, 0.6, fleet, 300 * fleet, 23)
+        .expect("a non-empty fleet at a positive load");
     let duration = trace.duration();
     // ~40 control epochs across the run, whatever the trace duration is.
     let epoch = duration / 40.0;
@@ -317,7 +331,9 @@ fn the_watt_cap_holds_through_a_crash_wave() {
             .salvaging_in_flight()
             .draining_on_crash(),
     );
-    let (outcome, results) = cluster.run_with_results(&trace);
+    let RunReport {
+        outcome, results, ..
+    } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
     let a = &outcome.availability;
     assert_eq!(a.completed + a.lost, a.offered);
     assert!(
@@ -358,7 +374,8 @@ fn health_aware_retries_cut_deadline_violations_versus_failure_blind() {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
     let mean = profile.mean_service_time();
-    let trace = fleet_trace(&profile, 0.5, fleet, 150 * fleet, 7);
+    let trace = fleet_trace(&profile, 0.5, fleet, 150 * fleet, 7)
+        .expect("a non-empty fleet at a positive load");
     let duration = trace.duration();
     // One server is dead for the middle 40% of the run. Round-robin keeps
     // offering it work regardless; the stranded queue waits for recovery.
@@ -373,7 +390,10 @@ fn health_aware_retries_cut_deadline_violations_versus_failure_blind() {
     .try_with_fault_plan(plan.clone())
     .expect("the plan names servers of the fleet")
     .with_request_policy(RequestPolicy::new().with_deadline(deadline));
-    let blind_out = blind.run(&trace);
+    let blind_out = blind
+        .run(TraceSource::new(&trace))
+        .expect("a valid run")
+        .outcome;
 
     let aware = Cluster::new(
         config.clone(),
@@ -391,7 +411,10 @@ fn health_aware_retries_cut_deadline_violations_versus_failure_blind() {
             .salvaging_in_flight()
             .draining_on_crash(),
     );
-    let aware_out = aware.run(&trace);
+    let aware_out = aware
+        .run(TraceSource::new(&trace))
+        .expect("a valid run")
+        .outcome;
 
     let b = blind_out.availability;
     let a = aware_out.availability;
@@ -423,7 +446,8 @@ fn health_aware_retries_cut_deadline_violations_versus_failure_blind() {
 fn health_aware_wrapper_is_bitwise_invisible_on_a_healthy_fleet() {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.5, 4, 600, 19);
+    let trace =
+        fleet_trace(&profile, 0.5, 4, 600, 19).expect("a non-empty fleet at a positive load");
 
     let inner: Vec<Box<dyn Router>> = vec![
         Box::new(JoinShortestQueue::new()),
@@ -439,13 +463,21 @@ fn health_aware_wrapper_is_bitwise_invisible_on_a_healthy_fleet() {
         })
         // Hooks attached to prove the wrapper composes with the rest.
         .with_migrator(Box::new(ThresholdMigrator::new(usize::MAX, 0)));
-        let (o1, r1) = plain.run_with_results(&trace);
+        let RunReport {
+            outcome: o1,
+            results: r1,
+            ..
+        } = plain.run(TraceSource::new(&trace)).expect("a valid run");
 
         let guarded = Cluster::new(config.clone(), 4, wrapped, |_| {
             FixedFrequencyPolicy::new(config.dvfs.nominal())
         })
         .with_migrator(Box::new(ThresholdMigrator::new(usize::MAX, 0)));
-        let (o2, r2) = guarded.run_with_results(&trace);
+        let RunReport {
+            outcome: o2,
+            results: r2,
+            ..
+        } = guarded.run(TraceSource::new(&trace)).expect("a valid run");
 
         assert_eq!(outcome_bits(&o1), outcome_bits(&o2));
         for (a, b) in r1.iter().zip(&r2) {
@@ -488,11 +520,15 @@ fn keyed_twins() -> Vec<(Box<dyn Router>, Box<dyn Router>)> {
 
 /// Outcome, per-server results, and telemetry JSON of one traced run.
 fn traced_bits(cluster: Cluster<RubikController>, trace: &Trace) -> Vec<u64> {
-    let (outcome, results, log) = cluster.run_traced(trace);
-    let mut bits = outcome_bits(&outcome);
-    for r in &results {
+    let report = cluster
+        .with_telemetry(Telemetry::recording())
+        .run(TraceSource::new(trace))
+        .expect("a valid run");
+    let mut bits = outcome_bits(&report.outcome);
+    for r in &report.results {
         bits.extend(result_bits(r));
     }
+    let log = report.log.expect("recording");
     bits.extend(rubik_telemetry::to_json(&log).bytes().map(u64::from));
     bits
 }
@@ -531,7 +567,8 @@ fn keyed_routing_matches_slice_routing_bit_for_bit() {
     let mean = profile.mean_service_time();
     let bound = 3.0 * mean;
     let fleet = 6usize;
-    let trace = fleet_trace(&profile, 0.6, fleet, 120 * fleet, 31);
+    let trace = fleet_trace(&profile, 0.6, fleet, 120 * fleet, 31)
+        .expect("a non-empty fleet at a positive load");
     let duration = trace.duration();
     let homogeneous = FleetSpec::homogeneous(config.clone(), fleet);
     let rescue = RequestPolicy::new()
@@ -617,7 +654,9 @@ fn keyed_routing_matches_slice_routing_bit_for_bit() {
     let probe = |i: usize| {
         scenarios[i]
             .cluster(Box::new(HealthAware::new(PowerAware::default())), rubik())
-            .run(&trace)
+            .run(TraceSource::new(&trace))
+            .expect("a valid run")
+            .outcome
     };
     let wave = probe(1).availability;
     assert!(wave.requeued_on_failure > 0 && wave.salvaged_in_flight > 0);

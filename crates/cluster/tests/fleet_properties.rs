@@ -24,7 +24,7 @@ mod common;
 use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, FleetSpec, JoinShortestQueue, PegasusFleet, PowerAware, RoundRobin,
-    Router, ThresholdMigrator,
+    Router, RunReport, ThresholdMigrator, TraceSource,
 };
 use rubik_core::{RubikConfig, RubikController};
 use rubik_power::CorePowerModel;
@@ -79,7 +79,8 @@ fn infinite_budget_and_disarmed_migration_are_bitwise_invisible() {
         let profile = AppProfile::masstree();
         let bound = 3.0 * profile.mean_service_time();
         let fleet = fleets[c.get("fleet")];
-        let trace = fleet_trace(&profile, 0.5, fleet, 120 * fleet, seeds[c.get("seed")]);
+        let trace = fleet_trace(&profile, 0.5, fleet, 120 * fleet, seeds[c.get("seed")])
+            .expect("a non-empty fleet at a positive load");
 
         let plain = Cluster::new(
             config.clone(),
@@ -87,7 +88,11 @@ fn infinite_budget_and_disarmed_migration_are_bitwise_invisible() {
             routers().swap_remove(c.get("router")),
             rubik_factory(&config, &trace, bound),
         );
-        let (plain_outcome, plain_results) = plain.run_with_results(&trace);
+        let RunReport {
+            outcome: plain_outcome,
+            results: plain_results,
+            ..
+        } = plain.run(TraceSource::new(&trace)).expect("a valid run");
 
         let hooked = Cluster::new(
             config.clone(),
@@ -99,7 +104,11 @@ fn infinite_budget_and_disarmed_migration_are_bitwise_invisible() {
             CorePowerModel::haswell_like(),
         )))
         .with_migrator(Box::new(disabled_migrator()));
-        let (hooked_outcome, hooked_results) = hooked.run_with_results(&trace);
+        let RunReport {
+            outcome: hooked_outcome,
+            results: hooked_results,
+            ..
+        } = hooked.run(TraceSource::new(&trace)).expect("a valid run");
 
         assert_eq!(hooked_outcome.migrated_requests, 0);
         assert_eq!(
@@ -169,7 +178,8 @@ fn finite_budgets_hold_epoch_power_within_one_step_of_the_cap() {
 
     let cell = |c: &rubik_sweep::Cell<'_>| {
         let budget = budgets[c.get("budget")];
-        let trace = fleet_trace(&profile, 0.6, fleet, 400 * fleet, seeds[c.get("seed")]);
+        let trace = fleet_trace(&profile, 0.6, fleet, 400 * fleet, seeds[c.get("seed")])
+            .expect("a non-empty fleet at a positive load");
         let cluster = Cluster::new(
             config.clone(),
             fleet,
@@ -178,7 +188,9 @@ fn finite_budgets_hold_epoch_power_within_one_step_of_the_cap() {
         )
         .with_power(power)
         .with_fleet_controller(Box::new(PegasusFleet::new(budget, power).with_epoch(epoch)));
-        let (outcome, results) = cluster.run_with_results(&trace);
+        let RunReport {
+            outcome, results, ..
+        } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
         assert_eq!(outcome.requests, 400 * fleet);
 
         // Every epoch window (including the trailing partial one) respects
@@ -220,7 +232,8 @@ fn tighter_budgets_cost_tail_latency_but_save_power() {
     let power = CorePowerModel::haswell_like();
     let profile = AppProfile::masstree();
     let bound = 3.0 * profile.mean_service_time();
-    let trace = fleet_trace(&profile, 0.6, fleet, 300 * fleet, 3);
+    let trace = fleet_trace(&profile, 0.6, fleet, 300 * fleet, 3)
+        .expect("a non-empty fleet at a positive load");
 
     let run = |budget: f64| {
         let mut cluster = Cluster::new(
@@ -234,7 +247,10 @@ fn tighter_budgets_cost_tail_latency_but_save_power() {
             cluster = cluster
                 .with_fleet_controller(Box::new(PegasusFleet::new(budget, power).with_epoch(0.1)));
         }
-        cluster.run(&trace)
+        cluster
+            .run(TraceSource::new(&trace))
+            .expect("a valid run")
+            .outcome
     };
 
     let uncapped = run(f64::INFINITY);
@@ -288,7 +304,9 @@ fn migration_conserves_requests_and_is_thread_invariant() {
             |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
         )
         .with_migrator(Box::new(ThresholdMigrator::new(2, 0).with_interval(5e-4)));
-        let (outcome, results) = cluster.run_with_results(&trace);
+        let RunReport {
+            outcome, results, ..
+        } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
 
         assert!(
             outcome.migrated_requests > 0,
@@ -353,7 +371,10 @@ fn migration_reduces_the_tail_of_an_imbalanced_router() {
             cluster =
                 cluster.with_migrator(Box::new(ThresholdMigrator::new(2, 0).with_interval(5e-4)));
         }
-        cluster.run(&trace)
+        cluster
+            .run(TraceSource::new(&trace))
+            .expect("a valid run")
+            .outcome
     };
     let without = run(false);
     let with = run(true);
@@ -388,7 +409,8 @@ fn zero_capacity_littles_reproduce_the_big_only_fleet_bitwise() {
     let bigs = 4usize;
     let littles = 4usize;
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.4, bigs, 150 * bigs, 2015);
+    let trace = fleet_trace(&profile, 0.4, bigs, 150 * bigs, 2015)
+        .expect("a non-empty fleet at a positive load");
 
     let spec = FleetSpec::new()
         .class("big", big_cfg.clone(), 1.0, bigs)
@@ -397,7 +419,11 @@ fn zero_capacity_littles_reproduce_the_big_only_fleet_bitwise() {
     let hetero = Cluster::from_spec(&spec, Box::new(PowerAware::default()), |_i, config| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     });
-    let (hetero_outcome, hetero_results) = hetero.run_with_results(&trace);
+    let RunReport {
+        outcome: hetero_outcome,
+        results: hetero_results,
+        ..
+    } = hetero.run(TraceSource::new(&trace)).expect("a valid run");
 
     let homo = Cluster::new(
         big_cfg.clone(),
@@ -405,7 +431,11 @@ fn zero_capacity_littles_reproduce_the_big_only_fleet_bitwise() {
         Box::new(PowerAware::default()),
         |_| FixedFrequencyPolicy::new(big_cfg.dvfs.nominal()),
     );
-    let (homo_outcome, homo_results) = homo.run_with_results(&trace);
+    let RunReport {
+        outcome: homo_outcome,
+        results: homo_results,
+        ..
+    } = homo.run(TraceSource::new(&trace)).expect("a valid run");
 
     // 100% of the requests landed on big servers...
     let totals = hetero_outcome.class_totals();
@@ -434,12 +464,15 @@ fn per_class_residency_stays_inside_each_class_dvfs_domain() {
         .class("big", big_cfg.clone(), 1.0, 3)
         .class("little", little_cfg.clone(), 0.5, 3);
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.5, spec.len(), 600, 7);
+    let trace = fleet_trace(&profile, 0.5, spec.len(), 600, 7)
+        .expect("a non-empty fleet at a positive load");
 
     let cluster = Cluster::from_spec(&spec, Box::new(PowerAware::default()), |_i, config| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     });
-    let (outcome, results) = cluster.run_with_results(&trace);
+    let RunReport {
+        outcome, results, ..
+    } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
     assert_eq!(outcome.requests, 600);
 
     // Both classes serve work under a capacity-aware router...
@@ -482,7 +515,8 @@ fn capped_heterogeneous_fleet_with_migration_serves_everything_under_budget() {
         .class("big", SimConfig::paper_simulated(), 1.0, 3)
         .class("little", little_config(), 0.5, 3);
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.4, spec.len(), 900, 13);
+    let trace = fleet_trace(&profile, 0.4, spec.len(), 900, 13)
+        .expect("a non-empty fleet at a positive load");
     let budget = 4.0 * spec.len() as f64;
 
     let cluster = Cluster::from_spec(&spec, Box::new(PowerAware::new(power)), |_i, config| {
@@ -492,7 +526,9 @@ fn capped_heterogeneous_fleet_with_migration_serves_everything_under_budget() {
     .with_fleet_controller(Box::new(PegasusFleet::new(budget, power).with_epoch(0.1)))
     .with_migrator(Box::new(ThresholdMigrator::default()));
 
-    let (outcome, results) = cluster.run_with_results(&trace);
+    let RunReport {
+        outcome, results, ..
+    } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
     assert_eq!(outcome.requests, 900);
     assert!(outcome.fleet_power <= budget + 1e-6);
 

@@ -19,7 +19,7 @@ mod common;
 use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, FailureTopology, FaultPlan, HealthAware, JoinShortestQueue,
-    RequestPolicy, RoundRobin, StochasticFaults,
+    RequestPolicy, RoundRobin, RunReport, StochasticFaults, TraceSource,
 };
 use rubik_sim::{FixedFrequencyPolicy, SimConfig};
 use rubik_sweep::{SweepExecutor, SweepSpec};
@@ -40,12 +40,17 @@ fn straggler_plan(duration: f64) -> FaultPlan {
 fn disabled_hedging_is_bitwise_invisible_and_counts_nothing() {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.5, 4, 480, 23);
+    let trace =
+        fleet_trace(&profile, 0.5, 4, 480, 23).expect("a non-empty fleet at a positive load");
 
     let plain = Cluster::new(config.clone(), 4, Box::new(RoundRobin::new()), |_| {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     });
-    let (plain_outcome, plain_results) = plain.run_with_results(&trace);
+    let RunReport {
+        outcome: plain_outcome,
+        results: plain_results,
+        ..
+    } = plain.run(TraceSource::new(&trace)).expect("a valid run");
 
     // Hedging defaults to off: an otherwise-inert policy stays invisible.
     let unhedged = Cluster::new(config.clone(), 4, Box::new(RoundRobin::new()), |_| {
@@ -54,7 +59,11 @@ fn disabled_hedging_is_bitwise_invisible_and_counts_nothing() {
     .try_with_fault_plan(FaultPlan::new())
     .expect("the plan names servers of the fleet")
     .with_request_policy(RequestPolicy::new());
-    let (unhedged_outcome, unhedged_results) = unhedged.run_with_results(&trace);
+    let RunReport {
+        outcome: unhedged_outcome,
+        results: unhedged_results,
+        ..
+    } = unhedged.run(TraceSource::new(&trace)).expect("a valid run");
 
     assert_eq!(
         outcome_bits(&plain_outcome),
@@ -85,7 +94,11 @@ fn disabled_hedging_is_bitwise_invisible_and_counts_nothing() {
         mean,
         16.0 * mean,
     ));
-    let a = rescued.run(&trace).availability;
+    let a = rescued
+        .run(TraceSource::new(&trace))
+        .expect("a valid run")
+        .outcome
+        .availability;
     assert_eq!(
         (a.hedged, a.hedge_wins, a.hedge_cancelled),
         (0, 0, 0),
@@ -111,7 +124,8 @@ fn hedged_runs_conserve_requests_and_are_thread_invariant() {
         let profile = AppProfile::masstree();
         let fleet = fleets[c.get("fleet")];
         let requests = 150 * fleet;
-        let trace = fleet_trace(&profile, 0.5, fleet, requests, seeds[c.get("seed")]);
+        let trace = fleet_trace(&profile, 0.5, fleet, requests, seeds[c.get("seed")])
+            .expect("a non-empty fleet at a positive load");
         let mean = profile.mean_service_time();
 
         // Failure-blind JSQ keeps feeding the straggler; hedging is the
@@ -125,7 +139,9 @@ fn hedged_runs_conserve_requests_and_are_thread_invariant() {
         .try_with_fault_plan(straggler_plan(trace.duration()))
         .expect("the plan names servers of the fleet")
         .with_request_policy(RequestPolicy::new().with_hedging(0.95, 2.0 * mean));
-        let (outcome, results) = cluster.run_with_results(&trace);
+        let RunReport {
+            outcome, results, ..
+        } = cluster.run(TraceSource::new(&trace)).expect("a valid run");
         let a = outcome.availability;
 
         // The straggler forces speculation, and some duplicates win.
@@ -191,7 +207,8 @@ fn stochastic_fault_scenarios_replay_bit_exactly_across_threads() {
         let profile = AppProfile::masstree();
         let seed = seeds[c.get("seed")];
         let fleet = 8;
-        let trace = fleet_trace(&profile, 0.4, fleet, 120 * fleet, seed);
+        let trace = fleet_trace(&profile, 0.4, fleet, 120 * fleet, seed)
+            .expect("a non-empty fleet at a positive load");
         let mean = profile.mean_service_time();
 
         // Rack- and server-level renewal processes over the whole run,
@@ -226,7 +243,10 @@ fn stochastic_fault_scenarios_replay_bit_exactly_across_threads() {
                 .draining_on_crash()
                 .salvaging_in_flight(),
         );
-        let outcome = cluster.run(&trace);
+        let outcome = cluster
+            .run(TraceSource::new(&trace))
+            .expect("a valid run")
+            .outcome;
         let a = outcome.availability;
         assert_eq!(a.completed + a.lost, a.offered);
         assert!(

@@ -15,6 +15,7 @@
 
 use rubik_cluster::{
     Cluster, FaultPlan, HealthAware, JoinShortestQueue, Passthrough, RequestPolicy, Router,
+    Telemetry, TraceSource,
 };
 use rubik_sim::{FixedFrequencyPolicy, RequestSpec, SimConfig, Trace};
 use rubik_telemetry::RequestEventKind;
@@ -57,7 +58,9 @@ fn a_hedge_launch_supersedes_a_timeout_due_at_the_same_instant() {
         .with_hedging(0.5, T);
     let outcome = cluster(2, Box::new(Passthrough))
         .with_request_policy(policy)
-        .run(&requests(&[0.0, 1e-6]));
+        .run(TraceSource::new(&requests(&[0.0, 1e-6])))
+        .expect("a valid run")
+        .outcome;
     let a = &outcome.availability;
     assert_eq!((a.timeouts, a.retries, a.hedged), (0, 0, 2));
     assert_eq!((a.completed, a.lost), (2, 0));
@@ -74,7 +77,9 @@ fn every_crash_at_an_instant_applies_before_its_salvaged_retries_route() {
         .try_with_fault_plan(FaultPlan::new().crash(0, T).crash(1, T))
         .expect("the plan names servers of the fleet")
         .with_request_policy(RequestPolicy::new().salvaging_in_flight())
-        .run(&requests(&[0.0; 3]));
+        .run(TraceSource::new(&requests(&[0.0; 3])))
+        .expect("a valid run")
+        .outcome;
     let a = &outcome.availability;
     assert_eq!(a.salvaged_in_flight, 2);
     assert_eq!((a.completed, a.lost), (3, 0));
@@ -89,7 +94,7 @@ fn a_salvaged_retry_routes_before_a_hedge_launch_at_the_same_instant() {
     // 2 and pushed the retry to server 3. Request 0's first hedge is stale
     // once the crash salvaged its attempt; its retry hedges at `2T`, onto
     // server 1.
-    let (outcome, _, log) = cluster(4, health_aware_jsq())
+    let report = cluster(4, health_aware_jsq())
         .try_with_fault_plan(FaultPlan::new().crash(0, T))
         .expect("the plan names servers of the fleet")
         .with_request_policy(
@@ -97,7 +102,10 @@ fn a_salvaged_retry_routes_before_a_hedge_launch_at_the_same_instant() {
                 .salvaging_in_flight()
                 .with_hedging(0.5, T),
         )
-        .run_traced(&requests(&[0.0, 0.0]));
+        .with_telemetry(Telemetry::recording())
+        .run(TraceSource::new(&requests(&[0.0, 0.0])))
+        .expect("a valid run");
+    let (outcome, log) = (report.outcome, report.log.expect("recording"));
     let mut retries = Vec::new();
     let mut hedges = Vec::new();
     for request in &log.requests {

@@ -1,4 +1,5 @@
-//! `Cluster::run_streamed` holds memory at O(in-flight), not O(requests):
+//! `Cluster::run` on a live source holds memory at O(in-flight), not
+//! O(requests):
 //! arrivals are pulled one at a time from the source and handed straight to
 //! the per-server simulators, so no request backlog is ever materialized.
 //!
@@ -55,8 +56,9 @@ fn allocations_for_streamed_run(router: fn() -> Box<dyn Router>, requests: usize
     let source = source(requests);
     let before = allocations();
     let outcome = cluster
-        .run_streamed(source)
-        .expect("a Poisson source is time-ordered");
+        .run(source)
+        .expect("a Poisson source is time-ordered")
+        .outcome;
     let after = allocations();
     assert_eq!(outcome.requests, requests);
     after - before
@@ -79,8 +81,9 @@ fn allocations_for_hedged_run(requests: usize) -> u64 {
     let source = source(requests);
     let before = allocations();
     let outcome = cluster
-        .run_streamed(source)
-        .expect("a Poisson source is time-ordered");
+        .run(source)
+        .expect("a Poisson source is time-ordered")
+        .outcome;
     let after = allocations();
     assert_eq!(outcome.requests, requests);
     after - before
@@ -103,7 +106,7 @@ fn run_streamed_allocations_do_not_scale_with_request_count() {
         // total.
         assert!(
             large < small + 160,
-            "{name} run_streamed allocations grew with request count: {small} -> {large}"
+            "{name} streamed-run allocations grew with request count: {small} -> {large}"
         );
     }
 }
@@ -123,6 +126,6 @@ fn hedged_streamed_allocations_do_not_scale_with_request_count() {
     // sorted Vec doubled all the way to O(completions).
     assert!(
         large < small + 160,
-        "hedged run_streamed allocations grew with request count: {small} -> {large}"
+        "hedged streamed-run allocations grew with request count: {small} -> {large}"
     );
 }

@@ -2,15 +2,12 @@
 //! `router × fleet × fault-plan × seed` grid at 1, 2, and 8 sweep threads
 //! (the PR 7/8 neutrality-suite style):
 //!
-//! 1. **`run_streamed(TraceSource::new(&trace))` is `run(&trace)`,
-//!    bitwise.** Outcome and every per-server `RunResult` carry identical
-//!    bit-images — the batch path is built on the streamed one, and this
-//!    suite pins that they cannot drift apart.
-//! 2. **A live `PoissonSource` is its collected trace.** Streaming
-//!    arrivals straight from the generator (never materialized) produces
-//!    the same bits as draining the twin source to a `Trace` first and
-//!    replaying it.
-//! 3. **Thread counts don't matter.** The whole grid of bit-images is
+//! 1. **A live `PoissonSource` is its collected trace.** Streaming
+//!    arrivals straight from the generator (never materialized) through
+//!    `Cluster::run` produces the same bits — outcome, every per-server
+//!    `RunResult`, and the telemetry log — as draining the twin source to
+//!    a `Trace` first and replaying it through `TraceSource`.
+//! 2. **Thread counts don't matter.** The whole grid of bit-images is
 //!    identical under serial, 2-thread, and 8-thread sweep execution.
 
 mod common;
@@ -18,7 +15,7 @@ mod common;
 use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet, RequestPolicy,
-    RoundRobin, Router, ThresholdMigrator, TraceSource,
+    RoundRobin, Router, Telemetry, ThresholdMigrator, TraceLog, TraceSource,
 };
 use rubik_load::{drain_to_trace, PoissonSource};
 use rubik_power::CorePowerModel;
@@ -99,56 +96,50 @@ fn run_streamed_is_bitwise_identical_across_the_grid_and_thread_counts() {
         let seed = seeds[c.get("seed")];
         let plan = c.get("plan");
         let requests = 100 * fleet;
-        let trace = fleet_trace(&AppProfile::masstree(), 0.5, fleet, requests, seed);
+        let trace = fleet_trace(&AppProfile::masstree(), 0.5, fleet, requests, seed)
+            .expect("a non-empty fleet at a positive load");
         let duration = trace.duration();
         let build = || cell_cluster(&config, fleet, c.get("router"), plan, duration, seed);
 
-        // Contender 1: the classic batch path.
-        let (batch_o, batch_r) = build().run_with_results(&trace);
+        // The materialized trace, replayed.
+        let replayed = build()
+            .run(TraceSource::new(&trace))
+            .expect("a Trace is time-ordered");
         if plan == 2 {
             assert!(
-                batch_o.availability.hedged > 0,
+                replayed.outcome.availability.hedged > 0,
                 "the hedged plan launched no hedge (cell {})",
                 c.index()
             );
         }
-        // Contender 2: the same trace adapted into a source.
-        let (adapted_o, adapted_r) = build()
-            .run_streamed_with_results(TraceSource::new(&trace))
-            .expect("a Trace is time-ordered");
-        // Contender 3: a live PoissonSource, never materialized. Its draws
-        // are bit-identical to `fleet_trace` by construction, so this pins
+        // A live PoissonSource, never materialized. Its draws are
+        // bit-identical to `fleet_trace` by construction, so this pins
         // generator-to-engine streaming end to end.
         let source = PoissonSource::new(AppProfile::masstree(), 0.5 * fleet as f64, requests, seed);
-        let (live_o, live_r) = build()
-            .run_streamed_with_results(source)
+        let live = build()
+            .run(source)
             .expect("a Poisson source is time-ordered");
 
-        for (label, o, r) in [
-            ("TraceSource", &adapted_o, &adapted_r),
-            ("PoissonSource", &live_o, &live_r),
-        ] {
+        assert_eq!(
+            outcome_bits(&replayed.outcome),
+            outcome_bits(&live.outcome),
+            "the live source changed the ClusterOutcome (cell {})",
+            c.index()
+        );
+        assert_eq!(replayed.results.len(), live.results.len());
+        for (i, (b, s)) in replayed.results.iter().zip(&live.results).enumerate() {
             assert_eq!(
-                outcome_bits(&batch_o),
-                outcome_bits(o),
-                "run_streamed({label}) changed the ClusterOutcome (cell {})",
+                result_bits(b),
+                result_bits(s),
+                "the live source changed server {i}'s RunResult (cell {})",
                 c.index()
             );
-            assert_eq!(batch_r.len(), r.len());
-            for (i, (b, s)) in batch_r.iter().zip(r).enumerate() {
-                assert_eq!(
-                    result_bits(b),
-                    result_bits(s),
-                    "run_streamed({label}) changed server {i}'s RunResult (cell {})",
-                    c.index()
-                );
-            }
         }
 
         // Fold the full bit-image into the grid result so the cross-thread
         // comparison pins every record and segment, not just the outcome.
-        let mut bits = outcome_bits(&batch_o);
-        for r in &batch_r {
+        let mut bits = outcome_bits(&replayed.outcome);
+        for r in &replayed.results {
             bits.extend(result_bits(r));
         }
         bits
@@ -170,7 +161,8 @@ fn run_streamed_is_bitwise_identical_across_the_grid_and_thread_counts() {
 #[test]
 fn drained_source_and_live_source_and_fleet_trace_agree() {
     let profile = AppProfile::xapian();
-    let trace = fleet_trace(&profile, 0.4, 3, 300, 11);
+    let trace =
+        fleet_trace(&profile, 0.4, 3, 300, 11).expect("a non-empty fleet at a positive load");
     let drained = drain_to_trace(
         PoissonSource::new(profile.clone(), 0.4 * 3.0, 300, 11),
         None,
@@ -190,42 +182,49 @@ fn drained_source_and_live_source_and_fleet_trace_agree() {
             |_| FixedFrequencyPolicy::new(config.dvfs.nominal()),
         )
     };
-    let batch = build().run(&trace);
+    let replayed = build()
+        .run(TraceSource::new(&trace))
+        .expect("a Trace is time-ordered");
     let streamed = build()
-        .run_streamed(PoissonSource::new(profile.clone(), 0.4 * 3.0, 300, 11))
+        .run(PoissonSource::new(profile.clone(), 0.4 * 3.0, 300, 11))
         .expect("a Poisson source is time-ordered");
-    assert_eq!(outcome_bits(&batch), outcome_bits(&streamed));
+    assert_eq!(
+        outcome_bits(&replayed.outcome),
+        outcome_bits(&streamed.outcome)
+    );
 }
 
-/// Telemetry-carrying streamed runs mirror `run_traced`: same bits, same
-/// serialized trace log.
+/// With recording telemetry attached, a live source and its replayed trace
+/// give the same bits and the same serialized trace log.
 #[test]
 fn run_streamed_traced_matches_run_traced() {
     let profile = AppProfile::masstree();
-    let trace = fleet_trace(&profile, 0.5, 2, 200, 7);
+    let trace =
+        fleet_trace(&profile, 0.5, 2, 200, 7).expect("a non-empty fleet at a positive load");
     let config = SimConfig::paper_simulated();
     let build = || {
         Cluster::new(config.clone(), 2, Box::new(RoundRobin::new()), |_| {
             FixedFrequencyPolicy::new(config.dvfs.nominal())
         })
+        .with_telemetry(Telemetry::recording())
     };
-    let (batch_o, batch_r, batch_log) = build().run_traced(&trace);
-    let (stream_o, stream_r, stream_log) = build()
-        .run_streamed_traced(TraceSource::new(&trace))
+    let replayed = build()
+        .run(TraceSource::new(&trace))
         .expect("a Trace is time-ordered");
-    assert_eq!(outcome_bits(&batch_o), outcome_bits(&stream_o));
-    for (b, s) in batch_r.iter().zip(&stream_r) {
+    let live = build()
+        .run(PoissonSource::new(profile.clone(), 0.5 * 2.0, 200, 7))
+        .expect("a Poisson source is time-ordered");
+    assert_eq!(outcome_bits(&replayed.outcome), outcome_bits(&live.outcome));
+    for (b, s) in replayed.results.iter().zip(&live.results) {
         assert_eq!(result_bits(b), result_bits(s));
     }
-    assert_eq!(
-        rubik_telemetry::to_json(&batch_log),
-        rubik_telemetry::to_json(&stream_log)
-    );
+    let json = |log: Option<TraceLog>| rubik_telemetry::to_json(&log.expect("recording"));
+    assert_eq!(json(replayed.log), json(live.log));
 }
 
 /// The driver enforces the `ArrivalSource` time-ordering contract as a
-/// typed error on `run_streamed`'s result path — a misbehaving user source
-/// is a reportable condition, not a panic and not silent garbage.
+/// typed error on `run`'s result path — a misbehaving user source is a
+/// reportable condition, not a panic and not silent garbage.
 #[test]
 fn run_streamed_rejects_out_of_order_sources() {
     struct Backwards(u64);
@@ -250,7 +249,7 @@ fn run_streamed_rejects_out_of_order_sources() {
         FixedFrequencyPolicy::new(config.dvfs.nominal())
     });
     let err = cluster
-        .run_streamed(Backwards(0))
+        .run(Backwards(0))
         .expect_err("an out-of-order source must be rejected");
     match &err {
         &rubik_cluster::ClusterError::OutOfOrderArrival { index, at, prev } => {

@@ -7,7 +7,7 @@
 //! path keeps its sampling boundary at infinity and never constructs a
 //! sample, an event, or a recorder.
 
-use rubik_cluster::{fleet_trace, Cluster, JoinShortestQueue, Telemetry};
+use rubik_cluster::{fleet_trace, Cluster, JoinShortestQueue, Telemetry, TraceSource};
 use rubik_sim::{FixedFrequencyPolicy, SimConfig, Trace};
 use rubik_testalloc::{allocations, CountingAllocator};
 use rubik_workloads::AppProfile;
@@ -27,7 +27,10 @@ fn allocations_for_run(trace: &Trace, telemetry: Option<Telemetry>) -> u64 {
         cluster = cluster.with_telemetry(t);
     }
     let before = allocations();
-    let outcome = cluster.run(trace);
+    let outcome = cluster
+        .run(TraceSource::new(trace))
+        .expect("a valid run")
+        .outcome;
     let after = allocations();
     assert_eq!(outcome.requests, trace.len());
     after - before
@@ -35,7 +38,8 @@ fn allocations_for_run(trace: &Trace, telemetry: Option<Telemetry>) -> u64 {
 
 #[test]
 fn disabled_telemetry_adds_zero_allocations() {
-    let trace = fleet_trace(&AppProfile::masstree(), 0.5, 4, 1200, 17);
+    let trace = fleet_trace(&AppProfile::masstree(), 0.5, 4, 1200, 17)
+        .expect("a non-empty fleet at a positive load");
 
     // Warm-up faults in lazy one-time costs on both code paths.
     let _ = allocations_for_run(&trace, None);

@@ -17,7 +17,7 @@ mod common;
 use common::{outcome_bits, result_bits};
 use rubik_cluster::{
     fleet_trace, Cluster, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet, RequestPolicy,
-    RoundRobin, Router, Telemetry, ThresholdMigrator,
+    RoundRobin, Router, RunReport, Telemetry, ThresholdMigrator, TraceSource,
 };
 use rubik_power::CorePowerModel;
 use rubik_sim::{FixedFrequencyPolicy, SimConfig};
@@ -91,16 +91,36 @@ fn telemetry_is_bitwise_neutral_across_the_grid_and_thread_counts() {
         let fleet = fleets[c.get("fleet")];
         let seed = seeds[c.get("seed")];
         let faulted = c.get("plan") == 1;
-        let trace = fleet_trace(&AppProfile::masstree(), 0.5, fleet, 100 * fleet, seed);
+        let trace = fleet_trace(&AppProfile::masstree(), 0.5, fleet, 100 * fleet, seed)
+            .expect("a non-empty fleet at a positive load");
         let duration = trace.duration();
         let build = || cell_cluster(&config, fleet, c.get("router"), faulted, duration, seed);
 
         // The three contenders: no telemetry, disabled telemetry, recording.
-        let (plain_o, plain_r) = build().run_with_results(&trace);
-        let (disabled_o, disabled_r) = build()
+        let RunReport {
+            outcome: plain_o,
+            results: plain_r,
+            log: plain_log,
+        } = build().run(TraceSource::new(&trace)).expect("a valid run");
+        let RunReport {
+            outcome: disabled_o,
+            results: disabled_r,
+            log: disabled_log,
+        } = build()
             .with_telemetry(Telemetry::disabled())
-            .run_with_results(&trace);
-        let (recorded_o, recorded_r, log) = build().run_traced(&trace);
+            .run(TraceSource::new(&trace))
+            .expect("a valid run");
+        // A log comes back exactly when recording was attached.
+        assert!(plain_log.is_none() && disabled_log.is_none());
+        let RunReport {
+            outcome: recorded_o,
+            results: recorded_r,
+            log,
+        } = build()
+            .with_telemetry(Telemetry::recording())
+            .run(TraceSource::new(&trace))
+            .expect("a valid run");
+        let log = log.expect("recording telemetry returns a log");
 
         for (label, o, r) in [
             ("disabled", &disabled_o, &disabled_r),

@@ -9,9 +9,9 @@
 //! request at a time:
 //!
 //! * [`ArrivalSource`] — the trait: a seeded, deterministic stream of
-//!   time-ordered arrivals. `Cluster::run_streamed` in `rubik-cluster`
-//!   pulls from any implementor, keeping resident memory proportional to
-//!   in-flight work rather than total requests.
+//!   time-ordered arrivals. `Cluster::run` in `rubik-cluster` pulls from
+//!   any implementor, keeping resident memory proportional to in-flight
+//!   work rather than total requests.
 //! * [`PoissonSource`] — steady open-loop Poisson arrivals, bit-for-bit
 //!   identical to `WorkloadGenerator::steady_trace` with the same seed.
 //! * [`ShapedSource`] — a non-homogeneous Poisson process following a
@@ -23,7 +23,7 @@
 //!   replay and capture through the one trace codec
 //!   (`rubik_workloads::trace_io`), so huge traces never materialize.
 //! * [`TraceSource`] — adapts any in-memory [`rubik_sim::Trace`] into a
-//!   source (the bridge the batch `Cluster::run` path is built on).
+//!   source, so a materialized trace runs through the same `Cluster::run`.
 //!
 //! # Streaming arrivals and load shapes
 //!

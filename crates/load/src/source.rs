@@ -154,8 +154,6 @@ pub struct ShapedSource {
     duration: f64,
     now: f64,
     next_id: u64,
-    emitted: usize,
-    max_requests: usize,
 }
 
 impl ShapedSource {
@@ -181,8 +179,6 @@ impl ShapedSource {
             duration,
             now: 0.0,
             next_id: 0,
-            emitted: 0,
-            max_requests: usize::MAX,
         }
     }
 
@@ -202,14 +198,6 @@ impl ShapedSource {
         self
     }
 
-    /// Caps the stream at `requests` arrivals even if the shape window has
-    /// not elapsed. Call before the first pull.
-    pub fn with_max_requests(mut self, requests: usize) -> Self {
-        assert!(self.next_id == 0, "cap the source before pulling from it");
-        self.max_requests = requests;
-        self
-    }
-
     /// The expected number of arrivals over the full shape window
     /// (`average_load × capacity × duration`) — useful for sizing shape
     /// durations to a request budget.
@@ -225,7 +213,7 @@ impl ShapedSource {
 
 impl ArrivalSource for ShapedSource {
     fn next_arrival(&mut self) -> Option<RequestSpec> {
-        if self.emitted >= self.max_requests || self.now >= self.duration {
+        if self.now >= self.duration {
             return None;
         }
         loop {
@@ -238,7 +226,6 @@ impl ArrivalSource for ShapedSource {
             if self.generator.thinning_draw() * self.peak_rate < lambda {
                 let spec = self.generator.draw_request_at(self.next_id, self.now);
                 self.next_id += 1;
-                self.emitted += 1;
                 return Some(spec);
             }
         }
@@ -565,10 +552,8 @@ mod tests {
             load: 0.5,
             duration: 100.0,
         };
-        let trace = drain_to_trace(
-            ShapedSource::new(profile(), shape, 7).with_max_requests(50),
-            None,
-        );
+        // The window holds ~thousands of arrivals; the drain stops at 50.
+        let trace = drain_to_trace(ShapedSource::new(profile(), shape, 7), Some(50));
         assert_eq!(trace.len(), 50);
     }
 

@@ -4,8 +4,8 @@
 //! request at a time through a fixed buffer, and its writer, re-exported
 //! here as [`StreamingTraceWriter`], appends requests as they are
 //! generated. [`StreamingTraceReader`] adapts the reader into an arrival
-//! stream, so huge captured traces replay through `Cluster::run_streamed`
-//! without ever materializing. It adds the one check a pull-based source
+//! stream, so huge captured traces replay through `Cluster::run` without
+//! ever materializing. It adds the one check a pull-based source
 //! needs: arrivals must be time-ordered, because nothing can sort them
 //! after the fact.
 
@@ -22,7 +22,7 @@ use crate::source::ArrivalSource;
 /// Replays a trace file one request per pull with O(1) resident memory.
 ///
 /// Implements [`ArrivalSource`], so a captured multi-gigabyte trace feeds
-/// `Cluster::run_streamed` directly.
+/// `Cluster::run` directly.
 ///
 /// [`ArrivalSource::next_arrival`] cannot carry an error, so a parse or
 /// I/O failure, or an arrival earlier than the one before it, ends the

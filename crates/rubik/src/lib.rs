@@ -16,11 +16,14 @@
 //! * [`load`] — streaming open-loop arrival sources: steady Poisson,
 //!   time-varying shapes (ramps, steps, diurnal sinusoids, spikes) drawn as
 //!   non-homogeneous Poisson processes, deterministic multi-app merges, and
-//!   file-backed streaming trace replay for `Cluster::run_streamed`,
+//!   file-backed streaming trace replay, each an [`ArrivalSource`] that
+//!   [`Cluster::run`] pulls from,
 //! * [`cluster`] — multi-server serving: fleets of stepped [`sim`] servers
 //!   (heterogeneous via [`FleetSpec`]) behind a routing policy, with
 //!   per-server Rubik controllers, fleet-level power capping
-//!   ([`PegasusFleet`]), and queue migration ([`ThresholdMigrator`]),
+//!   ([`PegasusFleet`]), and queue migration ([`ThresholdMigrator`]), run
+//!   through the one [`Cluster::run`], which returns a [`RunReport`] or a
+//!   typed [`ClusterError`],
 //! * [`telemetry`] — zero-cost-when-disabled observability for [`cluster`]:
 //!   deterministic request lifecycle traces ([`TraceLog`]), per-epoch fleet
 //!   time series, tail-latency attribution, and JSON / Chrome `trace_event`
@@ -66,8 +69,8 @@ pub use rubik_cluster::{
     AvailabilityStats, ClassTotals, Cluster, ClusterError, ClusterOutcome, CoreClass,
     FailureTopology, FaultEvent, FaultPlan, FleetCommand, FleetController, FleetSpec, HealthAware,
     JoinShortestQueue, Migration, Migrator, Passthrough, PegasusFleet, PowerAware, RequestPolicy,
-    RoundRobin, RouteKey, Router, ServerHealth, ServerPowerView, ServerView, StochasticFaults,
-    ThresholdMigrator,
+    RoundRobin, RouteKey, Router, RunReport, ServerHealth, ServerPowerView, ServerView,
+    StochasticFaults, ThresholdMigrator,
 };
 pub use rubik_coloc::{
     ColocOutcome, ColocScheme, ColocatedCore, DatacenterComparison, DatacenterConfig,

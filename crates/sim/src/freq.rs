@@ -14,11 +14,6 @@ impl Freq {
         Self(mhz)
     }
 
-    /// Creates a frequency from GHz.
-    pub fn from_ghz(ghz: f64) -> Self {
-        Self((ghz * 1000.0).round() as u32)
-    }
-
     /// The frequency in MHz.
     pub const fn mhz(self) -> u32 {
         self.0
@@ -42,11 +37,6 @@ impl Freq {
     pub fn time_for_cycles(self, cycles: f64) -> f64 {
         assert!(self.0 > 0, "cannot execute cycles at 0 MHz");
         cycles / self.hz()
-    }
-
-    /// Cycles executed in `seconds` at this frequency.
-    pub fn cycles_in(self, seconds: f64) -> f64 {
-        self.hz() * seconds
     }
 }
 
@@ -186,11 +176,6 @@ impl DvfsConfig {
         &self.levels
     }
 
-    /// Number of available levels.
-    pub fn num_levels(&self) -> usize {
-        ((self.max.mhz() - self.min.mhz()) / self.step_mhz) as usize + 1
-    }
-
     /// Whether `f` is one of the available levels.
     pub fn is_level(&self, f: Freq) -> bool {
         f >= self.min && f <= self.max && (f.mhz() - self.min.mhz()).is_multiple_of(self.step_mhz)
@@ -240,12 +225,11 @@ mod tests {
 
     #[test]
     fn freq_conversions() {
-        let f = Freq::from_ghz(2.4);
+        let f = Freq::from_mhz(2400);
         assert_eq!(f.mhz(), 2400);
         assert!((f.ghz() - 2.4).abs() < 1e-12);
         assert!((f.hz() - 2.4e9).abs() < 1.0);
         assert!((f.time_for_cycles(2.4e9) - 1.0).abs() < 1e-12);
-        assert!((f.cycles_in(0.5) - 1.2e9).abs() < 1.0);
         assert_eq!(format!("{f}"), "2.4 GHz");
     }
 
@@ -255,7 +239,6 @@ mod tests {
         assert_eq!(cfg.min().mhz(), 800);
         assert_eq!(cfg.max().mhz(), 3400);
         assert_eq!(cfg.nominal().mhz(), 2400);
-        assert_eq!(cfg.num_levels(), 14);
         assert_eq!(cfg.levels().len(), 14);
         assert!((cfg.transition_latency() - 4e-6).abs() < 1e-12);
     }

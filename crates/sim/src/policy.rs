@@ -107,16 +107,6 @@ pub enum PolicyDecision {
     SetFrequency(Freq),
 }
 
-impl PolicyDecision {
-    /// Convenience constructor: `Some(f)` becomes `SetFrequency(f)`.
-    pub fn from_option(f: Option<Freq>) -> Self {
-        match f {
-            Some(f) => PolicyDecision::SetFrequency(f),
-            None => PolicyDecision::Keep,
-        }
-    }
-}
-
 /// A fine-grain DVFS controller.
 ///
 /// Implementations include the Rubik controller and the baselines
@@ -318,15 +308,5 @@ mod tests {
         let state = empty_state(f);
         assert_eq!(p.on_arrival(&state), PolicyDecision::Keep);
         assert_eq!(p.idle_frequency(), Some(f));
-    }
-
-    #[test]
-    fn decision_from_option() {
-        let f = Freq::from_mhz(800);
-        assert_eq!(
-            PolicyDecision::from_option(Some(f)),
-            PolicyDecision::SetFrequency(f)
-        );
-        assert_eq!(PolicyDecision::from_option(None), PolicyDecision::Keep);
     }
 }

@@ -98,18 +98,6 @@ impl Trace {
         }
         counts.into_iter().map(|c| c / window).collect()
     }
-
-    /// Returns a copy containing only requests arriving before `t`.
-    pub fn truncate_at(&self, t: f64) -> Trace {
-        Trace {
-            requests: self
-                .requests
-                .iter()
-                .copied()
-                .filter(|r| r.arrival < t)
-                .collect(),
-        }
-    }
 }
 
 impl FromIterator<RequestSpec> for Trace {
@@ -205,16 +193,6 @@ mod tests {
         assert_eq!(qps.len(), 2);
         assert!((qps[0] - 200.0).abs() < 1e-9);
         assert!((qps[1] - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn truncate_keeps_only_early_requests() {
-        let t: Trace = (0..10)
-            .map(|i| RequestSpec::new(i, i as f64, 1.0, 0.0))
-            .collect();
-        assert_eq!(t.truncate_at(5.0).len(), 5);
-        assert_eq!(t.truncate_at(100.0).len(), 10);
-        assert_eq!(t.truncate_at(0.0).len(), 0);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl RollingTailTracker {
 ///
 /// Unlike [`RollingTailTracker`], the window is bounded by *count*, not
 /// time, so memory is O(capacity) no matter how many samples stream
-/// through — the shape `Cluster::run_streamed`'s O(in-flight) memory
+/// through — the shape the cluster run's O(in-flight) memory
 /// contract needs from the hedge trigger tracker. Samples are kept both in
 /// arrival order (for eviction) and sorted (for O(log W) quantile reads);
 /// each push costs O(W) in the worst case from the sorted insert/remove

@@ -107,62 +107,10 @@ impl DeterministicRng {
         scale * (1.0 - self.uniform()).powf(-1.0 / shape)
     }
 
-    /// Zipf-distributed rank in `[1, n]` with exponent `s`.
-    ///
-    /// Rejection sampling against the continuous envelope `x^-s`: rank 1 is
-    /// covered by a unit atom and rank `k ≥ 2` by the integral of the
-    /// envelope over `[k-1, k]`, which always dominates `k^-s`.
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        assert!(n > 0 && s > 0.0);
-        if n == 1 {
-            return 1;
-        }
-        // H(x) = ∫₁ˣ t^-s dt and its inverse.
-        let h = |x: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-12 {
-                x.ln()
-            } else {
-                (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-            }
-        };
-        let h_inv = |y: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-12 {
-                y.exp()
-            } else {
-                (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
-            }
-        };
-        let total = 1.0 + h(n as f64);
-        loop {
-            let u = self.uniform() * total;
-            if u < 1.0 {
-                return 1;
-            }
-            let x = h_inv(u - 1.0);
-            let k = (x as u64 + 1).min(n);
-            // Accept with probability k^-s / x^-s (≤ 1 because x ≤ k).
-            if self.uniform() * x.powf(-s) <= (k as f64).powf(-s) {
-                return k;
-            }
-        }
-    }
-
     /// Bernoulli draw with probability `p`.
     pub fn bernoulli(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p));
         self.uniform() < p
-    }
-
-    /// Normal draw with given mean and standard deviation, truncated at zero.
-    pub fn normal_nonneg(&mut self, mean: f64, std: f64) -> f64 {
-        assert!(std >= 0.0);
-        (mean + std * self.standard_normal()).max(0.0)
-    }
-
-    /// Derives an independent child generator; useful for giving each
-    /// simulated server its own stream.
-    pub fn fork(&mut self) -> DeterministicRng {
-        DeterministicRng::new(self.next_u64())
     }
 }
 
@@ -329,37 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_favors_low_ranks() {
-        let mut rng = DeterministicRng::new(3);
-        let mut counts = [0u32; 10];
-        for _ in 0..10_000 {
-            let r = rng.zipf(10, 1.0) as usize;
-            counts[r - 1] += 1;
-        }
-        assert!(counts[0] > counts[4]);
-        assert!(counts[4] > counts[9]);
-    }
-
-    #[test]
-    fn zipf_matches_analytical_rank_probabilities() {
-        let mut rng = DeterministicRng::new(31);
-        let (n, s, draws) = (20u64, 1.3f64, 200_000usize);
-        let z: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
-        let mut counts = vec![0u32; n as usize];
-        for _ in 0..draws {
-            counts[rng.zipf(n, s) as usize - 1] += 1;
-        }
-        for k in 1..=n as usize {
-            let expect = (k as f64).powf(-s) / z;
-            let got = counts[k - 1] as f64 / draws as f64;
-            assert!(
-                (got - expect).abs() < 0.01 + 0.05 * expect,
-                "rank {k}: got {got}, expected {expect}"
-            );
-        }
-    }
-
-    #[test]
     fn samplers_are_nonnegative_and_match_mean() {
         let mut rng = DeterministicRng::new(5);
         let samplers = [
@@ -399,22 +316,5 @@ mod tests {
         let longs = (0..20_000).filter(|_| s.sample(&mut rng) > 50.0).count();
         let frac = longs as f64 / 20_000.0;
         assert!((frac - 0.1).abs() < 0.02);
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = DeterministicRng::new(99);
-        let mut child = a.fork();
-        // The child's stream differs from the parent's subsequent draws.
-        let same = (0..100).filter(|_| a.uniform() == child.uniform()).count();
-        assert!(same < 5);
-    }
-
-    #[test]
-    fn normal_nonneg_truncates() {
-        let mut rng = DeterministicRng::new(23);
-        for _ in 0..1000 {
-            assert!(rng.normal_nonneg(0.1, 5.0) >= 0.0);
-        }
     }
 }

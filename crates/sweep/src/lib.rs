@@ -40,8 +40,8 @@
 //! the per-cell results in cell order, per-cell wall times, and the sweep's
 //! wall-clock time.
 //!
-//! For a grid that is naturally a slice of work items, [`parallel_map`]
-//! (or [`SweepExecutor::map`]) skips the spec and fans the slice directly.
+//! For a grid that is naturally a slice of work items,
+//! [`SweepExecutor::map`] skips the spec and fans the slice directly.
 //!
 //! # Determinism contract
 //!
@@ -221,7 +221,7 @@ impl Cell<'_> {
 
 /// Resolves a requested thread count: `0` means
 /// [`std::thread::available_parallelism`] (1 if unknown).
-pub fn resolve_threads(requested: usize) -> usize {
+fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -248,11 +248,6 @@ impl<T> SweepRun<T> {
     /// Consumes the run, keeping only the results.
     pub fn into_results(self) -> Vec<T> {
         self.results
-    }
-
-    /// Sum of the per-cell wall times (the serial cost of the grid).
-    pub fn total_cell_time(&self) -> Duration {
-        self.cell_times.iter().sum()
     }
 
     /// The slowest cell's wall time (a lower bound on the sweep's wall time).
@@ -379,17 +374,6 @@ impl SweepExecutor {
     }
 }
 
-/// Fans `items` across `threads` workers (`0` = auto) and returns the mapped
-/// results in item order. Shorthand for [`SweepExecutor::map`].
-pub fn parallel_map<I, T, F>(threads: usize, items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Send + Sync,
-{
-    SweepExecutor::new(threads).map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,10 +476,12 @@ mod tests {
     fn map_matches_std_iterator_map() {
         let items: Vec<u64> = (0..57).collect();
         let expect: Vec<u64> = items.iter().map(|&x| mix(x)).collect();
-        assert_eq!(parallel_map(1, &items, |&x| mix(x)), expect);
-        assert_eq!(parallel_map(4, &items, |&x| mix(x)), expect);
-        assert_eq!(parallel_map(0, &items, |&x| mix(x)), expect);
-        assert!(parallel_map(3, &Vec::<u64>::new(), |&x| mix(x)).is_empty());
+        for threads in [1usize, 4, 0] {
+            assert_eq!(SweepExecutor::new(threads).map(&items, |&x| mix(x)), expect);
+        }
+        assert!(SweepExecutor::new(3)
+            .map(&Vec::<u64>::new(), |&x| mix(x))
+            .is_empty());
     }
 
     #[test]
@@ -545,7 +531,7 @@ mod tests {
             c.index()
         });
         assert_eq!(run.cell_times.len(), 4);
-        assert!(run.total_cell_time() >= Duration::from_millis(8));
+        assert!(run.cell_times.iter().sum::<Duration>() >= Duration::from_millis(8));
         assert!(run.max_cell_time() >= Duration::from_millis(2));
         assert!(run.wall_time >= run.max_cell_time());
     }

@@ -8,7 +8,8 @@
 /// One lifecycle event of one request.
 ///
 /// The owning request id is kept outside the event (see
-/// [`crate::Recorder`]) so the event itself stays a small `Copy` value.
+/// [`Telemetry::request_event`](crate::Telemetry::request_event)) so the
+/// event itself stays a small `Copy` value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestEvent {
     /// Simulated time the event occurred.

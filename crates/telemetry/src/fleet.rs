@@ -1,10 +1,10 @@
 //! Per-epoch fleet time series.
 //!
 //! The cluster driver already meters power per control epoch for the fleet
-//! controller; the [`FleetRecorder`] extends that metering into a retained
-//! time series sampled on its own (usually finer) epoch: fleet power, queue
-//! depths, in-flight counts, per-server DVFS state, and cumulative
-//! retry/timeout counters.
+//! controller; recording telemetry extends that metering into a retained
+//! series of [`EpochSample`]s taken on its own (usually finer) epoch: fleet
+//! power, queue depths, in-flight counts, per-server DVFS state, and
+//! cumulative retry/timeout counters.
 
 /// Snapshot of one server at a sample boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -51,63 +51,25 @@ impl EpochSample {
     }
 }
 
-/// Retained per-epoch fleet time series.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetRecorder {
-    epochs: Vec<EpochSample>,
-}
-
-impl FleetRecorder {
-    /// Append one sample window. Windows must be recorded in time order.
-    pub fn record(&mut self, sample: EpochSample) {
-        debug_assert!(
-            self.epochs.last().is_none_or(|p| p.end <= sample.start),
-            "fleet samples must be recorded in time order"
-        );
-        self.epochs.push(sample);
+/// Fills [`EpochSample::completions`] by bucketing completion times into
+/// the windows of `epochs` (in time order). A completion lands in the
+/// window whose `[start, end)` span contains it; completions at or past the
+/// final window's `end` are credited to the final window.
+pub(crate) fn bucket_completions(epochs: &mut [EpochSample], completion_times: &mut [f64]) {
+    if epochs.is_empty() {
+        return;
     }
-
-    /// The recorded sample windows, in time order.
-    pub fn epochs(&self) -> &[EpochSample] {
-        &self.epochs
-    }
-
-    /// Number of recorded windows.
-    pub fn len(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.epochs.is_empty()
-    }
-
-    /// Consume the recorder and return the raw series.
-    pub fn into_epochs(self) -> Vec<EpochSample> {
-        self.epochs
-    }
-
-    /// Fill [`EpochSample::completions`] by bucketing completion times into
-    /// the recorded windows. A completion lands in the window whose
-    /// `[start, end)` span contains it; completions at or past the final
-    /// window's `end` are credited to the final window.
-    pub fn bucket_completions(&mut self, completion_times: &mut [f64]) {
-        if self.epochs.is_empty() {
-            return;
+    completion_times.sort_by(|a, b| a.partial_cmp(b).expect("finite completion times"));
+    let mut cursor = 0;
+    let last = epochs.len() - 1;
+    for (i, epoch) in epochs.iter_mut().enumerate() {
+        let mut count = 0u32;
+        while cursor < completion_times.len() && (completion_times[cursor] < epoch.end || i == last)
+        {
+            count += 1;
+            cursor += 1;
         }
-        completion_times.sort_by(|a, b| a.partial_cmp(b).expect("finite completion times"));
-        let mut cursor = 0;
-        let last = self.epochs.len() - 1;
-        for (i, epoch) in self.epochs.iter_mut().enumerate() {
-            let mut count = 0u32;
-            while cursor < completion_times.len()
-                && (completion_times[cursor] < epoch.end || i == last)
-            {
-                count += 1;
-                cursor += 1;
-            }
-            epoch.completions = count;
-        }
+        epoch.completions = count;
     }
 }
 
@@ -125,21 +87,18 @@ mod tests {
 
     #[test]
     fn completions_bucket_into_their_windows() {
-        let mut rec = FleetRecorder::default();
-        rec.record(window(0.0, 1.0));
-        rec.record(window(1.0, 2.0));
-        rec.record(window(2.0, 2.5));
+        let mut epochs = vec![window(0.0, 1.0), window(1.0, 2.0), window(2.0, 2.5)];
         let mut times = vec![0.5, 0.9, 1.0, 2.4, 2.5, 7.0];
-        rec.bucket_completions(&mut times);
-        let counts: Vec<u32> = rec.epochs().iter().map(|e| e.completions).collect();
+        bucket_completions(&mut epochs, &mut times);
+        let counts: Vec<u32> = epochs.iter().map(|e| e.completions).collect();
         // 2.5 and 7.0 land past the final window's end and are credited to it.
         assert_eq!(counts, vec![2, 1, 3]);
     }
 
     #[test]
     fn empty_recorder_ignores_completions() {
-        let mut rec = FleetRecorder::default();
-        rec.bucket_completions(&mut [1.0]);
-        assert!(rec.is_empty());
+        // No sample windows (a log built from bare results): nothing to
+        // fill, and no window to credit the completion to.
+        bucket_completions(&mut [], &mut [1.0]);
     }
 }

@@ -9,11 +9,11 @@
 //! 1. **Per-request lifecycle traces.** The cluster driver records
 //!    timestamped [`RequestEvent`]s (routed, timeout, backoff, migration
 //!    hop, crash requeue, salvage, drop) and [`ServerEvent`]s into a
-//!    [`Recorder`] at the same fault-boundary instants it already
-//!    sequences, so the stream is deterministic and invariant under
+//!    recording [`Telemetry`] at the same fault-boundary instants it
+//!    already sequences, so the stream is deterministic and invariant under
 //!    `rubik-sweep` thread count. Service start/end come for free from
 //!    [`rubik_sim::RequestRecord`] and are merged at finalize.
-//! 2. **Per-epoch fleet time series.** A [`FleetRecorder`] retains
+//! 2. **Per-epoch fleet time series.** Recording telemetry retains
 //!    [`EpochSample`] windows — fleet power, queue depths, in-flight counts,
 //!    per-server DVFS state, cumulative retries/timeouts — sampled on an
 //!    epoch independent of the controller's.
@@ -29,8 +29,8 @@
 //!
 //! # Zero cost when disabled
 //!
-//! [`Telemetry::disabled()`] is the default everywhere. It holds no
-//! recorder: recording calls are inlined branches on `None`, the driver
+//! [`Telemetry::disabled()`] is the default everywhere. Its event vectors
+//! stay empty: recording calls are inlined branches on a flag, the driver
 //! never schedules a sample boundary, and runs are bitwise-identical to an
 //! uninstrumented build with zero steady-state allocations (pinned by the
 //! neutrality and counting-allocator suites in `rubik-cluster`).
@@ -72,8 +72,8 @@ mod sink;
 
 pub use chrome::to_chrome_json;
 pub use event::{RequestEvent, RequestEventKind, ServerEvent, ServerEventKind};
-pub use fleet::{EpochSample, FleetRecorder, ServerSample};
+pub use fleet::{EpochSample, ServerSample};
 pub use json::{from_json, to_json, FORMAT};
 pub use log::{RequestTrace, TraceLog};
 pub use report::{breakdown, AttributionReport, LatencyBreakdown};
-pub use sink::{Recorder, Telemetry, DEFAULT_SAMPLE_EPOCH};
+pub use sink::{Telemetry, DEFAULT_SAMPLE_EPOCH};

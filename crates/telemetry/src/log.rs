@@ -4,8 +4,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{RequestEvent, RequestEventKind, ServerEvent};
-use crate::fleet::EpochSample;
-use crate::sink::Recorder;
+use crate::fleet::{bucket_completions, EpochSample};
 use rubik_sim::RunResult;
 
 /// The full lifecycle of one request.
@@ -70,9 +69,16 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Merge a [`Recorder`]'s event stream with the per-server results into
-    /// per-request timelines.
-    pub(crate) fn assemble(recorder: Recorder, results: &[RunResult], end: f64) -> Self {
+    /// Merges a recorded event stream with the per-server results into
+    /// per-request timelines, and takes the server events and the fleet
+    /// time series (its completion counts filled in) as they are.
+    pub(crate) fn assemble(
+        request_events: &[(u64, RequestEvent)],
+        server_events: Vec<ServerEvent>,
+        mut epochs: Vec<EpochSample>,
+        results: &[RunResult],
+        end: f64,
+    ) -> Self {
         let mut requests: BTreeMap<u64, RequestTrace> = BTreeMap::new();
         for (server, result) in results.iter().enumerate() {
             for record in result.records() {
@@ -89,7 +95,7 @@ impl TraceLog {
                 );
             }
         }
-        for &(id, event) in recorder.request_events() {
+        for &(id, event) in request_events {
             let entry = requests.entry(id).or_insert_with(|| RequestTrace {
                 id,
                 // A lost request has no record; its first event is the
@@ -102,15 +108,14 @@ impl TraceLog {
             });
             entry.events.push(event);
         }
-        let mut fleet = recorder.fleet().clone();
         let mut completions: Vec<f64> = requests.values().filter_map(|r| r.completion).collect();
-        fleet.bucket_completions(&mut completions);
+        bucket_completions(&mut epochs, &mut completions);
         Self {
             servers: results.len(),
             end,
             requests: requests.into_values().collect(),
-            server_events: recorder.server_events().to_vec(),
-            epochs: fleet.into_epochs(),
+            server_events,
+            epochs,
         }
     }
 
@@ -122,7 +127,9 @@ impl TraceLog {
     /// work from the records.
     pub fn from_results(results: &[RunResult]) -> Self {
         Self::assemble(
-            Recorder::default(),
+            &[],
+            Vec::new(),
+            Vec::new(),
             results,
             results.iter().map(RunResult::end_time).fold(0.0, f64::max),
         )
@@ -194,40 +201,27 @@ mod tests {
 
     #[test]
     fn assembles_records_and_events_by_id() {
-        let mut recorder = Recorder::default();
-        recorder.request_event(
-            2,
-            RequestEvent {
-                at: 0.1,
-                kind: RequestEventKind::Routed {
-                    server: 1,
-                    attempt: 1,
+        let routed = |at, server| RequestEvent {
+            at,
+            kind: RequestEventKind::Routed { server, attempt: 1 },
+        };
+        let events = [
+            (2, routed(0.1, 1)),
+            // Request 9 is lost: events only, no record.
+            (9, routed(0.2, 0)),
+            (
+                9,
+                RequestEvent {
+                    at: 0.5,
+                    kind: RequestEventKind::Dropped { server: 0 },
                 },
-            },
-        );
-        // Request 9 is lost: events only, no record.
-        recorder.request_event(
-            9,
-            RequestEvent {
-                at: 0.2,
-                kind: RequestEventKind::Routed {
-                    server: 0,
-                    attempt: 1,
-                },
-            },
-        );
-        recorder.request_event(
-            9,
-            RequestEvent {
-                at: 0.5,
-                kind: RequestEventKind::Dropped { server: 0 },
-            },
-        );
+            ),
+        ];
         let results = vec![
             result(vec![], 1.0),
             result(vec![record(2, 0.1, 0.15, 0.3)], 1.0),
         ];
-        let log = TraceLog::assemble(recorder, &results, 1.0);
+        let log = TraceLog::assemble(&events, Vec::new(), Vec::new(), &results, 1.0);
         assert_eq!(log.servers, 2);
         assert_eq!(log.requests.len(), 2);
         let r2 = &log.requests[0];

@@ -107,13 +107,6 @@ impl WorkloadGenerator {
         self.rng.uniform()
     }
 
-    /// Generates `paper_requests()` requests at the given load — the run
-    /// length used by the paper's Table 3.
-    pub fn paper_trace(&mut self, load: f64) -> Trace {
-        let n = self.profile.paper_requests();
-        self.steady_trace(load, n)
-    }
-
     fn draw_request(&mut self, id: u64, arrival: f64) -> RequestSpec {
         let factor_sampler = self.profile.work_factor_sampler();
         let factor = factor_sampler.sample(&mut self.rng).max(0.01);
@@ -204,12 +197,6 @@ mod tests {
             .count() as f64;
         let frac = long / trace.len() as f64;
         assert!(frac > 0.01 && frac < 0.3, "long fraction = {frac}");
-    }
-
-    #[test]
-    fn paper_trace_uses_table3_request_count() {
-        let mut g = WorkloadGenerator::new(AppProfile::moses(), 3);
-        assert_eq!(g.paper_trace(0.3).len(), 900);
     }
 
     #[test]

@@ -137,13 +137,6 @@ impl AppProfile {
         ]
     }
 
-    /// Looks a profile up by name (case-insensitive).
-    pub fn by_name(name: &str) -> Option<AppProfile> {
-        Self::all()
-            .into_iter()
-            .find(|p| p.name.eq_ignore_ascii_case(name))
-    }
-
     /// A custom profile, for tests and exploratory experiments.
     ///
     /// # Panics
@@ -318,13 +311,6 @@ mod tests {
         assert!(masstree.cov() < 0.2);
         assert!(moses.mean_service_time() > 10.0 * masstree.mean_service_time());
         assert!(AppProfile::specjbb().cov() > AppProfile::masstree().cov());
-    }
-
-    #[test]
-    fn lookup_by_name_is_case_insensitive() {
-        assert!(AppProfile::by_name("Masstree").is_some());
-        assert!(AppProfile::by_name("XAPIAN").is_some());
-        assert!(AppProfile::by_name("redis").is_none());
     }
 
     #[test]
