@@ -26,16 +26,11 @@ fn bench_simulator(c: &mut Criterion) {
     });
     group.bench_function("rubik_2000_requests", |b| {
         b.iter(|| {
-            let mut rubik = RubikController::new(
+            let mut rubik = RubikController::seeded_for_trace(
                 RubikConfig::new(bound).with_profiling_window(1024),
                 config.dvfs.clone(),
-            );
-            rubik.seed_profile(
-                trace
-                    .requests()
-                    .iter()
-                    .take(256)
-                    .map(|r| (r.compute_cycles, r.membound_time)),
+                &trace,
+                256,
             );
             Server::new(config.clone()).run(&trace, &mut rubik)
         })

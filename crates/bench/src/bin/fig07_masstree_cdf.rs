@@ -1,61 +1,10 @@
 //! Fig. 7: masstree at 50% load — response-latency CDF for StaticOracle,
 //! AdrenalineOracle and Rubik, and Rubik's busy-frequency histogram.
 
-use rubik::core::replay;
-use rubik::{AdrenalineOracle, AppProfile, StaticOracle};
-use rubik_bench::{print_header, BenchArgs, Harness, TAIL_QUANTILE};
+use rubik::AppProfile;
+use rubik_bench::{run_cdf_experiment, BenchArgs, Harness};
 
 fn main() {
     let harness = BenchArgs::parse().apply(Harness::new());
-    run_cdf_experiment(harness, AppProfile::masstree(), "Fig. 7");
-}
-
-/// Shared by the Fig. 7 (masstree) and Fig. 8 (xapian) binaries.
-pub fn run_cdf_experiment(harness: Harness, profile: AppProfile, figure: &str) {
-    let bound = harness.latency_bound(&profile);
-    let trace = harness.trace(&profile, 0.5, 7);
-
-    let oracle = StaticOracle::new(harness.sim.dvfs.clone(), TAIL_QUANTILE);
-    let static_freq = oracle.lowest_feasible_freq(&trace, bound);
-    let static_lat: Vec<f64> = replay(&trace, &vec![static_freq; trace.len()])
-        .iter()
-        .map(|r| r.latency())
-        .collect();
-
-    let adrenaline = AdrenalineOracle::new(harness.sim.dvfs.clone(), TAIL_QUANTILE).train(
-        &trace,
-        bound,
-        harness.active_power(),
-    );
-    let adren_lat: Vec<f64> = replay(&trace, &adrenaline.assign(&trace))
-        .iter()
-        .map(|r| r.latency())
-        .collect();
-
-    let (_, rubik_result) = harness.run_rubik(&trace, bound, true);
-    let rubik_lat = rubik_result.latencies();
-
-    println!(
-        "# {figure}: {} @ 50% load, tail bound {:.0} us",
-        profile.name(),
-        bound * 1e6
-    );
-    println!("## Response-latency CDF (us)");
-    print_header(&["percentile", "static_oracle", "adrenaline_oracle", "rubik"]);
-    for pct in [5, 10, 25, 50, 75, 90, 95, 99] {
-        let q = pct as f64 / 100.0;
-        println!(
-            "{}\t{:.1}\t{:.1}\t{:.1}",
-            pct,
-            rubik::stats::percentile(&static_lat, q).unwrap() * 1e6,
-            rubik::stats::percentile(&adren_lat, q).unwrap() * 1e6,
-            rubik::stats::percentile(&rubik_lat, q).unwrap() * 1e6
-        );
-    }
-
-    println!("## Rubik busy-frequency histogram (fraction of busy time)");
-    print_header(&["freq_ghz", "fraction"]);
-    for (freq, frac) in rubik_result.freq_residency().busy_fraction_per_freq() {
-        println!("{:.1}\t{:.3}", freq.ghz(), frac);
-    }
+    run_cdf_experiment(&harness, &AppProfile::masstree(), 7, "Fig. 7");
 }

@@ -448,7 +448,7 @@ pub struct SchemeResult {
     pub tail_latency: f64,
     /// Active + idle core energy per request (J).
     pub energy_per_request: f64,
-    /// Core power savings relative to a reference energy (filled by callers).
+    /// Time the core spent serving requests (s).
     pub busy_time: f64,
 }
 
@@ -522,14 +522,7 @@ impl Harness {
         if !feedback {
             cfg = cfg.without_feedback();
         }
-        let mut rubik = RubikController::new(cfg, self.sim.dvfs.clone());
-        rubik.seed_profile(
-            trace
-                .requests()
-                .iter()
-                .take(512)
-                .map(|r| (r.compute_cycles, r.membound_time)),
-        );
+        let mut rubik = RubikController::seeded_for_trace(cfg, self.sim.dvfs.clone(), trace, 512);
         let result = Server::new(self.sim.clone()).run(trace, &mut rubik);
         (self.summarize(trace, &result), result)
     }
@@ -594,6 +587,59 @@ impl Harness {
     /// Power savings of `scheme` relative to `baseline`, in percent.
     pub fn savings_percent(baseline: &SchemeResult, scheme: &SchemeResult) -> f64 {
         (1.0 - scheme.energy_per_request / baseline.energy_per_request) * 100.0
+    }
+}
+
+/// Figs. 7 and 8: one application at 50% load, with the trace drawn at
+/// `seed_offset` — the response-latency CDF of StaticOracle,
+/// AdrenalineOracle and Rubik, then Rubik's busy-frequency histogram,
+/// printed under `figure`'s label.
+pub fn run_cdf_experiment(harness: &Harness, profile: &AppProfile, seed_offset: u64, figure: &str) {
+    let bound = harness.latency_bound(profile);
+    let trace = harness.trace(profile, 0.5, seed_offset);
+
+    let oracle = StaticOracle::new(harness.sim.dvfs.clone(), TAIL_QUANTILE);
+    let static_freq = oracle.lowest_feasible_freq(&trace, bound);
+    let static_lat: Vec<f64> = replay(&trace, &vec![static_freq; trace.len()])
+        .iter()
+        .map(|r| r.latency())
+        .collect();
+
+    let adrenaline = AdrenalineOracle::new(harness.sim.dvfs.clone(), TAIL_QUANTILE).train(
+        &trace,
+        bound,
+        harness.active_power(),
+    );
+    let adren_lat: Vec<f64> = replay(&trace, &adrenaline.assign(&trace))
+        .iter()
+        .map(|r| r.latency())
+        .collect();
+
+    let (_, rubik_result) = harness.run_rubik(&trace, bound, true);
+    let rubik_lat = rubik_result.latencies();
+
+    println!(
+        "# {figure}: {} @ 50% load, tail bound {:.0} us",
+        profile.name(),
+        bound * 1e6
+    );
+    println!("## Response-latency CDF (us)");
+    print_header(&["percentile", "static_oracle", "adrenaline_oracle", "rubik"]);
+    for pct in [5, 10, 25, 50, 75, 90, 95, 99] {
+        let q = pct as f64 / 100.0;
+        println!(
+            "{}\t{:.1}\t{:.1}\t{:.1}",
+            pct,
+            rubik::stats::percentile(&static_lat, q).unwrap() * 1e6,
+            rubik::stats::percentile(&adren_lat, q).unwrap() * 1e6,
+            rubik::stats::percentile(&rubik_lat, q).unwrap() * 1e6
+        );
+    }
+
+    println!("## Rubik busy-frequency histogram (fraction of busy time)");
+    print_header(&["freq_ghz", "fraction"]);
+    for (freq, frac) in rubik_result.freq_residency().busy_fraction_per_freq() {
+        println!("{:.1}\t{:.3}", freq.ghz(), frac);
     }
 }
 

@@ -127,9 +127,8 @@
 //!
 //! `ShapedSource` draws a non-homogeneous Poisson process by seeded
 //! thinning (ramps, steps, diurnal sinusoids, spikes, piecewise
-//! schedules); `MergedSource` interleaves several applications'
-//! streams; `StreamingTraceReader` replays a captured trace file without
-//! loading it. See the `rubik-load` crate docs for the full tour. A
+//! schedules); `StreamingTraceReader` replays a captured trace from any
+//! reader without loading it. See the `rubik-load` crate docs for the full tour. A
 //! source that hands back a non-monotone arrival, or one before `t = 0`,
 //! violates the [`ArrivalSource`] contract and is reported as
 //! [`ClusterError::OutOfOrderArrival`] instead of panicking.

@@ -16,23 +16,18 @@ use rubik_cluster::{
     fleet_trace, Cluster, ClusterOutcome, JoinShortestQueue, Passthrough, PowerAware, RoundRobin,
     Router, RunReport, TraceSource,
 };
-use rubik_core::{PegasusConfig, PegasusPolicy, RubikConfig, RubikController};
-use rubik_sim::{DvfsPolicy, FixedFrequencyPolicy, IdleMode, Server, SimConfig, Trace};
+use rubik_core::{RubikConfig, RubikController};
+use rubik_sim::{DvfsPolicy, FixedFrequencyPolicy, Server, SimConfig, Trace};
 use rubik_sweep::{SweepExecutor, SweepSpec};
 use rubik_workloads::{AppProfile, WorkloadGenerator};
 
 /// Every policy the 1-server equivalence runs, built fresh per invocation.
 fn policies(config: &SimConfig, trace: &Trace, bound: f64) -> Vec<(String, Box<dyn DvfsPolicy>)> {
-    let mut rubik = RubikController::new(
+    let rubik = RubikController::seeded_for_trace(
         RubikConfig::new(bound).with_profiling_window(2048),
         config.dvfs.clone(),
-    );
-    rubik.seed_profile(
-        trace
-            .requests()
-            .iter()
-            .take(512)
-            .map(|r| (r.compute_cycles, r.membound_time)),
+        trace,
+        512,
     );
     vec![
         (
@@ -40,24 +35,14 @@ fn policies(config: &SimConfig, trace: &Trace, bound: f64) -> Vec<(String, Box<d
             Box::new(FixedFrequencyPolicy::new(config.dvfs.nominal())) as Box<dyn DvfsPolicy>,
         ),
         ("rubik".into(), Box::new(rubik)),
-        (
-            "pegasus".into(),
-            Box::new(PegasusPolicy::new(
-                PegasusConfig::new(bound),
-                config.dvfs.clone(),
-            )),
-        ),
     ]
 }
 
 #[test]
 fn one_server_passthrough_cluster_reproduces_server_run_bitwise() {
-    let configs = [
-        SimConfig::paper_simulated(),
-        SimConfig::paper_simulated().with_idle_mode(IdleMode::Sleep {
-            wakeup_latency: 100e-6,
-        }),
-    ];
+    // The simulated CMP's 4 µs V/F transitions and the real system's
+    // 130 µs ones (fig11's configuration).
+    let configs = [SimConfig::paper_simulated(), SimConfig::paper_real_system()];
     let profile = AppProfile::masstree();
     let bound = 3.0 * profile.mean_service_time();
 
@@ -84,7 +69,8 @@ fn one_server_passthrough_cluster_reproduces_server_run_bitwise() {
                 assert_eq!(results.len(), 1);
                 assert!(
                     result_bits(&results[0]) == reference,
-                    "1-server cluster diverged from Server::run: policy {name}, seed {seed}"
+                    "1-server cluster diverged from Server::run: policy {name}, seed {seed}, \
+                     {config:?}"
                 );
             }
         }

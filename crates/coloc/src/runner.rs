@@ -267,14 +267,8 @@ impl ColocatedCore {
                 if self.force_rubik_rebuilds {
                     config = config.without_rebuild_gating();
                 }
-                let mut rubik = RubikController::new(config, dvfs.clone());
-                rubik.seed_profile(
-                    trace
-                        .requests()
-                        .iter()
-                        .take(512)
-                        .map(|r| (r.compute_cycles, r.membound_time)),
-                );
+                let mut rubik =
+                    RubikController::seeded_for_trace(config, dvfs.clone(), &trace, 512);
                 (
                     Server::new(self.sim_config.clone()).run(&trace, &mut rubik),
                     mean_batch_tpw_freq,

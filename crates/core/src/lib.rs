@@ -19,9 +19,7 @@
 //! * [`DynamicOracle`] — the per-request frequency schedule that minimizes
 //!   energy subject to the tail bound,
 //! * [`AdrenalineOracle`] — an idealized Adrenaline: perfect long/short
-//!   request classification, offline-tuned boosted/unboosted frequencies,
-//! * [`PegasusPolicy`] — a pure feedback controller that adjusts frequency
-//!   from measured tail latency only.
+//!   request classification, offline-tuned boosted/unboosted frequencies.
 //!
 //! # Example
 //!
@@ -47,7 +45,6 @@
 pub mod adrenaline;
 pub mod dynamic_oracle;
 pub mod feedback;
-pub mod pegasus;
 pub mod profiler;
 pub mod replay;
 pub mod rubik;
@@ -57,7 +54,6 @@ pub mod tables;
 pub use adrenaline::{AdrenalineOracle, AdrenalinePolicy};
 pub use dynamic_oracle::{DynamicOracle, OracleSchedule};
 pub use feedback::FeedbackController;
-pub use pegasus::{PegasusConfig, PegasusPolicy};
 pub use profiler::OnlineProfiler;
 pub use replay::{replay, replay_energy, replay_tail};
 pub use rubik::{RubikConfig, RubikController, RubikStats};

@@ -27,7 +27,7 @@ use rubik_stats::Histogram;
 
 /// Number of histogram buckets, matching the paper's implementation
 /// ("We use 128-bucket distributions", Sec. 4.2).
-pub const DEFAULT_BUCKETS: usize = 128;
+pub const BUCKETS: usize = 128;
 
 /// Bucket width used when every sample in the window is zero, mirroring
 /// [`Histogram::from_samples`]'s degenerate case.
@@ -51,10 +51,10 @@ struct Channel {
 }
 
 impl Channel {
-    fn new(window: usize, buckets: usize) -> Self {
+    fn new(window: usize) -> Self {
         Self {
             samples: VecDeque::with_capacity(window),
-            counts: vec![0; buckets],
+            counts: vec![0; BUCKETS],
             max: 0.0,
             max_count: 0,
             bucket_width: DEGENERATE_WIDTH,
@@ -155,27 +155,17 @@ pub struct OnlineProfiler {
 
 impl OnlineProfiler {
     /// Creates a profiler that keeps the most recent `window` requests and
-    /// builds `DEFAULT_BUCKETS`-bucket histograms.
+    /// builds [`BUCKETS`]-bucket histograms.
     ///
     /// # Panics
     ///
     /// Panics if `window == 0`.
     pub fn new(window: usize) -> Self {
-        Self::with_buckets(window, DEFAULT_BUCKETS)
-    }
-
-    /// Creates a profiler with an explicit bucket count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0` or `buckets == 0`.
-    pub fn with_buckets(window: usize, buckets: usize) -> Self {
         assert!(window > 0, "profiling window must be non-empty");
-        assert!(buckets > 0, "histograms need at least one bucket");
         Self {
             window,
-            compute: Channel::new(window, buckets),
-            membound: Channel::new(window, buckets),
+            compute: Channel::new(window),
+            membound: Channel::new(window),
             version: 0,
         }
     }
@@ -375,7 +365,7 @@ mod tests {
     fn incremental_histograms_match_full_rescan_bitwise() {
         let mut rng = DeterministicRng::new(0x9A);
         let window = 64;
-        let mut p = OnlineProfiler::with_buckets(window, 32);
+        let mut p = OnlineProfiler::new(window);
         let mut raw_c: Vec<f64> = Vec::new();
         let mut raw_m: Vec<f64> = Vec::new();
         for step in 0..400 {
@@ -395,8 +385,8 @@ mod tests {
             raw_c.push(c);
             raw_m.push(m);
             let lo = raw_c.len().saturating_sub(window);
-            let expect_c = Histogram::from_samples(&raw_c[lo..], 32);
-            let expect_m = Histogram::from_samples(&raw_m[lo..], 32);
+            let expect_c = Histogram::from_samples(&raw_c[lo..], BUCKETS);
+            let expect_m = Histogram::from_samples(&raw_m[lo..], BUCKETS);
             let got_c = p.compute_histogram().unwrap();
             let got_m = p.membound_histogram().unwrap();
             assert_eq!(got_c.pmf(), expect_c.pmf(), "compute pmf at step {step}");

@@ -17,8 +17,6 @@
 //! * [`ShapedSource`] — a non-homogeneous Poisson process following a
 //!   [`LoadShape`] (ramps, load steps, diurnal sinusoids, spikes, and
 //!   piecewise schedules), drawn by seeded thinning.
-//! * [`MergedSource`] — several per-application streams interleaved
-//!   deterministically by `(time, stream index)` for heterogeneous fleets.
 //! * [`StreamingTraceReader`] / [`StreamingTraceWriter`] — streaming
 //!   replay and capture through the one trace codec
 //!   (`rubik_workloads::trace_io`), so huge traces never materialize.
@@ -65,7 +63,5 @@ pub mod source;
 pub mod trace_io;
 
 pub use shape::{LoadShape, LoadShapeError};
-pub use source::{
-    drain_to_trace, ArrivalSource, MergedSource, PoissonSource, ShapedSource, TraceSource,
-};
+pub use source::{drain_to_trace, ArrivalSource, PoissonSource, ShapedSource, TraceSource};
 pub use trace_io::{StreamingTraceReader, StreamingTraceWriter};

@@ -6,9 +6,7 @@
 //! interleaved with other work. [`PoissonSource`] reproduces
 //! [`WorkloadGenerator::steady_trace`] bit-for-bit; [`ShapedSource`] draws
 //! a non-homogeneous Poisson process from a [`LoadShape`] via seeded
-//! thinning; [`MergedSource`] interleaves several streams by
-//! `(time, stream index)`; [`TraceSource`] adapts any materialized
-//! [`Trace`].
+//! thinning; [`TraceSource`] adapts any materialized [`Trace`].
 
 use rubik_sim::{RequestSpec, Trace};
 use rubik_workloads::{AppProfile, WorkloadGenerator};
@@ -33,16 +31,6 @@ pub trait ArrivalSource {
 }
 
 impl<S: ArrivalSource + ?Sized> ArrivalSource for &mut S {
-    fn next_arrival(&mut self) -> Option<RequestSpec> {
-        (**self).next_arrival()
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        (**self).remaining_hint()
-    }
-}
-
-impl<S: ArrivalSource + ?Sized> ArrivalSource for Box<S> {
     fn next_arrival(&mut self) -> Option<RequestSpec> {
         (**self).next_arrival()
     }
@@ -229,116 +217,6 @@ impl ArrivalSource for ShapedSource {
                 return Some(spec);
             }
         }
-    }
-}
-
-/// Several arrival streams merged into one, deterministically ordered by
-/// `(arrival time, stream index)`.
-///
-/// Models heterogeneous fleets where multiple applications share one
-/// cluster: each inner source keeps its own seed and profile, and the
-/// merge re-numbers requests sequentially in emission order so ids stay
-/// globally unique (the cluster driver requires that for hedging and
-/// conservation accounting). With [`MergedSource::with_class_tags`], each
-/// request's `class` is overwritten with its stream index so routers and
-/// outcome accounting can tell the applications apart — note stream 1 then
-/// shares the label [`rubik_workloads::generator::LONG_REQUEST_CLASS`].
-pub struct MergedSource {
-    streams: Vec<Box<dyn ArrivalSource>>,
-    /// Head-of-stream buffer, one pending arrival per inner source.
-    pending: Vec<Option<RequestSpec>>,
-    primed: bool,
-    next_id: u64,
-    tag_classes: bool,
-}
-
-impl std::fmt::Debug for MergedSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MergedSource")
-            .field("streams", &self.streams.len())
-            .field("primed", &self.primed)
-            .field("next_id", &self.next_id)
-            .field("tag_classes", &self.tag_classes)
-            .finish()
-    }
-}
-
-impl Default for MergedSource {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MergedSource {
-    /// An empty merge; add streams with [`MergedSource::push`].
-    pub fn new() -> Self {
-        Self {
-            streams: Vec::new(),
-            pending: Vec::new(),
-            primed: false,
-            next_id: 0,
-            tag_classes: false,
-        }
-    }
-
-    /// Adds a stream. Merge order ties break toward earlier-pushed streams.
-    pub fn push(mut self, source: impl ArrivalSource + 'static) -> Self {
-        assert!(!self.primed, "add streams before pulling from the merge");
-        self.streams.push(Box::new(source));
-        self.pending.push(None);
-        self
-    }
-
-    /// Overwrites each request's `class` with its stream index, so
-    /// downstream accounting can attribute requests to applications.
-    pub fn with_class_tags(mut self) -> Self {
-        self.tag_classes = true;
-        self
-    }
-}
-
-impl ArrivalSource for MergedSource {
-    fn next_arrival(&mut self) -> Option<RequestSpec> {
-        if !self.primed {
-            for (slot, stream) in self.pending.iter_mut().zip(&mut self.streams) {
-                *slot = stream.next_arrival();
-            }
-            self.primed = true;
-        }
-        // Earliest pending arrival; ties break by stream index, which makes
-        // the merge order fully deterministic.
-        let mut best: Option<usize> = None;
-        for (i, slot) in self.pending.iter().enumerate() {
-            if let Some(r) = slot {
-                let earlier = match best {
-                    None => true,
-                    Some(b) => {
-                        let held = self.pending[b].expect("best slot holds a request");
-                        r.arrival.total_cmp(&held.arrival).is_lt()
-                    }
-                };
-                if earlier {
-                    best = Some(i);
-                }
-            }
-        }
-        let index = best?;
-        let mut spec = self.pending[index].take().expect("chosen slot is pending");
-        self.pending[index] = self.streams[index].next_arrival();
-        spec.id = self.next_id;
-        self.next_id += 1;
-        if self.tag_classes {
-            spec.class = index as u32;
-        }
-        Some(spec)
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        let mut total = self.pending.iter().flatten().count();
-        for stream in &self.streams {
-            total += stream.remaining_hint()?;
-        }
-        Some(total)
     }
 }
 
@@ -555,40 +433,6 @@ mod tests {
         // The window holds ~thousands of arrivals; the drain stops at 50.
         let trace = drain_to_trace(ShapedSource::new(profile(), shape, 7), Some(50));
         assert_eq!(trace.len(), 50);
-    }
-
-    #[test]
-    fn merged_source_orders_by_time_and_renumbers() {
-        let merged = MergedSource::new()
-            .push(PoissonSource::new(AppProfile::masstree(), 0.3, 200, 1))
-            .push(PoissonSource::new(AppProfile::xapian(), 0.3, 200, 2))
-            .with_class_tags();
-        assert_eq!(merged.remaining_hint(), Some(400));
-        let trace = drain_to_trace(merged, None);
-        assert_eq!(trace.len(), 400);
-        let mut last = 0.0;
-        let mut per_class = [0usize; 2];
-        for (i, r) in trace.requests().iter().enumerate() {
-            assert_eq!(r.id, i as u64, "ids are renumbered sequentially");
-            assert!(r.arrival >= last, "merge is time-ordered");
-            last = r.arrival;
-            assert!(r.class < 2);
-            per_class[r.class as usize] += 1;
-        }
-        assert_eq!(per_class, [200, 200]);
-    }
-
-    #[test]
-    fn merged_source_streams_keep_their_own_seeds() {
-        let solo = drain_to_trace(PoissonSource::new(profile(), 0.3, 100, 11), None);
-        let merged = drain_to_trace(
-            MergedSource::new().push(PoissonSource::new(profile(), 0.3, 100, 11)),
-            None,
-        );
-        for (a, b) in solo.requests().iter().zip(merged.requests()) {
-            assert_eq!(a.arrival.to_bits(), b.arrival.to_bits());
-            assert_eq!(a.compute_cycles.to_bits(), b.compute_cycles.to_bits());
-        }
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! needs: arrivals must be time-ordered, because nothing can sort them
 //! after the fact.
 
-use std::fs::File;
-use std::io::{BufReader, Read};
-use std::path::Path;
+use std::io::Read;
 
 use rubik_sim::RequestSpec;
 pub use rubik_workloads::trace_io::TraceWriter as StreamingTraceWriter;
@@ -37,18 +35,6 @@ pub struct StreamingTraceReader<R: Read> {
     error: Option<TraceIoError>,
 }
 
-impl StreamingTraceReader<BufReader<File>> {
-    /// Opens a trace file for streaming replay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Io`] if the file cannot be opened and
-    /// [`TraceIoError::Parse`] if it does not start with the trace header.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
-        TraceReader::open(path).map(Self::replaying)
-    }
-}
-
 impl<R: Read> StreamingTraceReader<R> {
     /// Starts streaming from any reader; the `{"requests":[` header is
     /// parsed immediately.
@@ -58,15 +44,11 @@ impl<R: Read> StreamingTraceReader<R> {
     /// Returns [`TraceIoError::Io`] on a read failure and
     /// [`TraceIoError::Parse`] if the header is malformed.
     pub fn new(input: R) -> Result<Self, TraceIoError> {
-        TraceReader::new(input).map(Self::replaying)
-    }
-
-    fn replaying(trace: TraceReader<R>) -> Self {
-        Self {
-            trace,
+        Ok(Self {
+            trace: TraceReader::new(input)?,
             last_arrival: f64::NEG_INFINITY,
             error: None,
-        }
+        })
     }
 
     /// The error that ended the stream early, if any.
@@ -168,9 +150,12 @@ mod tests {
 
     #[test]
     fn file_round_trip_streams_both_ways() {
+        use std::fs::File;
+        use std::io::{BufReader, BufWriter};
         let path = std::env::temp_dir().join("rubik_stream_io_test.json");
         let mut source = PoissonSource::new(AppProfile::xapian(), 0.5, 150, 9);
-        let mut writer = StreamingTraceWriter::create(&path).unwrap();
+        let file = BufWriter::new(File::create(&path).unwrap());
+        let mut writer = StreamingTraceWriter::new(file).unwrap();
         let mut written = 0;
         while let Some(r) = source.next_arrival() {
             writer.write(&r).unwrap();
@@ -178,7 +163,8 @@ mod tests {
         }
         writer.finish().unwrap();
         assert_eq!(written, 150);
-        let reader = StreamingTraceReader::open(&path).unwrap();
+        let file = BufReader::new(File::open(&path).unwrap());
+        let reader = StreamingTraceReader::new(file).unwrap();
         let replayed = drain_to_trace(reader, None);
         std::fs::remove_file(&path).ok();
         let direct = drain_to_trace(PoissonSource::new(AppProfile::xapian(), 0.5, 150, 9), None);

@@ -10,14 +10,12 @@
 //!   steady-load trace generator, and SPEC-like batch applications,
 //! * [`power`] — core and full-system power models,
 //! * [`core`] — the Rubik controller and the baseline schemes
-//!   (fixed-frequency, StaticOracle, DynamicOracle, AdrenalineOracle,
-//!   Pegasus-style feedback),
+//!   (fixed-frequency, StaticOracle, DynamicOracle, AdrenalineOracle),
 //! * [`coloc`] — RubikColoc: colocation of batch and latency-critical work,
 //! * [`load`] — streaming open-loop arrival sources: steady Poisson,
 //!   time-varying shapes (ramps, steps, diurnal sinusoids, spikes) drawn as
-//!   non-homogeneous Poisson processes, deterministic multi-app merges, and
-//!   file-backed streaming trace replay, each an [`ArrivalSource`] that
-//!   [`Cluster::run`] pulls from,
+//!   non-homogeneous Poisson processes, and streaming replay of a captured
+//!   trace, each an [`ArrivalSource`] that [`Cluster::run`] pulls from,
 //! * [`cluster`] — multi-server serving: fleets of stepped [`sim`] servers
 //!   (heterogeneous via [`FleetSpec`]) behind a routing policy, with
 //!   per-server Rubik controllers, fleet-level power capping
@@ -77,11 +75,11 @@ pub use rubik_coloc::{
     DatacenterContext,
 };
 pub use rubik_core::{
-    AdrenalineOracle, AdrenalinePolicy, DynamicOracle, FixedFrequencyPolicy, PegasusConfig,
-    PegasusPolicy, RubikConfig, RubikController, StaticOracle, TableBuilder, TargetTailTables,
+    AdrenalineOracle, AdrenalinePolicy, DynamicOracle, FixedFrequencyPolicy, RubikConfig,
+    RubikController, StaticOracle, TableBuilder, TargetTailTables,
 };
 pub use rubik_load::{
-    ArrivalSource, LoadShape, MergedSource, PoissonSource, ShapedSource, StreamingTraceReader,
+    ArrivalSource, LoadShape, PoissonSource, ShapedSource, StreamingTraceReader,
     StreamingTraceWriter, TraceSource,
 };
 pub use rubik_power::{CorePowerModel, ServerPowerModel, Tdp};

@@ -53,7 +53,7 @@ pub mod request;
 pub mod result;
 pub mod server;
 
-pub use config::{IdleMode, SimConfig};
+pub use config::SimConfig;
 pub use freq::{DvfsConfig, Freq};
 pub use policy::{
     DvfsPolicy, FixedFrequencyPolicy, InServiceView, PolicyDecision, QueuedView, ServerState,

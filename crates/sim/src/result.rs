@@ -14,7 +14,8 @@ pub enum CoreActivity {
     Busy,
     /// Idle (clock-gated) with no pending requests.
     Idle,
-    /// In a deep sleep state (private caches flushed).
+    /// Down ([`ServerSim::fail`](crate::ServerSim::fail)), charged at deep
+    /// sleep power.
     Sleep,
 }
 

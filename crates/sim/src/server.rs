@@ -50,7 +50,7 @@
 //! borrow rules already enforce this — `ServerState` is passed as `&`), and
 //! clone it if they need to retain history.
 
-use crate::config::{IdleMode, SimConfig};
+use crate::config::SimConfig;
 use crate::freq::Freq;
 use crate::policy::{DvfsPolicy, InServiceView, PolicyDecision, QueuedView, ServerState};
 use crate::request::{RequestRecord, RequestSpec, Trace};
@@ -100,8 +100,6 @@ struct Running {
     start: f64,
     /// Fraction of the request's work completed, in `[0, 1]`.
     progress: f64,
-    /// Remaining core wake-up time before progress accrues (deep sleep only).
-    wakeup_remaining: f64,
     queue_len_at_arrival: usize,
 }
 
@@ -173,7 +171,6 @@ pub struct ServerSim<P: DvfsPolicy = Box<dyn DvfsPolicy>> {
     freq_ceiling: Option<Freq>,
     pending_transition: Option<(Freq, f64)>,
     next_tick: f64,
-    asleep: bool,
     /// Whether the server is down ([`ServerSim::fail`]): no service, no
     /// ticks, no policy callbacks; arrivals still queue and downtime is
     /// charged at sleep power.
@@ -220,7 +217,6 @@ impl<P: DvfsPolicy> ServerSim<P> {
             .idle_frequency()
             .unwrap_or_else(|| config.dvfs.nominal());
         let next_tick = config.tick_interval;
-        let asleep = matches!(config.idle_mode, IdleMode::Sleep { .. });
         Self {
             config,
             policy,
@@ -234,7 +230,6 @@ impl<P: DvfsPolicy> ServerSim<P> {
             freq_ceiling: None,
             pending_transition: None,
             next_tick,
-            asleep,
             down: false,
             slowdown: 1.0,
             stuck_freq: None,
@@ -318,16 +313,14 @@ impl<P: DvfsPolicy> ServerSim<P> {
         &self.segments
     }
 
-    /// What the core is doing right now (busy, clock-gated idle, or deep
-    /// sleep) — the activity the timeline will record from [`ServerSim::now`]
-    /// until the next event.
+    /// What the core is doing right now (busy, clock-gated idle, or down
+    /// and charged as deep sleep) — the activity the timeline will record
+    /// from [`ServerSim::now`] until the next event.
     pub fn current_activity(&self) -> CoreActivity {
         if self.down {
             CoreActivity::Sleep
         } else if self.running.is_some() {
             CoreActivity::Busy
-        } else if self.asleep {
-            CoreActivity::Sleep
         } else {
             CoreActivity::Idle
         }
@@ -403,13 +396,11 @@ impl<P: DvfsPolicy> ServerSim<P> {
     /// [`remove_queued`](ServerSim::remove_queued)); a copy **in service**
     /// is aborted mid-request — the clock advances to `at`, the partial
     /// work is charged to the busy timeline, **no completion record is
-    /// emitted**, and the head of the queue starts service immediately
-    /// (an aborted core pays no sleep wake-up, like
-    /// [`recover`](ServerSim::recover)). Returns the cancelled spec, or
-    /// `None` — with **zero state change** — when the id is not on this
-    /// server, so a driver that never cancels is bitwise-identical to one
-    /// without the surface. The policy is not notified; it observes the
-    /// freed core at its next callback.
+    /// emitted**, and the head of the queue starts service immediately.
+    /// Returns the cancelled spec, or `None` — with **zero state change** —
+    /// when the id is not on this server, so a driver that never cancels is
+    /// bitwise-identical to one without the surface. The policy is not
+    /// notified; it observes the freed core at its next callback.
     ///
     /// Hedged (speculatively duplicated) requests in `rubik-cluster` use
     /// this: when one copy completes, the loser is cancelled wherever it
@@ -438,17 +429,7 @@ impl<P: DvfsPolicy> ServerSim<P> {
         );
         self.advance_to(at);
         let running = self.running.take().expect("in-service id checked above");
-        if let Some((spec, qlen)) = self.queue.pop_front() {
-            self.running = Some(Running {
-                spec,
-                start: self.now,
-                progress: 0.0,
-                wakeup_remaining: 0.0,
-                queue_len_at_arrival: qlen,
-            });
-        } else if matches!(self.config.idle_mode, IdleMode::Sleep { .. }) {
-            self.asleep = true;
-        }
+        self.start_next_queued();
         Some(running.spec)
     }
 
@@ -498,16 +479,15 @@ impl<P: DvfsPolicy> ServerSim<P> {
         self.advance_to(at);
         self.down = true;
         self.down_since = at;
-        self.asleep = false;
         self.running.take().map(|r| r.spec)
     }
 
     /// Brings a down server back at time `at`: downtime accounting for the
     /// interval is closed out, the periodic tick is realigned to the next
     /// multiple after `at`, and the head of the FIFO queue (work that
-    /// accumulated or survived the outage) starts service immediately — a
-    /// rebooted core pays no sleep wake-up. The policy is not invoked; it
-    /// observes the post-recovery state at its next callback.
+    /// accumulated or survived the outage) starts service immediately. The
+    /// policy is not invoked; it observes the post-recovery state at its
+    /// next callback.
     ///
     /// # Panics
     ///
@@ -530,17 +510,7 @@ impl<P: DvfsPolicy> ServerSim<P> {
         while self.next_tick <= self.now + TIME_EPS {
             self.next_tick += self.config.tick_interval;
         }
-        if let Some((spec, qlen)) = self.queue.pop_front() {
-            self.running = Some(Running {
-                spec,
-                start: self.now,
-                progress: 0.0,
-                wakeup_remaining: 0.0,
-                queue_len_at_arrival: qlen,
-            });
-        } else if matches!(self.config.idle_mode, IdleMode::Sleep { .. }) {
-            self.asleep = true;
-        }
+        self.start_next_queued();
     }
 
     /// The straggler factor currently applied to service times.
@@ -597,10 +567,10 @@ impl<P: DvfsPolicy> ServerSim<P> {
     /// Admits a request at time `at`, bypassing the offered-arrivals stream:
     /// the clock advances to `at` (extending the timeline, like
     /// [`coast_to`](ServerSim::coast_to)) and the request starts service if
-    /// the core is free (paying the sleep wake-up if applicable) or joins
-    /// the back of the FIFO queue. The spec's `arrival` is kept verbatim —
-    /// for a migrated request it lies in the past, and the completion
-    /// record's latency charges the time spent queued on the donor server.
+    /// the core is free or joins the back of the FIFO queue. The spec's
+    /// `arrival` is kept verbatim — for a migrated request it lies in the
+    /// past, and the completion record's latency charges the time spent
+    /// queued on the donor server.
     /// The policy sees a normal arrival callback.
     ///
     /// Unlike [`ServerSim::offer`], injection is allowed on a
@@ -829,7 +799,7 @@ impl<P: DvfsPolicy> ServerSim<P> {
     fn completion_time(&self) -> Option<f64> {
         let r = self.running.as_ref()?;
         let total = r.spec.service_time_at(self.current_freq) * self.slowdown;
-        let remaining = (1.0 - r.progress).max(0.0) * total + r.wakeup_remaining;
+        let remaining = (1.0 - r.progress).max(0.0) * total;
         Some(self.now + remaining)
     }
 
@@ -881,32 +851,16 @@ impl<P: DvfsPolicy> ServerSim<P> {
     fn advance_to(&mut self, t: f64) {
         let t = t.max(self.now);
         if t > self.now + TIME_EPS {
-            let activity = if self.down {
-                CoreActivity::Sleep
-            } else if self.running.is_some() {
-                CoreActivity::Busy
-            } else if self.asleep {
-                CoreActivity::Sleep
-            } else {
-                CoreActivity::Idle
-            };
+            let activity = self.current_activity();
             push_segment(&mut self.segments, self.now, t, self.current_freq, activity);
 
             let slowdown = self.slowdown;
             if let Some(r) = self.running.as_mut() {
-                let mut dt = t - self.now;
-                if r.wakeup_remaining > 0.0 {
-                    let consumed = r.wakeup_remaining.min(dt);
-                    r.wakeup_remaining -= consumed;
-                    dt -= consumed;
-                }
-                if dt > 0.0 {
-                    let total = r.spec.service_time_at(self.current_freq) * slowdown;
-                    if total > 0.0 {
-                        r.progress = (r.progress + dt / total).min(1.0);
-                    } else {
-                        r.progress = 1.0;
-                    }
+                let total = r.spec.service_time_at(self.current_freq) * slowdown;
+                if total > 0.0 {
+                    r.progress = (r.progress + (t - self.now) / total).min(1.0);
+                } else {
+                    r.progress = 1.0;
                 }
             }
         }
@@ -930,24 +884,24 @@ impl<P: DvfsPolicy> ServerSim<P> {
             class: spec.class,
         };
         self.records.push(record);
-
-        // Start the next queued request, if any.
-        if let Some((spec, qlen)) = self.queue.pop_front() {
-            self.running = Some(Running {
-                spec,
-                start: self.now,
-                progress: 0.0,
-                wakeup_remaining: 0.0,
-                queue_len_at_arrival: qlen,
-            });
-        } else if matches!(self.config.idle_mode, IdleMode::Sleep { .. }) {
-            self.asleep = true;
-        }
+        self.start_next_queued();
 
         self.refresh_snapshot();
         let decision = self.policy.on_completion(&self.scratch, &record);
         self.apply_decision(decision);
         record
+    }
+
+    /// Starts the head of the FIFO queue, if any, on the freed core.
+    fn start_next_queued(&mut self) {
+        if let Some((spec, qlen)) = self.queue.pop_front() {
+            self.running = Some(Running {
+                spec,
+                start: self.now,
+                progress: 0.0,
+                queue_len_at_arrival: qlen,
+            });
+        }
     }
 
     fn admit_arrival(&mut self) -> u64 {
@@ -975,16 +929,10 @@ impl<P: DvfsPolicy> ServerSim<P> {
         }
 
         if self.running.is_none() {
-            let wakeup = match (self.asleep, self.config.idle_mode) {
-                (true, IdleMode::Sleep { wakeup_latency }) => wakeup_latency,
-                _ => 0.0,
-            };
-            self.asleep = false;
             self.running = Some(Running {
                 spec,
                 start: self.now,
                 progress: 0.0,
-                wakeup_remaining: wakeup,
                 queue_len_at_arrival: pending_before,
             });
         } else {
@@ -1157,25 +1105,6 @@ mod tests {
         assert!((res.busy_time() - 2e-3).abs() < 1e-9);
         assert!((res.idle_time() - (0.01 - 1e-3)).abs() < 1e-9);
         assert!(res.sleep < 1e-12);
-    }
-
-    #[test]
-    fn sleep_mode_records_sleep_and_delays_wakeup() {
-        let config = cfg().with_idle_mode(IdleMode::Sleep {
-            wakeup_latency: 100e-6,
-        });
-        let trace = Trace::new(vec![
-            RequestSpec::new(0, 0.0, 2.4e6, 0.0),
-            RequestSpec::new(1, 0.01, 2.4e6, 0.0),
-        ]);
-        let server = Server::new(config);
-        let mut policy = FixedFrequencyPolicy::new(nominal());
-        let result = server.run(&trace, &mut policy);
-        // Second request pays the 100 µs wake-up.
-        assert!((result.records()[1].latency() - (1e-3 + 100e-6)).abs() < 1e-9);
-        let res = result.freq_residency();
-        assert!(res.sleep > 0.0);
-        assert!(res.idle_time() < 1e-12);
     }
 
     #[test]
@@ -1712,18 +1641,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_of_the_last_request_lets_a_sleep_capable_core_sleep() {
-        let config = cfg().with_idle_mode(IdleMode::Sleep {
-            wakeup_latency: 1e-4,
-        });
-        let mut sim = ServerSim::new(config, FixedFrequencyPolicy::new(nominal()));
+    fn cancel_of_the_last_request_leaves_the_core_idle() {
+        let mut sim = ServerSim::new(cfg(), FixedFrequencyPolicy::new(nominal()));
         sim.offer(RequestSpec::new(0, 0.0, 2.4e6, 0.0));
         sim.drain_until(0.0);
-        // The wake-up was already paid by the arrival at t=0; the abort
-        // happens mid-service with no queue behind it.
+        // The abort happens mid-service with no queue behind it.
         let gone = sim.cancel(0.6e-3, 0).expect("id 0 is in service");
         assert_eq!(gone.id, 0);
-        assert_eq!(sim.current_activity(), CoreActivity::Sleep);
+        assert_eq!(sim.current_activity(), CoreActivity::Idle);
         sim.close();
         sim.run_to_completion();
         assert!(sim.records().is_empty());

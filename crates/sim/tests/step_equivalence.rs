@@ -6,14 +6,14 @@
 //! segment, the end time, down to the float bit patterns.
 //!
 //! The grid: policies (fixed-frequency at several levels, a stateful
-//! arrival-boost policy, a tick-cycling policy) × idle modes (clock-gated,
-//! deep sleep) × seeds/trace shapes. Controller policies from `rubik-core`
-//! (Rubik, Pegasus) run the same check in the repo-level suite
-//! (`tests/integration_step_equivalence.rs`) and the cluster suite.
+//! arrival-boost policy, a tick-cycling policy) × configurations (4 µs and
+//! 130 µs V/F transitions) × seeds/trace shapes. Rubik runs the same check
+//! in the repo-level suite (`tests/integration_step_equivalence.rs`) and
+//! the cluster suite.
 
 use rubik_sim::{
-    DvfsPolicy, FixedFrequencyPolicy, Freq, IdleMode, PolicyDecision, RequestRecord, RequestSpec,
-    RunResult, Server, ServerSim, ServerState, SimConfig, Trace,
+    DvfsPolicy, FixedFrequencyPolicy, Freq, PolicyDecision, RequestRecord, RequestSpec, RunResult,
+    Server, ServerSim, ServerState, SimConfig, Trace,
 };
 
 /// Byte-image of a `RunResult`, comparable with `==` down to NaN payloads.
@@ -152,9 +152,6 @@ impl DvfsPolicy for TickCycler {
 fn configs() -> Vec<SimConfig> {
     vec![
         SimConfig::paper_simulated(),
-        SimConfig::paper_simulated().with_idle_mode(IdleMode::Sleep {
-            wakeup_latency: 100e-6,
-        }),
         // A short tick makes idle-gap ticks frequent; a long transition
         // latency keeps transitions in flight across events.
         SimConfig::paper_real_system().with_tick_interval(2e-3),

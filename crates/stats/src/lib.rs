@@ -58,8 +58,11 @@ pub use summary::OnlineStats;
 /// The result has length `a.len() + b.len() - 1`. Uses the FFT for large
 /// inputs and the direct O(n·m) algorithm for small ones.
 ///
-/// This is re-exported at the crate root because it is the single most
-/// important operation for building Rubik's target tail tables.
+/// It is the convolution [`Histogram::convolve`] applies to two PMFs. Rubik's
+/// target tail tables do not build through it: they run ladders of
+/// self-convolutions on shared [`fft::FftPlan`]s, and only the reference
+/// builder `TargetTailTables::build_direct` (in `rubik-core`) convolves
+/// one pair at a time.
 ///
 /// ```
 /// let a = [0.5, 0.5];

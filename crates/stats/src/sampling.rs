@@ -2,17 +2,17 @@
 //!
 //! The workload models draw request inter-arrival times (exponential, i.e. a
 //! Markov input process, paper Sec. 5.1) and per-request service demands from
-//! parametric distributions. [`ServiceSampler`] covers the distribution
-//! shapes needed to mimic the five latency-critical applications, and
-//! [`DeterministicRng`] pins the RNG seed so every experiment is
-//! reproducible.
+//! parametric distributions. [`ServiceSampler`] covers the two work-factor
+//! shapes an application profile builds (log-normal, and two-class
+//! bimodal), and [`DeterministicRng`] pins the RNG seed so every experiment
+//! is reproducible.
 //!
 //! The generator is a self-contained xoshiro256++ (seeded through SplitMix64)
 //! rather than an external RNG crate: the build environment is offline, and a
 //! fixed in-tree generator additionally guarantees that experiment streams
 //! never shift under a dependency upgrade. Distribution draws use inverse
 //! transforms (with the crate's high-precision [`gaussian_quantile`] for
-//! normal/log-normal) and rejection-inversion for Zipf.
+//! normal/log-normal).
 //!
 //! [`gaussian_quantile`]: crate::gaussian::gaussian_quantile
 
@@ -64,12 +64,6 @@ impl DeterministicRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform draw in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(hi > lo, "range must be non-empty");
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer draw in `[0, n)`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot draw an index from an empty range");
@@ -101,12 +95,6 @@ impl DeterministicRng {
         (mu + sigma2.sqrt() * self.standard_normal()).exp()
     }
 
-    /// Pareto draw with the given scale (minimum value) and shape.
-    pub fn pareto(&mut self, scale: f64, shape: f64) -> f64 {
-        assert!(scale > 0.0 && shape > 0.0);
-        scale * (1.0 - self.uniform()).powf(-1.0 / shape)
-    }
-
     /// Bernoulli draw with probability `p`.
     pub fn bernoulli(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p));
@@ -120,26 +108,12 @@ impl DeterministicRng {
 /// demand and seconds for memory-bound time).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceSampler {
-    /// Every request needs exactly this much work.
-    Constant(f64),
-    /// Exponentially distributed work with the given mean.
-    Exponential {
-        /// Mean of the distribution.
-        mean: f64,
-    },
     /// Log-normal work with the given mean and coefficient of variation.
     LogNormal {
         /// Mean of the distribution.
         mean: f64,
         /// Coefficient of variation (stddev / mean).
         cov: f64,
-    },
-    /// Pareto (heavy-tailed) work.
-    Pareto {
-        /// Minimum value (scale).
-        scale: f64,
-        /// Tail exponent; smaller is heavier.
-        shape: f64,
     },
     /// Two-class (short/long) bimodal work, as used to mimic applications
     /// with distinct request classes (the situation Adrenaline exploits).
@@ -151,23 +125,13 @@ pub enum ServiceSampler {
         /// Probability that a request is long.
         long_fraction: f64,
     },
-    /// Uniform work in `[lo, hi)`.
-    Uniform {
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
 }
 
 impl ServiceSampler {
     /// Draws one service demand.
     pub fn sample(&self, rng: &mut DeterministicRng) -> f64 {
         match *self {
-            ServiceSampler::Constant(v) => v,
-            ServiceSampler::Exponential { mean } => rng.exponential(mean),
             ServiceSampler::LogNormal { mean, cov } => rng.lognormal(mean, cov),
-            ServiceSampler::Pareto { scale, shape } => rng.pareto(scale, shape),
             ServiceSampler::Bimodal {
                 short,
                 long,
@@ -179,29 +143,18 @@ impl ServiceSampler {
                     short
                 }
             }
-            ServiceSampler::Uniform { lo, hi } => rng.uniform_range(lo, hi),
         }
     }
 
-    /// Analytical mean of the sampler, where tractable.
+    /// Analytical mean of the sampler.
     pub fn mean(&self) -> f64 {
         match *self {
-            ServiceSampler::Constant(v) => v,
-            ServiceSampler::Exponential { mean } => mean,
             ServiceSampler::LogNormal { mean, .. } => mean,
-            ServiceSampler::Pareto { scale, shape } => {
-                if shape > 1.0 {
-                    shape * scale / (shape - 1.0)
-                } else {
-                    f64::INFINITY
-                }
-            }
             ServiceSampler::Bimodal {
                 short,
                 long,
                 long_fraction,
             } => short * (1.0 - long_fraction) + long * long_fraction,
-            ServiceSampler::Uniform { lo, hi } => (lo + hi) / 2.0,
         }
     }
 }
@@ -265,23 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_scale_and_mean() {
-        let mut rng = DeterministicRng::new(19);
-        let sampler = ServiceSampler::Pareto {
-            scale: 2.0,
-            shape: 3.0,
-        };
-        let s: OnlineStats = (0..100_000).map(|_| sampler.sample(&mut rng)).collect();
-        assert!(s.min().unwrap() >= 2.0);
-        assert!((s.mean() - sampler.mean()).abs() < 0.05 * sampler.mean());
-    }
-
-    #[test]
     fn samplers_are_nonnegative_and_match_mean() {
         let mut rng = DeterministicRng::new(5);
         let samplers = [
-            ServiceSampler::Constant(4.0),
-            ServiceSampler::Exponential { mean: 4.0 },
             ServiceSampler::LogNormal {
                 mean: 4.0,
                 cov: 0.3,
@@ -291,7 +230,6 @@ mod tests {
                 long: 10.0,
                 long_fraction: 0.25,
             },
-            ServiceSampler::Uniform { lo: 2.0, hi: 6.0 },
         ];
         for s in samplers {
             let stats: OnlineStats = (0..50_000).map(|_| s.sample(&mut rng)).collect();

@@ -18,11 +18,13 @@ use crate::profile::AppProfile;
 /// hint; Rubik never looks at it.
 pub const LONG_REQUEST_CLASS: u32 = 1;
 
+/// The frequency that defines 100% load: the paper's nominal 2.4 GHz.
+const NOMINAL: Freq = Freq::from_mhz(2400);
+
 /// Generates request traces for one application.
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
     profile: AppProfile,
-    nominal: Freq,
     rng: DeterministicRng,
 }
 
@@ -30,14 +32,8 @@ impl WorkloadGenerator {
     /// Creates a generator for `profile` with the paper's nominal frequency
     /// (2.4 GHz) and the given RNG seed.
     pub fn new(profile: AppProfile, seed: u64) -> Self {
-        Self::with_nominal(profile, Freq::from_mhz(2400), seed)
-    }
-
-    /// Creates a generator with an explicit nominal frequency.
-    pub fn with_nominal(profile: AppProfile, nominal: Freq, seed: u64) -> Self {
         Self {
             profile,
-            nominal,
             rng: DeterministicRng::new(seed),
         }
     }
@@ -45,11 +41,6 @@ impl WorkloadGenerator {
     /// The application profile driving this generator.
     pub fn profile(&self) -> &AppProfile {
         &self.profile
-    }
-
-    /// The nominal frequency that defines 100% load.
-    pub fn nominal(&self) -> Freq {
-        self.nominal
     }
 
     /// Generates a steady-load trace with `num_requests` requests at the
@@ -74,7 +65,7 @@ impl WorkloadGenerator {
     /// exact product [`steady_trace`](Self::steady_trace) uses, exposed so
     /// incremental sources reproduce it bit-for-bit.
     pub fn steady_rate(&self, load: f64) -> f64 {
-        load * self.profile.capacity_qps(self.nominal, self.nominal)
+        load * self.profile.capacity_qps(NOMINAL, NOMINAL)
     }
 
     /// Draws one exponential interarrival gap at `rate` queries per second
@@ -110,7 +101,7 @@ impl WorkloadGenerator {
     fn draw_request(&mut self, id: u64, arrival: f64) -> RequestSpec {
         let factor_sampler = self.profile.work_factor_sampler();
         let factor = factor_sampler.sample(&mut self.rng).max(0.01);
-        let compute = factor * self.profile.mean_compute_cycles(self.nominal);
+        let compute = factor * self.profile.mean_compute_cycles(NOMINAL);
         let mem = factor * self.profile.mean_membound_time();
         // The top-decile work factor marks a "long" request (a perfect
         // application-level hint for oracle schemes).

@@ -7,9 +7,9 @@
 //! [`TraceWriter`] appends requests to any [`Write`] as they are generated,
 //! and [`TraceReader`] pulls them back one at a time from any [`Read`]
 //! through `rubik-json`'s tokenizer, so neither side holds more than one
-//! request and a fixed buffer, however long the trace. [`to_json`],
-//! [`from_json`], [`save`] and [`load`] are whole-trace wrappers over the
-//! two.
+//! request and a fixed buffer, however long the trace. [`to_json`] and
+//! [`from_json`] are whole-trace wrappers over the two; a file is captured
+//! or replayed by handing the writer or reader a `File`.
 //!
 //! ```json
 //! {"requests":[{"id":0,"arrival":0e0,"compute_cycles":1e6,
@@ -23,9 +23,7 @@
 //! duplicate and missing fields, non-finite numbers, ids that are not exact
 //! integers, and anything after the closing `]}`.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
 
 pub use rubik_json::JsonError;
 use rubik_json::{write_f64, write_u64, Elements, Reader, F64_LEN, U64_LEN};
@@ -72,8 +70,12 @@ impl From<JsonError> for TraceIoError {
 
 /// Serializes a trace to a JSON string.
 pub fn to_json(trace: &Trace) -> String {
-    let mut out = Vec::with_capacity(64 * trace.len() + 16);
-    write_trace(trace, &mut out).expect("writing to a Vec cannot fail");
+    let out = Vec::with_capacity(64 * trace.len() + 16);
+    let mut writer = TraceWriter::new(out).expect("writing to a Vec cannot fail");
+    for r in trace.requests() {
+        writer.write(r).expect("writing to a Vec cannot fail");
+    }
+    let out = writer.finish().expect("writing to a Vec cannot fail");
     String::from_utf8(out).expect("the writer emits ASCII")
 }
 
@@ -83,38 +85,7 @@ pub fn to_json(trace: &Trace) -> String {
 ///
 /// Returns [`TraceIoError::Parse`] if the string is not a valid trace.
 pub fn from_json(json: &str) -> Result<Trace, TraceIoError> {
-    read_trace(TraceReader::new(json.as_bytes())?)
-}
-
-/// Writes a trace to a JSON file.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] if the file cannot be written.
-pub fn save<P: AsRef<Path>>(trace: &Trace, path: P) -> Result<(), TraceIoError> {
-    write_trace(trace, BufWriter::new(File::create(path)?))?;
-    Ok(())
-}
-
-/// Reads a trace from a JSON file.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] if the file cannot be read and
-/// [`TraceIoError::Parse`] if it is not a valid trace.
-pub fn load<P: AsRef<Path>>(path: P) -> Result<Trace, TraceIoError> {
-    read_trace(TraceReader::open(path)?)
-}
-
-fn write_trace<W: Write>(trace: &Trace, out: W) -> io::Result<W> {
-    let mut writer = TraceWriter::new(out)?;
-    for r in trace.requests() {
-        writer.write(r)?;
-    }
-    writer.finish()
-}
-
-fn read_trace<R: Read>(mut reader: TraceReader<R>) -> Result<Trace, TraceIoError> {
+    let mut reader = TraceReader::new(json.as_bytes())?;
     let mut requests = Vec::new();
     while let Some(r) = reader.next_request()? {
         requests.push(r);
@@ -131,17 +102,6 @@ fn read_trace<R: Read>(mut reader: TraceReader<R>) -> Result<Trace, TraceIoError
 pub struct TraceWriter<W: Write> {
     out: W,
     written: usize,
-}
-
-impl TraceWriter<BufWriter<File>> {
-    /// Creates (truncating) a trace file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the file cannot be created.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Self::new(BufWriter::new(File::create(path)?))
-    }
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -250,18 +210,6 @@ pub struct TraceReader<R: Read> {
     requests: Elements,
     /// The closing `]}` and the end of the input have been read.
     done: bool,
-}
-
-impl TraceReader<BufReader<File>> {
-    /// Opens a trace file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Io`] if the file cannot be opened and
-    /// [`TraceIoError::Parse`] if it does not start with the trace header.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
-        Self::new(BufReader::new(File::open(path)?))
-    }
 }
 
 impl<R: Read> TraceReader<R> {
@@ -400,14 +348,25 @@ mod tests {
 
     #[test]
     fn file_roundtrip_preserves_trace() {
+        use std::fs::File;
+        use std::io::{BufReader, BufWriter};
         let mut g = WorkloadGenerator::new(AppProfile::shore(), 2);
         let trace = g.steady_trace(0.3, 100);
         let dir = std::env::temp_dir();
         let path = dir.join("rubik_trace_io_test.json");
-        save(&trace, &path).unwrap();
-        let back = load(&path).unwrap();
+        let mut writer = TraceWriter::new(BufWriter::new(File::create(&path).unwrap())).unwrap();
+        for r in trace.requests() {
+            writer.write(r).unwrap();
+        }
+        writer.finish().unwrap();
+        let mut reader = TraceReader::new(BufReader::new(File::open(&path).unwrap())).unwrap();
+        let mut requests = Vec::new();
+        while let Some(r) = reader.next_request().unwrap() {
+            requests.push(r);
+        }
+        reader.finish().unwrap();
         std::fs::remove_file(&path).ok();
-        assert_traces_equivalent(&trace, &back);
+        assert_traces_equivalent(&trace, &Trace::new(requests));
     }
 
     #[test]
@@ -571,11 +530,5 @@ mod tests {
             }
         };
         assert!(matches!(err, TraceIoError::Io(_)), "{err}");
-    }
-
-    #[test]
-    fn missing_file_is_reported_as_io_error() {
-        let err = load("/nonexistent/rubik/trace.json").unwrap_err();
-        assert!(matches!(err, TraceIoError::Io(_)));
     }
 }

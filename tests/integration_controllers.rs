@@ -35,16 +35,11 @@ fn run_rubik(
     bound: f64,
     power: &CorePowerModel,
 ) -> SchemeOutcome {
-    let mut rubik = RubikController::new(
+    let mut rubik = RubikController::seeded_for_trace(
         RubikConfig::new(bound).with_profiling_window(2048),
         config.dvfs.clone(),
-    );
-    rubik.seed_profile(
-        trace
-            .requests()
-            .iter()
-            .take(512)
-            .map(|r| (r.compute_cycles, r.membound_time)),
+        trace,
+        512,
     );
     let result = Server::new(config.clone()).run(trace, &mut rubik);
     SchemeOutcome {
@@ -157,14 +152,7 @@ fn rubik_without_feedback_is_more_conservative_than_with_feedback() {
         if !feedback {
             cfg = cfg.without_feedback();
         }
-        let mut rubik = RubikController::new(cfg, config.dvfs.clone());
-        rubik.seed_profile(
-            trace
-                .requests()
-                .iter()
-                .take(512)
-                .map(|r| (r.compute_cycles, r.membound_time)),
-        );
+        let mut rubik = RubikController::seeded_for_trace(cfg, config.dvfs.clone(), &trace, 512);
         let result = Server::new(config.clone()).run(&trace, &mut rubik);
         result.tail_latency(0.95).unwrap()
     };

@@ -5,15 +5,13 @@
 //! would drift immediately if the stepping surface reordered or dropped a
 //! single callback.
 //!
-//! Policies × idle modes × seeds; arrivals offered both up front and
-//! incrementally (each request only when simulated time reaches it — the
+//! Policies × transition latencies × seeds; arrivals offered both up front
+//! and incrementally (each request only when simulated time reaches it — the
 //! cluster driver's pattern).
 
-use rubik::core::PegasusConfig;
-use rubik::sim::IdleMode;
 use rubik::{
-    AppProfile, DvfsPolicy, FixedFrequencyPolicy, PegasusPolicy, RubikConfig, RubikController,
-    RunResult, Server, ServerSim, SimConfig, Trace, WorkloadGenerator,
+    AppProfile, DvfsPolicy, FixedFrequencyPolicy, RubikConfig, RubikController, RunResult, Server,
+    ServerSim, SimConfig, Trace, WorkloadGenerator,
 };
 
 fn result_bits(r: &RunResult) -> Vec<u64> {
@@ -43,17 +41,8 @@ fn result_bits(r: &RunResult) -> Vec<u64> {
 /// Builds every controller under test. Rubik is seeded from the head of the
 /// trace exactly as the experiment harness does.
 fn policies(config: &SimConfig, trace: &Trace, bound: f64) -> Vec<Box<dyn DvfsPolicy>> {
-    let seeded_rubik = |cfg: RubikConfig| {
-        let mut rubik = RubikController::new(cfg, config.dvfs.clone());
-        rubik.seed_profile(
-            trace
-                .requests()
-                .iter()
-                .take(512)
-                .map(|r| (r.compute_cycles, r.membound_time)),
-        );
-        rubik
-    };
+    let seeded_rubik =
+        |cfg: RubikConfig| RubikController::seeded_for_trace(cfg, config.dvfs.clone(), trace, 512);
     vec![
         Box::new(FixedFrequencyPolicy::new(config.dvfs.nominal())),
         Box::new(seeded_rubik(
@@ -64,22 +53,12 @@ fn policies(config: &SimConfig, trace: &Trace, bound: f64) -> Vec<Box<dyn DvfsPo
                 .with_profiling_window(2048)
                 .without_feedback(),
         )),
-        Box::new(PegasusPolicy::new(
-            PegasusConfig::new(bound),
-            config.dvfs.clone(),
-        )),
     ]
 }
 
 #[test]
 fn all_controllers_step_bitwise_identically_to_run() {
-    let configs = [
-        SimConfig::paper_simulated(),
-        SimConfig::paper_simulated().with_idle_mode(IdleMode::Sleep {
-            wakeup_latency: 100e-6,
-        }),
-        SimConfig::paper_real_system(),
-    ];
+    let configs = [SimConfig::paper_simulated(), SimConfig::paper_real_system()];
     let profile = AppProfile::masstree();
     let bound = 3.0 * profile.mean_service_time();
 
